@@ -172,6 +172,15 @@ def _build_config(raw: dict, problems: list[str]) -> RunConfig | None:
             not isinstance(a, (int, float)) or a < 0 for a in alphas):
         problems.append("sweep.alphas: must be a list of non-negative numbers")
         alphas = []
+    # each alpha owns an output directory and a seed, both keyed at 4
+    # decimals but rounded differently (0.12345 -> alpha_0.1235/, key 1234)
+    dirs = [_alpha_dir_name(a) for a in alphas]
+    keys = [_alpha_key(a) for a in alphas]
+    clashes = [a for a, d, k in zip(alphas, dirs, keys)
+               if dirs.count(d) > 1 or keys.count(k) > 1]
+    if clashes:
+        problems.append(f"sweep.alphas: {clashes} coincide at 4 decimals "
+                        f"(output directory or seed)")
     if sweep.get("stage") not in STAGES:
         problems.append(
             f"sweep.stage: must be one of {STAGES}, got {sweep.get('stage')!r}"
@@ -260,9 +269,13 @@ def validate_config(path) -> tuple[RunConfig | None, list[str]]:
     return cfg, problems
 
 
-def _alpha_seed(seed: int, alpha: float) -> np.random.SeedSequence:
+def _alpha_key(alpha: float) -> int:
     # documented stable rule: alphas keyed at 4-decimal resolution
-    return np.random.SeedSequence([seed, int(round(alpha * 10_000))])
+    return int(round(alpha * 10_000))
+
+
+def _alpha_seed(seed: int, alpha: float) -> np.random.SeedSequence:
+    return np.random.SeedSequence([seed, _alpha_key(alpha)])
 
 
 def _alpha_dir_name(alpha: float) -> str:

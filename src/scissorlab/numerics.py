@@ -29,7 +29,7 @@ class NumericalPolicy:
     # looser tolerance for "input must be normalized" preconditions,
     # meant to catch user error rather than float jitter
     unit_trace_tol: float = 1e-8
-    povm_completeness_tol: float = 1e-6
+    povm_completeness_tol: float = 1e-12
     # heralding probabilities below this are treated as numerically zero
     conditioning_floor: float = 1e-15
     # clamp for model bin probabilities inside likelihood evaluations

@@ -14,20 +14,14 @@ likelihood state on the truncated basis.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
 from .fock import DensityOperator
-from .measurement import QuadratureSample, wavefunctions
+from .measurement import wavefunctions
 from .numerics import DEFAULT_POLICY, NumericalPolicy
-
-#: integration support: eigenfunctions up to the default reconstruction
-#: cutoff are negligible beyond this quadrature magnitude
-_FAR_EDGE = 12.0
-_GAUSS_ORDER = 24
-_PANEL_WIDTH = 0.15
 
 
 @dataclass(frozen=True)
@@ -100,50 +94,52 @@ def bin_samples(samples, phases, bin_count: int = 100,
     return out
 
 
-def _gauss_panels(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights tiling [a, b] in sub-panels."""
-    base_x, base_w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    n_panels = max(1, int(math.ceil((b - a) / _PANEL_WIDTH)))
-    cuts = np.linspace(a, b, n_panels + 1)
-    xs, ws = [], []
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        half = 0.5 * (right - left)
-        mid = 0.5 * (right + left)
-        xs.append(mid + half * base_x)
-        ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
+def _overlap_stack(edges, n_max: int) -> np.ndarray:
+    """Phase-free overlaps S[k, m, n] = integral_k psi_m psi_n dx of the
+    bins (-inf, e_0], ..., [e_last, +inf), exact in psi at the edges.
 
-
-def bin_povm(theta: float, lo: float, hi: float, n_max: int) -> np.ndarray:
-    """POVM element of one quadrature bin at one phase.
-
-    Pi[m, n] = e^{i (m - n) theta} * integral_lo^hi psi_m(x) psi_n(x) dx,
-    evaluated with panel Gauss-Legendre quadrature.
+    Off the diagonal the primitive is the Wronskian [psi_m' psi_n -
+    psi_m psi_n'] / (n - m), psi_n' = (sqrt(n) psi_{n-1} - sqrt(n+1)
+    psi_{n+1}) / 2; on it F_n = F_{n-1} - psi_n psi_{n-1} / sqrt(n) from
+    F_0 = Phi.  It is 0 at -inf and the identity at +inf.
     """
-    if not lo < hi:
-        raise ValueError(f"empty bin [{lo}, {hi}]")
-    xs, ws = _gauss_panels(lo, hi)
-    psi = wavefunctions(xs, n_max)
-    overlap = np.einsum("k,km,kn->mn", ws, psi, psi)
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or np.any(np.diff(edges) <= 0):
+        raise ValueError("bin edges must be a strictly increasing 1-D array")
+    d = n_max + 1
+    full = wavefunctions(edges, d)
+    psi = full[:, :d]
+    root = np.sqrt(np.arange(d + 1))
+    lower = np.pad(psi[:, :-1], ((0, 0), (1, 0)))
+    dpsi = 0.5 * (root[:d] * lower - root[1:] * full[:, 1:])
+    n = np.arange(d)
+    gap = n[None, :] - n[:, None] + np.eye(d)   # diagonal replaced below
+    prim = (dpsi[:, :, None] * psi[:, None, :]
+            - psi[:, :, None] * dpsi[:, None, :]) / gap
+    diag = np.empty((edges.size, d))
+    diag[:, 0] = ndtr(edges)
+    for k in range(1, d):
+        diag[:, k] = diag[:, k - 1] - psi[:, k] * psi[:, k - 1] / root[k]
+    prim[:, n, n] = diag
+    prim = np.concatenate([np.zeros((1, d, d)), prim, np.eye(d)[None]])
+    return np.diff(prim, axis=0)
+
+
+def _phase_factors(theta: float, n_max: int) -> np.ndarray:
     n = np.arange(n_max + 1)
-    return overlap * np.exp(1j * theta * (n[:, None] - n[None, :]))
+    return np.exp(1j * theta * (n[:, None] - n[None, :]))
 
 
 def phase_povm_elements(theta: float, edges: np.ndarray, n_max: int
                         ) -> np.ndarray:
-    """All elements of one phase: underflow, the bins, overflow.
+    """All elements of one phase, Pi[k, m, n] = e^{i (m - n) theta}
+    S[k, m, n]: underflow (from -inf), the bins, overflow (to +inf)."""
+    return _overlap_stack(edges, n_max) * _phase_factors(theta, n_max)
 
-    The two unbounded tails are integrated out to +-_FAR_EDGE, beyond
-    which every retained eigenfunction is negligible; the stack then sums
-    to the identity up to quadrature error.
-    """
-    edges = np.asarray(edges, dtype=float)
-    far = max(_FAR_EDGE, abs(edges[0]) + 6.0, abs(edges[-1]) + 6.0)
-    bounds = np.concatenate([[-far], edges, [far]])
-    return np.stack([
-        bin_povm(theta, a, b, n_max)
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ])
+
+def bin_povm(theta: float, lo: float, hi: float, n_max: int) -> np.ndarray:
+    """Pi[m, n] = e^{i (m - n) theta} integral_lo^hi psi_m psi_n dx."""
+    return phase_povm_elements(theta, [lo, hi], n_max)[1]
 
 
 @dataclass
@@ -165,16 +161,19 @@ class TomographyProblem:
                 "tomography needs at least two distinct phases to be "
                 "informationally complete"
             )
+        # one overlap stack per distinct edge array, shared by every phase
+        stacks = {h.edges.tobytes(): h.edges for h in self.histograms}
+        stacks = {k: _overlap_stack(e, self.n_max) for k, e in stacks.items()}
         element_blocks = []
         count_blocks = []
         for h in self.histograms:
-            block = phase_povm_elements(h.theta, h.edges, self.n_max)
+            block = (stacks[h.edges.tobytes()]
+                     * _phase_factors(h.theta, self.n_max))
             element_blocks.append(block)
             count_blocks.append(np.concatenate(
                 [[h.underflow], h.counts, [h.overflow]]
             ))
-            ident = block.sum(axis=0)
-            miss = np.abs(ident - np.eye(self.n_max + 1)).max()
+            miss = np.abs(block.sum(axis=0) - np.eye(self.n_max + 1)).max()
             if miss > self.policy.povm_completeness_tol:
                 raise ValueError(
                     f"POVM for phase {h.theta} deviates from completeness "
@@ -219,10 +218,11 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
     if total <= 0:
         raise ValueError("cannot reconstruct from empty histograms")
     occupied = problem.counts > 0
-    pi_occ = problem.elements[occupied]
+    d = problem.n_max + 1
+    # row j is Pi_j flattened, so Tr(Pi_j rho) = (A @ vec(rho^T))_j
+    a_mat = problem.elements[occupied].reshape(-1, d * d)
     counts_occ = problem.counts[occupied]
     freq = counts_occ / total
-    d = problem.n_max + 1
     rho = np.eye(d, dtype=complex) / d
     floor = policy.probability_floor
     loglik = []
@@ -230,7 +230,7 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
     floored = 0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        probs = np.einsum("jab,ba->j", pi_occ, rho).real
+        probs = (a_mat @ rho.T.reshape(-1)).real
         n_floored = int((probs < floor).sum())
         floored = max(floored, n_floored)
         probs = np.maximum(probs, floor)
@@ -238,7 +238,7 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
         if len(loglik) > 1 and loglik[-1] - loglik[-2] < tol:
             converged = True
             break
-        r_op = np.einsum("j,jab->ab", freq / probs, pi_occ)
+        r_op = ((freq / probs) @ a_mat).reshape(d, d)
         rho = r_op @ rho @ r_op
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real

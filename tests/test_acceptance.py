@@ -237,10 +237,10 @@ def test_criterion_8_physicality_suite(_report):
         var_p = quadrature_moments(rho, math.pi / 2)[1]
         heis_min = min(heis_min, var_x * var_p)
 
-    ok = completeness_err <= 1e-6 and heis_min >= 1.0 - 1e-9
+    ok = completeness_err <= 1e-12 and heis_min >= 1.0 - 1e-9
     _report(8, "physicality suite", ok,
             f"{n_checked} states Hermitian/positive/unit-trace, POVM "
-            f"completeness err {completeness_err:.1e} (<=1e-6), min "
+            f"completeness err {completeness_err:.1e} (<=1e-12), min "
             f"uncertainty product {heis_min:.6f} (>=1-1e-9)")
 
 

@@ -79,6 +79,18 @@ def test_reflectivity_alone_is_accepted(tmp_path):
     assert cfg.amplifier_config(0.1).g == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("alphas, clash", [
+    ([0.25, 0.1, 0.10001], "[0.1, 0.10001]"),
+    ([0.1234, 0.12345, 0.5], "[0.1234, 0.12345]"),
+], ids=["same-directory-and-seed", "same-seed-only"])
+def test_colliding_alphas_flagged(tmp_path, alphas, clash):
+    path = write_config(tmp_path, **{"sweep.alphas": alphas})
+    cfg, problems = validate_config(path)
+    assert cfg is None
+    assert any(p.startswith(f"sweep.alphas: {clash} coincide")
+               for p in problems)
+
+
 def test_schema_version_checked(tmp_path):
     path = write_config(tmp_path, schema_version=99)
     _, problems = validate_config(path)

@@ -70,13 +70,44 @@ def test_bin_povm_against_dense_quadrature():
     np.testing.assert_allclose(ours, oracle, atol=1e-9)
 
 
+def dense_phase_block(theta, edges, n_max, far=25.0, points=20001):
+    """Trapezoid oracle for a whole phase block; the open tails are cut
+    at +-far, where every psi_n up to n_max is below double precision."""
+    bounds = np.concatenate([[-far], edges, [far]])
+    m = np.arange(n_max + 1)
+    phase = np.exp(1j * theta * (m[:, None] - m[None, :]))
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        n = points if lo > -far and hi < far else 10 * points
+        x = np.linspace(lo, hi, n)
+        w = np.full(n, x[1] - x[0])
+        w[[0, -1]] *= 0.5
+        psi = wavefunctions(x, n_max)
+        out.append((psi.T @ (w[:, None] * psi)) * phase)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("edges, n_max", [
+    (np.linspace(-9.0, 9.0, 61), 10),     # edges past the old +-6 support
+    (np.linspace(-6.0, 6.0, 101), 20),    # psi_20 reaches well into the tails
+])
+def test_phase_block_against_dense_quadrature(edges, n_max):
+    theta = 0.9
+    ours = phase_povm_elements(theta, edges, n_max)
+    assert ours.shape == (edges.size + 1, n_max + 1, n_max + 1)
+    np.testing.assert_allclose(ours, dense_phase_block(theta, edges, n_max),
+                               atol=1e-9)
+    np.testing.assert_array_equal(ours, ours.conj().transpose(0, 2, 1))
+    assert np.linalg.eigvalsh(ours).min() > -1e-12
+
+
 def test_phase_povm_completeness():
     edges = np.linspace(-6.0, 6.0, 101)
     for theta in (0.0, 0.9, math.pi / 2):
         block = phase_povm_elements(theta, edges, 10)
         assert block.shape == (102, 11, 11)
         miss = np.abs(block.sum(axis=0) - np.eye(11)).max()
-        assert miss < 1e-6
+        assert miss < 1e-12
 
 
 def test_problem_requires_two_phases():
@@ -133,6 +164,42 @@ def test_loglik_never_decreases():
     gains = np.diff(result.loglik)
     assert gains.min() > -1e-10
     assert result.iterations == len(result.loglik)
+
+
+def einsum_maxlik_oracle(problem, max_iter, tol):
+    """The R rho R climb written out over the (J, d, d) element stack."""
+    occupied = problem.counts > 0
+    pi_occ = problem.elements[occupied]
+    counts = problem.counts[occupied]
+    total = problem.total_counts
+    d = problem.n_max + 1
+    rho = np.eye(d, dtype=complex) / d
+    loglik = []
+    for _ in range(max_iter):
+        probs = np.einsum("jab,ba->j", pi_occ, rho).real
+        probs = np.maximum(probs, problem.policy.probability_floor)
+        loglik.append(float(counts @ np.log(probs)) / total)
+        if len(loglik) > 1 and loglik[-1] - loglik[-2] < tol:
+            break
+        r_op = np.einsum("j,jab->ab", counts / total / probs, pi_occ)
+        rho = r_op @ rho @ r_op
+        rho = 0.5 * (rho + rho.conj().T)
+        rho /= np.trace(rho).real
+    return rho, np.asarray(loglik)
+
+
+def test_maxlik_matches_einsum_iteration():
+    truth = apply_loss(ideal_output(0.3, 2.0).state, LossChannel(0.68))
+    phases = default_phase_grid(6)
+    samples = sample_homodyne(truth, phases, 20000, seed=11)
+    problem = TomographyProblem(bin_samples(samples, phases, bin_count=60),
+                                n_max=8)
+    result = maxlik_reconstruct(problem, max_iter=3000, tol=1e-10)
+    rho, loglik = einsum_maxlik_oracle(problem, 3000, 1e-10)
+    assert result.converged
+    assert result.iterations == len(loglik)
+    np.testing.assert_allclose(result.loglik, loglik, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.rho.matrix, rho, rtol=0, atol=1e-12)
 
 
 def test_reconstruction_sharpens_with_more_data():
