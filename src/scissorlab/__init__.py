@@ -40,7 +40,7 @@ from .fock import (
 )
 from .measurement import (
     DetectorCalibration,
-    QuadratureSample,
+    QuadratureSamples,
     amplitude_from_counts,
     default_phase_grid,
     expected_count_rate,

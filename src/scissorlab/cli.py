@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .amplifier import AmplifierConfig, SourceModel, ideal_output, simulate
+from .amplifier import (AmplifierConfig, HeraldedOutput, SourceModel,
+                        ideal_output, simulate)
 from .fock import DensityOperator
 from .measurement import (
     default_phase_grid,
@@ -282,19 +283,19 @@ def _alpha_dir_name(alpha: float) -> str:
     return f"alpha_{alpha:.4f}"
 
 
-def _format_float(v: float) -> str:
-    return f"{v:.12g}"
+def _stage_output(cfg: RunConfig, alpha: float, stage: str) -> HeraldedOutput:
+    """One alpha's output: the closed form at stage analytic, else the circuit."""
+    amp_cfg = cfg.amplifier_config(alpha)
+    if stage == "analytic":
+        return ideal_output(alpha, amp_cfg.g, amp_cfg.n_max,
+                            amp_cfg.accept_both_heralds)
+    return simulate(amp_cfg)
 
 
 def _run_single(cfg: RunConfig, alpha: float, out_dir: Path) -> tuple[dict, list[Path]]:
     """Produce one alpha's artifacts; returns its summary row and paths."""
-    amp_cfg = cfg.amplifier_config(alpha)
     written: list[Path] = []
-    if cfg.stage == "analytic":
-        out = ideal_output(alpha, amp_cfg.g, amp_cfg.n_max,
-                           amp_cfg.accept_both_heralds)
-    else:
-        out = simulate(amp_cfg)
+    out = _stage_output(cfg, alpha, cfg.stage)
     state_for_metrics = out.state
     eta_for_metrics = 1.0
     alpha_dir = out_dir / _alpha_dir_name(alpha)
@@ -363,15 +364,8 @@ def run_sweep(cfg: RunConfig, out_dir=None) -> list[Path]:
     with open(summary, "w", encoding="utf-8") as fh:
         fh.write(SUMMARY_HEADER + "\n")
         for row in rows:
-            fh.write(",".join([
-                f"{row['alpha']:.4f}",
-                _format_float(row["g_eff"]),
-                _format_float(row["ein_min"]),
-                _format_float(row["ein_avg"]),
-                _format_float(row["ein_max"]),
-                _format_float(row["p_success"]),
-                _format_float(row["reference_ein"]),
-            ]) + "\n")
+            fields = [f"{row[key]:.12g}" for key in SUMMARY_HEADER.split(",")[1:]]
+            fh.write(",".join([f"{row['alpha']:.4f}", *fields]) + "\n")
     written.append(summary)
     return written
 
@@ -426,13 +420,7 @@ def _cmd_wigner(args) -> int:
     else:
         if args.alpha is None:
             raise SystemExit("wigner needs --alpha (or --rho FILE)")
-        amp_cfg = cfg.amplifier_config(args.alpha)
-        stage = args.stage or cfg.stage
-        if stage == "analytic":
-            state = ideal_output(args.alpha, amp_cfg.g, amp_cfg.n_max,
-                                 amp_cfg.accept_both_heralds).state
-        else:
-            state = simulate(amp_cfg).state
+        state = _stage_output(cfg, args.alpha, args.stage or cfg.stage).state
     axes = phase_space_axes(cfg.wigner["extent"], cfg.wigner["points"])
     grid = wigner(state, axes, axes)
     write_wigner_csv(grid, args.out)
@@ -444,7 +432,7 @@ def _cmd_tomo(args) -> int:
     cfg = _load_config_or_fail(args.config) if args.config else None
     tomo = cfg.tomography if cfg else default_config_dict()["tomography"]
     samples = read_samples_csv(args.samples)
-    phases = sorted({s.theta for s in samples})
+    phases = np.unique(samples.theta)
     hists = bin_samples(samples, phases, bin_count=tomo["bin_count"],
                         value_range=tuple(tomo["bin_range"]))
     n_max = args.n_max if args.n_max is not None else tomo["n_max"]

@@ -14,6 +14,7 @@ normal density.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.special import eval_hermite, gammaln
 
 from .fock import DensityOperator, FockVector, State
-from .numerics import DEFAULT_POLICY, NumericalPolicy
+from .numerics import DEFAULT_POLICY, NumericalPolicy, TruncationError
 from .optics import LossChannel, apply_loss
 
 #: sampling grid for inverse-CDF draws: fixed, dense, and generous enough
@@ -36,10 +37,20 @@ def default_phase_grid(count: int = 12) -> np.ndarray:
     return np.arange(count) * math.pi / count
 
 
-@dataclass(frozen=True, slots=True)
-class QuadratureSample:
-    theta: float
-    value: float
+@dataclass(frozen=True)
+class QuadratureSamples:
+    """A batch of homodyne draws: draw i read quadrature x[i] at phase
+    theta[i]; two float arrays of equal length."""
+
+    theta: np.ndarray
+    x: np.ndarray
+
+    def __post_init__(self):
+        if self.theta.ndim != 1 or self.theta.shape != self.x.shape:
+            raise ValueError("theta and x must be 1-D arrays of equal length")
+
+    def __len__(self) -> int:
+        return self.x.size
 
 
 @dataclass(frozen=True)
@@ -135,7 +146,7 @@ def quadrature_moments(rho: State, theta: float) -> tuple[float, float]:
 def sample_homodyne(rho: State, phases, n_samples: int,
                     eta_hd: float = 1.0, seed=None,
                     policy: NumericalPolicy = DEFAULT_POLICY
-                    ) -> list[QuadratureSample]:
+                    ) -> QuadratureSamples:
     """Draw quadrature samples across the phase list, round-robin.
 
     Parameters
@@ -149,7 +160,8 @@ def sample_homodyne(rho: State, phases, n_samples: int,
         bit-identical sample streams.
 
     Uses inverse-CDF draws on a dense fixed grid with linear
-    interpolation, one precomputed table per phase.
+    interpolation, one precomputed table per phase; TruncationError if
+    more than ``policy.truncation_tol`` of the mass lies off the grid.
     """
     phases = [float(t) for t in phases]
     if not phases:
@@ -166,38 +178,36 @@ def sample_homodyne(rho: State, phases, n_samples: int,
         pdf = quadrature_pdf(rho, theta, _SAMPLING_GRID, policy)
         cdf = np.concatenate([[0.0], cumulative_trapezoid(pdf, _SAMPLING_GRID)])
         total = cdf[-1]
-        if total <= 0.0:
-            raise ValueError("state has no support on the sampling grid")
+        if not abs(1.0 - total) <= policy.truncation_tol:
+            raise TruncationError(f"{1.0 - total:.3g} of the mass at theta="
+                                  f"{theta:g} lies off the sampling grid")
         tables.append(cdf / total)
     rng = np.random.default_rng(seed)
     u = rng.random(n_samples)
     values = np.empty(n_samples)
     k = len(phases)
-    for idx in range(k):
-        sel = slice(idx, n_samples, k)
-        values[sel] = np.interp(u[sel], tables[idx], _SAMPLING_GRID)
-    return [QuadratureSample(phases[i % k], float(values[i]))
-            for i in range(n_samples)]
+    for idx, table in enumerate(tables):
+        values[idx::k] = np.interp(u[idx::k], table, _SAMPLING_GRID)
+    return QuadratureSamples(np.array(phases)[np.arange(n_samples) % k],
+                             values)
 
 
-def write_samples_csv(samples, path) -> None:
+def write_samples_csv(samples: QuadratureSamples, path) -> None:
     """Persist samples as CSV with header ``theta,x``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("theta,x\n")
-        for s in samples:
-            fh.write(f"{s.theta:.17g},{s.value:.17g}\n")
+        for theta, x in zip(samples.theta.tolist(), samples.x.tolist()):
+            fh.write(f"{theta:.17g},{x:.17g}\n")
 
 
-def read_samples_csv(path) -> list[QuadratureSample]:
+def read_samples_csv(path) -> QuadratureSamples:
+    """Read a ``theta,x`` CSV; a header-only file is an empty batch."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "theta,x":
             raise ValueError(f"unexpected sample CSV header {header!r}")
-        out = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            theta_txt, value_txt = line.split(",")
-            out.append(QuadratureSample(float(theta_txt), float(value_txt)))
-    return out
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # warns on no rows
+            rows = np.loadtxt(fh, delimiter=",", ndmin=1,
+                              dtype=[("theta", float), ("x", float)])
+    return QuadratureSamples(rows["theta"], rows["x"])

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .fock import DensityOperator
-from .measurement import wavefunctions
+from .measurement import QuadratureSamples, wavefunctions
 from .numerics import DEFAULT_POLICY, NumericalPolicy
 
 
@@ -61,7 +61,7 @@ class QuadratureHistogram:
         return (self.underflow + self.overflow) > 0
 
 
-def bin_samples(samples, phases, bin_count: int = 100,
+def bin_samples(samples: QuadratureSamples, phases, bin_count: int = 100,
                 value_range: tuple[float, float] = (-6.0, 6.0)
                 ) -> list[QuadratureHistogram]:
     """Histogram samples per phase on a shared uniform grid.
@@ -76,16 +76,13 @@ def bin_samples(samples, phases, bin_count: int = 100,
     lo, hi = value_range
     if not lo < hi:
         raise ValueError(f"empty value range {value_range}")
-    known = set(phases)
-    buckets: dict[float, list[float]] = {t: [] for t in phases}
-    for s in samples:
-        if s.theta not in known:
-            raise ValueError(f"sample phase {s.theta} not in the phase list")
-        buckets[s.theta].append(s.value)
+    unknown = samples.theta[~np.isin(samples.theta, phases)]
+    if unknown.size:
+        raise ValueError(f"sample phase {float(unknown[0])} not in the phase list")
     edges = np.linspace(lo, hi, bin_count + 1)
     out = []
     for theta in phases:
-        vals = np.asarray(buckets[theta], dtype=float)
+        vals = samples.x[samples.theta == theta]
         counts, _ = np.histogram(vals, bins=edges)
         under = int((vals < lo).sum())
         over = int((vals > hi).sum())

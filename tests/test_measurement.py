@@ -14,6 +14,8 @@ from scipy.special import erf
 from scissorlab import (
     DensityOperator,
     DetectorCalibration,
+    QuadratureSamples,
+    TruncationError,
     amplitude_from_counts,
     coherent_state,
     default_phase_grid,
@@ -156,21 +158,24 @@ def test_sampling_deterministic():
     phases = default_phase_grid(4)
     a = sample_homodyne(rho, phases, 400, seed=9)
     b = sample_homodyne(rho, phases, 400, seed=9)
-    assert [(s.theta, s.value) for s in a] == [(s.theta, s.value) for s in b]
+    assert a.theta.tolist() == b.theta.tolist()
+    assert a.x.tolist() == b.x.tolist()
     c = sample_homodyne(rho, phases, 400, seed=10)
-    assert [s.value for s in a] != [s.value for s in c]
+    assert a.x.tolist() != c.x.tolist()
 
 
 def test_sampling_round_robin_phases():
     phases = default_phase_grid(3)
     samples = sample_homodyne(vacuum_state(6).to_density(), phases, 9, seed=0)
-    assert [s.theta for s in samples] == list(phases) * 3
+    assert samples.theta.tolist() == list(phases) * 3
+    assert len(samples) == 9
+    with pytest.raises(ValueError, match="equal length"):
+        QuadratureSamples(samples.theta, samples.x[:-1])
 
 
 def test_vacuum_samples_pass_chi_squared():
     n = 40000
-    samples = sample_homodyne(vacuum_state(8).to_density(), [0.0], n, seed=3)
-    values = np.array([s.value for s in samples])
+    values = sample_homodyne(vacuum_state(8).to_density(), [0.0], n, seed=3).x
     # 24 cells across [-3, 3] plus two open tail cells keeps every
     # expected count above 5
     edges = np.linspace(-3.0, 3.0, 25)
@@ -190,8 +195,7 @@ def test_sample_moments_match_state():
     rho = ideal_output(0.25, 2.0).state
     mean_true, var_true = quadrature_moments(rho, 0.0)
     n = 200000
-    samples = sample_homodyne(rho, [0.0], n, seed=12)
-    values = np.array([s.value for s in samples])
+    values = sample_homodyne(rho, [0.0], n, seed=12).x
     pdf = quadrature_pdf(rho, 0.0, DENSE)
     mu4 = np.trapezoid((DENSE - mean_true) ** 4 * pdf, DENSE)
     se_mean = math.sqrt(var_true / n)
@@ -204,9 +208,8 @@ def test_sampling_with_homodyne_loss():
     # |1> behind efficiency eta has variance 1 + 2 eta
     eta = 0.68
     n = 60000
-    samples = sample_homodyne(fock_state(1, 8).to_density(), [0.0], n,
-                              eta_hd=eta, seed=4)
-    values = np.array([s.value for s in samples])
+    values = sample_homodyne(fock_state(1, 8).to_density(), [0.0], n,
+                             eta_hd=eta, seed=4).x
     assert values.var() == pytest.approx(1 + 2 * eta, rel=0.03)
     assert values.mean() == pytest.approx(0.0, abs=0.05)
 
@@ -219,8 +222,39 @@ def test_samples_csv_roundtrip(tmp_path):
     back = read_samples_csv(path)
     assert len(back) == 123
     # %.17g keeps doubles exactly
-    assert [(s.theta, s.value) for s in back] == \
-        [(s.theta, s.value) for s in samples]
+    assert back.theta.tolist() == samples.theta.tolist()
+    assert back.x.tolist() == samples.x.tolist()
+
+
+def test_read_samples_csv_rejects_malformed_files(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("phase,x\n0,1.5\n")
+    with pytest.raises(ValueError, match="header"):
+        read_samples_csv(path)
+    path.write_text("theta,x\n0,1.5\n0,1.5,2.5\n")
+    with pytest.raises(ValueError):
+        read_samples_csv(path)
+    path.write_text("theta,x\n0,1.5,2.5\n0,1.5,2.5\n")
+    with pytest.raises(ValueError):
+        read_samples_csv(path)
+
+
+def test_header_only_csv_is_an_empty_batch(tmp_path):
+    path = tmp_path / "samples.csv"
+    write_samples_csv(sample_homodyne(vacuum_state(4), [0.0], 0, seed=0), path)
+    assert path.read_text() == "theta,x\n"
+    back = read_samples_csv(path)
+    assert len(back) == 0
+    assert back.theta.shape == back.x.shape == (0,)
+
+
+def test_off_grid_mass_raises():
+    # |alpha = 3.5> puts ~1e-3 of its x-quadrature mass beyond x = 10
+    with pytest.raises(TruncationError, match="off the sampling grid"):
+        sample_homodyne(coherent_state(3.5, 40), [0.0], 10, seed=0)
+    # ~1e-9 off the grid sits inside the default truncation_tol
+    samples = sample_homodyne(coherent_state(2.0, 30), [0.0], 10, seed=0)
+    assert len(samples) == 10
 
 
 def test_count_rate_calibration_roundtrip():
