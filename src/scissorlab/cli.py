@@ -201,6 +201,8 @@ def _build_config(raw: dict, problems: list[str]) -> RunConfig | None:
     if not isinstance(samples, int) or samples < 0:
         problems.append("sweep.samples_per_state: must be a non-negative integer")
         samples = 0
+    else:
+        problems.extend(_stage_problems(sweep.get("stage"), samples))
     eta = sweep.get("eta_hd")
     if not isinstance(eta, (int, float)) or not 0.0 < eta <= 1.0:
         problems.append(f"sweep.eta_hd: must lie in (0, 1], got {eta!r}")
@@ -251,6 +253,15 @@ def _build_config(raw: dict, problems: list[str]) -> RunConfig | None:
         tomography=tomo,
         wigner=wig,
     )
+
+
+def _stage_problems(stage, samples_per_state: int) -> list[str]:
+    """Settings valid alone but not at this stage (``run --stage`` can
+    change the stage after the config passed)."""
+    if stage == "sampled" and samples_per_state == 0:
+        return ["sweep.samples_per_state: must be positive at stage sampled "
+                "(tomography cannot reconstruct from no samples)"]
+    return []
 
 
 def validate_config(path) -> tuple[RunConfig | None, list[str]]:
@@ -373,11 +384,15 @@ def run_sweep(cfg: RunConfig, out_dir=None) -> list[Path]:
 # ---------------------------------------------------------------------------
 # verbs
 
-def _load_config_or_fail(path) -> RunConfig:
-    cfg, problems = validate_config(path)
-    if cfg is None:
+def _fail_on(problems: list[str]) -> None:
+    if problems:
         raise SystemExit("invalid config:\n" + "\n".join(
             f"  - {p}" for p in problems))
+
+
+def _load_config_or_fail(path) -> RunConfig:
+    cfg, problems = validate_config(path)
+    _fail_on(problems)
     return cfg
 
 
@@ -391,7 +406,9 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         updates["stage"] = args.stage
     if getattr(args, "out", None) is not None:
         updates["output_dir"] = str(args.out)
-    return replace(cfg, **updates) if updates else cfg
+    cfg = replace(cfg, **updates) if updates else cfg
+    _fail_on(_stage_problems(cfg.stage, cfg.samples_per_state))
+    return cfg
 
 
 def _cmd_run(args) -> int:

@@ -29,6 +29,10 @@ from .optics import LossChannel, apply_loss
 #: for any state representable at the package's default truncations
 _SAMPLING_GRID = np.linspace(-10.0, 10.0, 4001)
 
+#: rows per write in write_samples_csv: one whole-file template would add
+#: its own size to the peak memory of a 200k-draw batch
+_CSV_CHUNK_ROWS = 8192
+
 
 def default_phase_grid(count: int = 12) -> np.ndarray:
     """Uniform homodyne phases theta_k = k pi / count on [0, pi)."""
@@ -193,11 +197,23 @@ def sample_homodyne(rho: State, phases, n_samples: int,
 
 
 def write_samples_csv(samples: QuadratureSamples, path) -> None:
-    """Persist samples as CSV with header ``theta,x``."""
+    """Persist samples as CSV with header ``theta,x``, every value as %.17g.
+
+    Each distinct phase is formatted once into a row template; rows go
+    out in chunks of _CSV_CHUNK_ROWS, one ``%`` and one write per chunk,
+    so no whole-file string is ever held.
+    """
+    # distinct on the bit pattern: np.unique on floats merges -0.0 into 0.0
+    theta = np.asarray(samples.theta, dtype=float)
+    bits, row_of = np.unique(theta.view(np.uint64), return_inverse=True)
+    heads = [f"{t:.17g},%.17g\n" for t in bits.view(float).tolist()]
+    templates = np.array(heads, dtype=object)[row_of]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("theta,x\n")
-        for theta, x in zip(samples.theta.tolist(), samples.x.tolist()):
-            fh.write(f"{theta:.17g},{x:.17g}\n")
+        for start in range(0, len(samples), _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            fh.write("".join(templates[start:stop])
+                     % tuple(samples.x[start:stop].tolist()))
 
 
 def read_samples_csv(path) -> QuadratureSamples:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import gammaln
 
 from .fock import DensityOperator, FockVector, State
 from .measurement import quadrature_moments
@@ -74,8 +74,13 @@ def wigner(rho: State, x=None, p=None) -> WignerGrid:
         (-1)^n / (2 pi) * e^{-s/2} (x - i p)^{m-n}
         sqrt(n!/m!) L_n^{m-n}(s)
 
-    and W = sum_{mn} rho_mn K_mn, accumulated over the upper triangle
-    via conjugate symmetry.
+    and W = sum_{mn} rho_mn K_mn, accumulated over the lower triangle via
+    conjugate symmetry.  Per diagonal offset k = m - n the Laguerre
+    polynomials come from the three-term recurrence
+
+        L_{n+1}^k = ((2n + 1 + k - s) L_n^k - (n + k) L_{n-1}^k) / (n + 1)
+
+    and the offset's sum is multiplied by (x - i p)^k once.
     """
     if isinstance(rho, FockVector):
         rho = rho.to_density()
@@ -85,33 +90,41 @@ def wigner(rho: State, x=None, p=None) -> WignerGrid:
     p = phase_space_axes() if p is None else np.asarray(p, dtype=float)
     gx, gp = np.meshgrid(x, p, indexing="ij")
     s = gx * gx + gp * gp
-    base = np.exp(-0.5 * s) / TWO_PI
     lowered = gx - 1j * gp
     d = rho.dim
-    values = np.zeros_like(s)
     mat = rho.matrix
-    for m in range(d):
-        for n in range(m + 1):
-            c = mat[m, n]
-            if c == 0.0 and m != n:
-                continue
-            k = m - n
-            coeff = math.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
-            kernel = ((-1.0) ** n) * coeff * base * eval_genlaguerre(n, k, s)
-            if k == 0:
-                values += c.real * kernel
-            else:
-                values += 2.0 * (c * kernel * lowered ** k).real
+    values = np.zeros_like(s)
+    power = np.ones_like(lowered)       # (x - i p)^k
+    for k in range(d):
+        # c_n = (-1)^n sqrt(n!/(n+k)!) rho_{n+k, n}
+        n = np.arange(d - k)
+        norm = np.exp(0.5 * (gammaln(n + 1) - gammaln(n + k + 1)))
+        coeff = (-1.0) ** n * norm * mat[n + k, n]
+        prev, cur = np.zeros_like(s), np.ones_like(s)     # L_{-1}, L_0
+        total = coeff[0] * cur
+        for j in range(1, d - k):
+            prev, cur = cur, ((2 * j - 1 + k - s) * cur
+                              - (j - 1 + k) * prev) / j
+            total += coeff[j] * cur
+        if k == 0:
+            values += total.real
+        else:
+            power = power * lowered
+            values += 2.0 * (total * power).real
+    values *= np.exp(-0.5 * s) / TWO_PI
     return WignerGrid(x, p, values)
 
 
 def write_wigner_csv(grid: WignerGrid, path) -> None:
-    """Persist the grid as CSV rows ``x,p,w`` (x outer loop)."""
+    """Persist the grid as CSV rows ``x,p,w`` (x outer loop), every value
+    as %.17g: the axes are formatted once into row templates, and the
+    values go out through them in one write."""
+    heads = [f"{xv:.17g}" for xv in grid.x.tolist()]
+    tails = [f",{pv:.17g},%.17g\n" for pv in grid.p.tolist()]
+    template = "".join([head + tail for head in heads for tail in tails])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,p,w\n")
-        for i, xv in enumerate(grid.x):
-            for j, pv in enumerate(grid.p):
-                fh.write(f"{xv:.17g},{pv:.17g},{grid.values[i, j]:.17g}\n")
+        fh.write(template % tuple(grid.values.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,12 @@ def _overlap_stack(edges, n_max: int) -> np.ndarray:
 
     Off the diagonal the primitive is the Wronskian [psi_m' psi_n -
     psi_m psi_n'] / (n - m), psi_n' = (sqrt(n) psi_{n-1} - sqrt(n+1)
-    psi_{n+1}) / 2; on it F_n = F_{n-1} - psi_n psi_{n-1} / sqrt(n) from
-    F_0 = Phi.  It is 0 at -inf and the identity at +inf.
+    psi_{n+1}) / 2; it vanishes at both infinities.  On the diagonal,
+    edges below 0 take F_n = integral_{-inf}^x psi_n^2 = F_{n-1} -
+    psi_n psi_{n-1} / sqrt(n) from F_0 = Phi(x), and edges at or above 0
+    take -G_n, G_n = integral_x^{+inf} psi_n^2 = G_{n-1} + psi_n psi_{n-1}
+    / sqrt(n) from G_0 = Phi(-x), so a bin in either tail is a difference
+    of small numbers.  The one bin that crosses 0 gets the identity back.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or np.any(np.diff(edges) <= 0):
@@ -113,18 +117,22 @@ def _overlap_stack(edges, n_max: int) -> np.ndarray:
     gap = n[None, :] - n[:, None] + np.eye(d)   # diagonal replaced below
     prim = (dpsi[:, :, None] * psi[:, None, :]
             - psi[:, :, None] * dpsi[:, None, :]) / gap
+    below = edges < 0
     diag = np.empty((edges.size, d))
-    diag[:, 0] = ndtr(edges)
+    diag[:, 0] = np.where(below, ndtr(edges), -ndtr(-edges))
     for k in range(1, d):
         diag[:, k] = diag[:, k - 1] - psi[:, k] * psi[:, k - 1] / root[k]
     prim[:, n, n] = diag
-    prim = np.concatenate([np.zeros((1, d, d)), prim, np.eye(d)[None]])
-    return np.diff(prim, axis=0)
+    prim = np.concatenate([np.zeros((1, d, d)), prim, np.zeros((1, d, d))])
+    stack = np.diff(prim, axis=0)
+    stack[np.count_nonzero(below), n, n] += 1.0
+    return stack
 
 
-def _phase_factors(theta: float, n_max: int) -> np.ndarray:
+def _phase_factors(theta, n_max: int) -> np.ndarray:
+    """e^{i theta (m - n)}; a phase array gives one (d, d) block per phase."""
     n = np.arange(n_max + 1)
-    return np.exp(1j * theta * (n[:, None] - n[None, :]))
+    return np.exp(1j * np.multiply.outer(theta, n[:, None] - n[None, :]))
 
 
 def phase_povm_elements(theta: float, edges: np.ndarray, n_max: int
@@ -141,12 +149,20 @@ def bin_povm(theta: float, lo: float, hi: float, n_max: int) -> np.ndarray:
 
 @dataclass
 class TomographyProblem:
-    """Histograms plus the POVM cache for a chosen reconstruction cutoff."""
+    """Histograms plus their POVM for a chosen reconstruction cutoff.
+
+    The POVM is held as one real, phase-free overlap stack per distinct
+    edge array (``stacks``) and each histogram's index into it
+    (``stack_of``); histogram h's element j is e^{i theta_h (m - n)}
+    stacks[stack_of[h]][j].  ``counts`` runs over the histograms in order,
+    underflow, bins, overflow each.
+    """
 
     histograms: list[QuadratureHistogram]
     n_max: int = 10
     policy: NumericalPolicy = DEFAULT_POLICY
-    elements: np.ndarray = field(init=False, repr=False)
+    stacks: list[np.ndarray] = field(init=False, repr=False)
+    stack_of: np.ndarray = field(init=False, repr=False)
     counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -158,26 +174,37 @@ class TomographyProblem:
                 "tomography needs at least two distinct phases to be "
                 "informationally complete"
             )
-        # one overlap stack per distinct edge array, shared by every phase
-        stacks = {h.edges.tobytes(): h.edges for h in self.histograms}
-        stacks = {k: _overlap_stack(e, self.n_max) for k, e in stacks.items()}
-        element_blocks = []
-        count_blocks = []
-        for h in self.histograms:
-            block = (stacks[h.edges.tobytes()]
-                     * _phase_factors(h.theta, self.n_max))
-            element_blocks.append(block)
-            count_blocks.append(np.concatenate(
-                [[h.underflow], h.counts, [h.overflow]]
-            ))
-            miss = np.abs(block.sum(axis=0) - np.eye(self.n_max + 1)).max()
+        keys = [h.edges.tobytes() for h in self.histograms]
+        first = {}
+        for h, key in zip(self.histograms, keys):
+            first.setdefault(key, h)
+        index = {key: i for i, key in enumerate(first)}
+        self.stacks = []
+        # |e^{i theta (m - n)}| = 1 and the diagonal is 1, so a stack
+        # misses completeness by as much as every phase built on it
+        for h in first.values():
+            stack = _overlap_stack(h.edges, self.n_max)
+            miss = np.abs(stack.sum(axis=0) - np.eye(self.n_max + 1)).max()
             if miss > self.policy.povm_completeness_tol:
                 raise ValueError(
                     f"POVM for phase {h.theta} deviates from completeness "
                     f"by {miss:.3e}"
                 )
-        self.elements = np.concatenate(element_blocks)
-        self.counts = np.concatenate(count_blocks).astype(float)
+            self.stacks.append(stack)
+        self.stack_of = np.array([index[key] for key in keys], dtype=int)
+        self.counts = np.concatenate([
+            np.concatenate([[h.underflow], h.counts, [h.overflow]])
+            for h in self.histograms
+        ]).astype(float)
+
+    @property
+    def elements(self) -> np.ndarray:
+        """Every element Pi_j as one (J, d, d) complex stack, in the
+        order of ``counts``; built on each access."""
+        return np.concatenate([
+            self.stacks[s] * _phase_factors(h.theta, self.n_max)
+            for s, h in zip(self.stack_of, self.histograms)
+        ])
 
     @property
     def total_counts(self) -> float:
@@ -209,17 +236,31 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
     ReconstructionResult with the normalized reconstruction, the
     log-likelihood trace, and convergence diagnostics.  Every iterate is
     checked Hermitian, positive, and unit trace against the policy.
+
+    Each step works on the real overlap stacks: with Phi_theta the phase
+    factors and S the stack flattened to (P, d^2), the probabilities of
+    every phase on one stack are Re(Phi_theta o rho^T) @ S^T, and
+    R = sum_theta Phi_theta o (w_theta @ S) with w = f / p (0 on empty
+    bins).
     """
     policy = problem.policy
     total = problem.total_counts
     if total <= 0:
         raise ValueError("cannot reconstruct from empty histograms")
-    occupied = problem.counts > 0
     d = problem.n_max + 1
-    # row j is Pi_j flattened, so Tr(Pi_j rho) = (A @ vec(rho^T))_j
-    a_mat = problem.elements[occupied].reshape(-1, d * d)
-    counts_occ = problem.counts[occupied]
-    freq = counts_occ / total
+    thetas = np.array([h.theta for h in problem.histograms])
+    sizes = [problem.stacks[s].shape[0] for s in problem.stack_of]
+    per_hist = np.split(problem.counts, np.cumsum(sizes)[:-1])
+    # one block per stack: S (P, d^2), Phi (K, d^2), counts (K, P)
+    blocks = []
+    for s, stack in enumerate(problem.stacks):
+        members = np.flatnonzero(problem.stack_of == s)
+        counts = np.stack([per_hist[h] for h in members])
+        blocks.append((
+            stack.reshape(-1, d * d),
+            _phase_factors(thetas[members], problem.n_max).reshape(-1, d * d),
+            counts, counts / total, counts > 0,
+        ))
     rho = np.eye(d, dtype=complex) / d
     floor = policy.probability_floor
     loglik = []
@@ -227,15 +268,24 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
     floored = 0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        probs = (a_mat @ rho.T.reshape(-1)).real
-        n_floored = int((probs < floor).sum())
+        rho_t = rho.T.reshape(-1)
+        probs = []
+        n_floored = 0
+        loglik_sum = 0.0
+        for s_flat, phi, counts, _, occupied in blocks:
+            p = (phi * rho_t).real @ s_flat.T
+            n_floored += np.count_nonzero((p < floor) & occupied)
+            p = np.maximum(p, floor)
+            loglik_sum += float(counts.ravel() @ np.log(p).ravel())
+            probs.append(p)
         floored = max(floored, n_floored)
-        probs = np.maximum(probs, floor)
-        loglik.append(float(counts_occ @ np.log(probs)) / total)
+        loglik.append(loglik_sum / total)
         if len(loglik) > 1 and loglik[-1] - loglik[-2] < tol:
             converged = True
             break
-        r_op = ((freq / probs) @ a_mat).reshape(d, d)
+        r_op = sum((phi * ((freq / p) @ s_flat)).sum(axis=0)
+                   for p, (s_flat, phi, _, freq, _) in zip(probs, blocks))
+        r_op = r_op.reshape(d, d)
         rho = r_op @ rho @ r_op
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real

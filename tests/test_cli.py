@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scissorlab
 from scissorlab import read_density_json, read_samples_csv
 from scissorlab.cli import (
     SUMMARY_HEADER,
@@ -89,6 +93,23 @@ def test_colliding_alphas_flagged(tmp_path, alphas, clash):
     assert cfg is None
     assert any(p.startswith(f"sweep.alphas: {clash} coincide")
                for p in problems)
+
+
+def test_zero_samples_rejected_at_stage_sampled(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"sweep.stage": "sampled",
+                                     "sweep.samples_per_state": 0})
+    cfg, problems = validate_config(path)
+    assert cfg is None
+    assert any(p.startswith("sweep.samples_per_state:") for p in problems)
+    # the circuit stage needs no samples, but --stage sampled does
+    path = write_config(tmp_path, **{"sweep.alphas": [0.25],
+                                     "sweep.samples_per_state": 0,
+                                     "sweep.output_dir": str(out_dir)})
+    assert main(["check", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--stage", "sampled"]) == 1
+    assert "sweep.samples_per_state:" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_schema_version_checked(tmp_path):
@@ -274,3 +295,33 @@ def test_console_script_smoke(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("ok:")
+
+
+def test_module_entry_point_smoke(tmp_path):
+    # the real entry point in a fresh interpreter, whether or not the
+    # console script is installed
+    src = str(Path(scissorlab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = small_sampled_config(tmp_path, **{"sweep.samples_per_state": 2000})
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "scissorlab.cli", *args,
+                               "--config", str(path)],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+
+    proc = cli("check")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ok:")
+    proc = cli("run", "--stage", "sampled")
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "out"
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
+        "alpha_0.2500",
+        *(f"alpha_0.2500{os.sep}{name}" for name in
+          ("metrics.json", "rho.json", "samples.csv", "wigner.csv")),
+        "summary.csv",
+    ]
+    assert len(read_samples_csv(out / "alpha_0.2500" / "samples.csv")) == 2000

@@ -31,6 +31,7 @@ from scissorlab import (
     wavefunctions,
     write_samples_csv,
 )
+from scissorlab.measurement import _CSV_CHUNK_ROWS
 
 GRID = np.linspace(-8.0, 8.0, 1601)
 DENSE = np.linspace(-12.0, 12.0, 24001)
@@ -214,6 +215,13 @@ def test_sampling_with_homodyne_loss():
     assert values.mean() == pytest.approx(0.0, abs=0.05)
 
 
+def reference_samples_csv(samples):
+    """The file text written one row at a time."""
+    return "theta,x\n" + "".join(
+        f"{t:.17g},{x:.17g}\n"
+        for t, x in zip(samples.theta.tolist(), samples.x.tolist()))
+
+
 def test_samples_csv_roundtrip(tmp_path):
     rho = ideal_output(0.3, 2.0).state
     samples = sample_homodyne(rho, default_phase_grid(5), 123, seed=1)
@@ -224,6 +232,23 @@ def test_samples_csv_roundtrip(tmp_path):
     # %.17g keeps doubles exactly
     assert back.theta.tolist() == samples.theta.tolist()
     assert back.x.tolist() == samples.x.tolist()
+    assert path.read_text() == reference_samples_csv(samples)
+    rng = np.random.default_rng(3)
+    long = 2 * _CSV_CHUNK_ROWS + 37      # more than one chunk, not a multiple
+    batches = [
+        # unsorted phases, not round-robin
+        QuadratureSamples(np.array([2.5, 0.1, 2.5, 1e-300, 0.1, 0.1]),
+                          np.array([1.0, -2.0, 3.25, 0.1, -0.0, 5e-324])),
+        # 0.0 and -0.0 are distinct phases in the text
+        QuadratureSamples(np.array([0.0, -0.0, -0.0, 0.0]),
+                          np.array([0.5, -0.5, 1.5, -1.5])),
+        QuadratureSamples(rng.choice([0.3, -0.0, 1.7, 0.0], long),
+                          rng.normal(size=long)),
+        QuadratureSamples(np.empty(0), np.empty(0)),
+    ]
+    for batch in batches:
+        write_samples_csv(batch, path)
+        assert path.read_text() == reference_samples_csv(batch)
 
 
 def test_read_samples_csv_rejects_malformed_files(tmp_path):

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 from scissorlab import (
     AmplifierConfig,
     DensityOperator,
+    WignerGrid,
     build_metrics_report,
     coherent_state,
     effective_gain,
@@ -69,6 +71,40 @@ def test_wigner_coherent_matches_displaced_gaussian():
     np.testing.assert_allclose(grid.values, expect, atol=1e-8)
 
 
+def genlaguerre_wigner(rho, x, p):
+    """W = sum_{m >= n} of the |m><n| kernels, one eval_genlaguerre call
+    per kernel, accumulated over the lower triangle."""
+    gx, gp = np.meshgrid(x, p, indexing="ij")
+    s = gx * gx + gp * gp
+    base = np.exp(-0.5 * s) / TWO_PI
+    lowered = gx - 1j * gp
+    values = np.zeros_like(s)
+    for m in range(rho.dim):
+        for n in range(m + 1):
+            c = rho.matrix[m, n]
+            k = m - n
+            coeff = math.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
+            kernel = ((-1.0) ** n) * coeff * base * eval_genlaguerre(n, k, s)
+            if k == 0:
+                values += c.real * kernel
+            else:
+                values += 2.0 * (c * kernel * lowered ** k).real
+    return values
+
+
+@pytest.mark.parametrize("dim", [11, 31])
+def test_wigner_matches_genlaguerre_kernels(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = a @ a.conj().T
+    rho = DensityOperator(m / np.trace(m).real, (dim,))
+    axes = phase_space_axes()
+    grid = wigner(rho, axes, axes)
+    np.testing.assert_allclose(grid.values,
+                               genlaguerre_wigner(rho, axes, axes),
+                               rtol=0, atol=1e-13)
+
+
 def test_wigner_marginals_match_pdfs():
     rho = ideal_output(0.5, 2.0).state
     grid = wigner(rho)
@@ -77,6 +113,13 @@ def test_wigner_marginals_match_pdfs():
     np.testing.assert_allclose(grid.marginal_p(),
                                quadrature_pdf(rho, math.pi / 2, grid.p),
                                atol=1e-4)
+
+
+def reference_wigner_csv(grid):
+    """The file text written one row at a time."""
+    return "x,p,w\n" + "".join(
+        f"{xv:.17g},{pv:.17g},{grid.values[i, j]:.17g}\n"
+        for i, xv in enumerate(grid.x) for j, pv in enumerate(grid.p))
 
 
 def test_wigner_csv_layout(tmp_path):
@@ -90,6 +133,12 @@ def test_wigner_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == -1.0 and float(first[1]) == 0.0
     assert float(first[2]) == pytest.approx(grid.values[0, 0])
+    assert path.read_text() == reference_wigner_csv(grid)
+    odd = WignerGrid(np.array([-0.0, 0.1, 2.0]), np.array([-1e-17, 0.0]),
+                     np.array([[1e-300, -5e-324], [-0.0, 0.15915494309189535],
+                               [1.0 / 3.0, -2.5e-17]]))
+    write_wigner_csv(odd, path)
+    assert path.read_text() == reference_wigner_csv(odd)
 
 
 def test_effective_gain_closed_form():

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import erf
+from scipy.special import erf, ndtr
 
 from scissorlab import (
     DensityOperator,
     LossChannel,
     QuadratureHistogram,
+    QuadratureSamples,
     TomographyProblem,
     apply_loss,
     bin_povm,
@@ -99,6 +100,16 @@ def test_phase_block_against_dense_quadrature(edges, n_max):
                                atol=1e-9)
     np.testing.assert_array_equal(ours, ours.conj().transpose(0, 2, 1))
     assert np.linalg.eigvalsh(ours).min() > -1e-12
+
+
+def test_far_tail_bin_keeps_relative_precision():
+    # a bin of mass ~1e-12: built from the +inf side it is a difference of
+    # two small tail masses, not of two primitives near the identity
+    vac = bin_povm(0.0, 7.0, 7.5, 4)[0, 0].real
+    tail = ndtr(-7.0) - ndtr(-7.5)
+    assert vac == pytest.approx(tail, rel=1e-12, abs=0)
+    lower = bin_povm(0.0, -7.5, -7.0, 4)[0, 0].real
+    assert lower == pytest.approx(tail, rel=1e-12, abs=0)
 
 
 def test_phase_povm_completeness():
@@ -194,6 +205,30 @@ def test_maxlik_matches_einsum_iteration():
     samples = sample_homodyne(truth, phases, 20000, seed=11)
     problem = TomographyProblem(bin_samples(samples, phases, bin_count=60),
                                 n_max=8)
+    result = maxlik_reconstruct(problem, max_iter=3000, tol=1e-10)
+    rho, loglik = einsum_maxlik_oracle(problem, 3000, 1e-10)
+    assert result.converged
+    assert result.iterations == len(loglik)
+    np.testing.assert_allclose(result.loglik, loglik, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.rho.matrix, rho, rtol=0, atol=1e-12)
+
+
+def test_maxlik_matches_einsum_on_two_edge_arrays():
+    # histograms alternate between two bin grids, so the problem holds two
+    # overlap stacks whose phases interleave in the counts order
+    truth = apply_loss(ideal_output(0.3, 2.0).state, LossChannel(0.68))
+    phases = default_phase_grid(6)
+    samples = sample_homodyne(truth, phases, 20000, seed=12)
+    hists = []
+    for i, theta in enumerate(phases):
+        mine = samples.theta == theta
+        grid = (60, (-6.0, 6.0)) if i % 2 else (35, (-4.5, 5.0))
+        hists += bin_samples(QuadratureSamples(samples.theta[mine],
+                                               samples.x[mine]),
+                             [theta], bin_count=grid[0], value_range=grid[1])
+    problem = TomographyProblem(hists, n_max=8)
+    assert len(problem.stacks) == 2
+    assert problem.elements.shape[0] == problem.counts.size == 3 * 62 + 3 * 37
     result = maxlik_reconstruct(problem, max_iter=3000, tol=1e-10)
     rho, loglik = einsum_maxlik_oracle(problem, 3000, 1e-10)
     assert result.converged
