@@ -24,30 +24,33 @@ a photon pair (weight xi2), and may overlap the signal's spatio-temporal
 mode only partially (amplitude m); the orthogonal remainder travels
 through an identical companion circuit and reaches the same detectors, but
 never interferes with the signal.
+
+Heralding map.  The resource, both beamsplitters and the detector POVMs do
+not depend on alpha, so the circuit is one fixed completely positive map
+from the signal to T.  ``simulate`` builds it once per circuit setting
+(gain, source, mu, veto, n_max, policy), caches it, and then costs one
+small contraction per alpha.  For an ideal source at unit efficiency with
+the veto, the map is Ralph & Lund's g^n truncated at one photon
+(arXiv:0809.0326): |n> -> (r / sqrt 2) g^n |n> for n <= 1, nothing above.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .fock import (
-    DensityOperator,
-    FockVector,
-    coherent_state,
-    resize_mode,
-    tensor_product,
-)
+from .fock import DensityOperator, FockVector, coherent_state, resize_mode
 from .numerics import (
     DEFAULT_POLICY,
     CapacityError,
     NumericalPolicy,
     TruncationError,
 )
-from .optics import BeamsplitterSpec, apply_beamsplitter, apply_phase
+from .optics import BeamsplitterSpec, _bs_matrix, apply_beamsplitter, apply_phase
 
 #: companion/ancilla modes never hold more than two photons
 _ANCILLA_DIM = 3
@@ -55,8 +58,8 @@ _ANCILLA_DIM = 3
 
 def gain_to_reflectivity(g: float) -> float:
     """r such that t/r = g; the amplifier works harder as r shrinks."""
-    if g <= 0.0:
-        raise ValueError(f"gain must be positive, got {g}")
+    if not (math.isfinite(g) and g > 0.0):
+        raise ValueError(f"gain must be finite and positive, got {g}")
     return 1.0 / math.sqrt(1.0 + g * g)
 
 
@@ -130,8 +133,12 @@ class AmplifierConfig:
     def __post_init__(self):
         if (self.gain is None) == (self.reflectivity is None):
             raise ValueError("specify exactly one of gain or reflectivity")
-        if self.gain is not None and self.gain <= 0.0:
-            raise ValueError(f"gain must be positive, got {self.gain}")
+        if self.gain is not None and not (math.isfinite(self.gain)
+                                          and self.gain > 0.0):
+            raise ValueError(
+                f"gain must be finite and positive, got {self.gain}")
+        if not cmath.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.reflectivity is not None and not 0.0 < self.reflectivity < 1.0:
             raise ValueError(
                 f"reflectivity must lie in (0, 1), got {self.reflectivity}"
@@ -283,101 +290,90 @@ def ideal_output(alpha: complex, g: float, n_max: int = 12,
     return HeraldedOutput(vec.to_density(), p, branch)
 
 
-def _propagated_components(config: AmplifierConfig,
-                           policy: NumericalPolicy) -> tuple[list, tuple, bool]:
-    """Propagate each pure source component through both beamsplitters.
+@lru_cache(maxsize=64)
+def _heralding_map(r: float, source: SourceModel, mu: float, veto: bool,
+                   n_max: int, policy: NumericalPolicy) -> np.ndarray:
+    """The D1-heralded circuit as one map from the signal to T.
 
-    Returns (components, dims, with_companion) where each component is
-    (weight, amplitudes reshaped to dims) over the mode order
-    [S, T, R] or [S, T, R, Sc, Tc, Rc].  Signal-carrying mode dimensions
-    are padded to n_max + 3 so the balanced beamsplitter is exactly
-    unitary for every populated photon-number sector.
+    Returns the read-only tensor L[t, t', n, n'] for which the unnormalised
+    heralded state is rho_T = sum_{n, n'} L[:, :, n, n'] rho_in[n, n'] for
+    any input rho_in on 0..n_max photons; its trace is the herald
+    probability.  The companion modes (Sc, Tc, Rc) have dimension 1 when
+    the source is fully mode-matched, so every source takes this one path.
+
+    The balanced-beamsplitter unitaries are real, so the detector-weighted
+    Gram of their columns, G[(n, j, jc), (n', j', jc')] =
+    sum_{s, r, sc, rc} w(s + sc, r + rc) u u' uc uc', is formed in real
+    arithmetic; the resource, reduced over Tc, is then contracted into it.
     """
-    n_max = config.n_max
-    with_companion = config.source.mode_overlap < 1.0
+    with_companion = source.mode_overlap < 1.0
+    c = _ANCILLA_DIM if with_companion else 1
+    # S and R are padded to n_max + 3 so that the S-BS is exactly unitary on
+    # every populated photon-number sector (at most n_max + 2 photons)
     d_sig = n_max + _ANCILLA_DIM
-    dims = (d_sig, _ANCILLA_DIM, d_sig) + \
-        ((_ANCILLA_DIM,) * 3 if with_companion else ())
-    if math.prod(dims) > policy.dimension_cap:
+    size = d_sig * _ANCILLA_DIM * d_sig * c ** 3
+    if size > policy.dimension_cap:
         raise CapacityError(
-            f"simulation dimension {math.prod(dims)} exceeds cap "
-            f"{policy.dimension_cap}"
+            f"simulation dimension {size} exceeds cap {policy.dimension_cap}"
         )
-    signal = coherent_state(config.alpha, n_max, policy)
-    signal = resize_mode(signal, 0, d_sig)
-    s_bs = BeamsplitterSpec(r=1.0 / math.sqrt(2.0), modes=(0, 2))
-    comps = []
-    for weight, res in _resource_components(config.r, config.source, with_companion):
-        # resource arrives over (T, R[, Tc, Rc]); lift R to the padded dim
-        res = resize_mode(res, 1, d_sig)
-        vec = tensor_product(signal, res, policy)
-        if with_companion:
-            # insert the companion signal mode Sc (vacuum) before (Tc, Rc)
-            t = vec.amplitudes.reshape(vec.mode_dims)
-            t = t[:, :, :, np.newaxis, :, :]
-            vec = FockVector(np.ascontiguousarray(
-                np.pad(t, [(0, 0)] * 3 + [(0, _ANCILLA_DIM - 1)] + [(0, 0)] * 2)
-            ).reshape(-1), dims)
-            vec = apply_beamsplitter(vec, s_bs, policy)
-            vec = apply_beamsplitter(
-                vec, BeamsplitterSpec(r=1.0 / math.sqrt(2.0), modes=(3, 5)), policy)
-        else:
-            vec = apply_beamsplitter(vec, s_bs, policy)
-        comps.append((weight, vec.amplitudes.reshape(dims)))
-    return comps, dims, with_companion
+    split = 1.0 / math.sqrt(2.0)
+    # S-BS rows |s, r>, columns |n>_S |j>_R restricted to the inputs that
+    # occur; the companion S-BS sees vacuum on Sc and |jc> on Rc
+    u = _bs_matrix(d_sig, split).reshape(d_sig * d_sig, d_sig, d_sig)
+    u = u[:, :n_max + 1, :_ANCILLA_DIM].reshape(d_sig * d_sig, -1)
+    uc = _bs_matrix(c, split)[:, :c]
+    n = np.arange(d_sig)
+    k = u.shape[1]
+    gram = np.zeros((k, c, k, c))
+    for (sc, rc), uc_row in zip(np.ndindex(c, c), uc):
+        # D1 watches R (+ Rc) for exactly one photon, D2 S (+ Sc) for none
+        d2 = no_click_weights(mu, n + sc) if veto else np.ones(d_sig)
+        w = np.outer(d2, single_photon_weights(mu, n + rc)).reshape(-1, 1)
+        g_pair = u.T @ (w * u)
+        gram += (g_pair[:, np.newaxis, :, np.newaxis]
+                 * np.outer(uc_row, uc_row)[np.newaxis, :, np.newaxis, :])
+    x = _ANCILLA_DIM * c
+    gram = gram.reshape(n_max + 1, x, n_max + 1, x)
+    # the resource over (T, R, Tc, Rc) reduced over Tc, as
+    # res[t, (j, jc), t', (j', jc')]
+    res = np.zeros((_ANCILLA_DIM, x, _ANCILLA_DIM, x), dtype=complex)
+    for weight, vec in _resource_components(r, source, with_companion):
+        amp = vec.amplitudes.reshape(_ANCILLA_DIM, _ANCILLA_DIM, c, c)
+        amp = amp.transpose(0, 2, 1, 3).reshape(_ANCILLA_DIM, c, x)
+        res += weight * np.tensordot(amp, amp.conj(), axes=(1, 1))
+    heralding = np.tensordot(res, gram, axes=([1, 3], [1, 3]))
+    heralding.setflags(write=False)
+    return heralding
 
 
 def simulate(config: AmplifierConfig,
              policy: NumericalPolicy = DEFAULT_POLICY) -> HeraldedOutput:
     """Run the full heralded circuit and condition on the D1 herald.
 
-    Builds input (x) resource, mixes signal and R on the balanced
-    beamsplitter (likewise the companion pair when the source is only
-    partially mode-matched), applies the efficiency-mu detector POVMs --
-    exactly one photon across D1's modes, no click across D2's when the
-    veto is enabled -- and returns the normalized reduced state on T with
-    the herald probability.
+    Applies the circuit's heralding map -- input (x) resource, signal and R
+    mixed on the balanced beamsplitter (likewise the companion pair when the
+    source is only partially mode-matched), the efficiency-mu detector
+    POVMs: exactly one photon across D1's modes, no click across D2's when
+    the veto is enabled -- to the coherent input, and returns the
+    normalized state on T with the herald probability.  The map is built
+    once per circuit setting and cached, so a sweep over alpha costs one
+    small contraction per point.
 
     Raises TruncationError if the herald probability falls below the
     conditioning floor, and CapacityError if the joint space would exceed
     the dimension cap.
     """
-    comps, dims, with_companion = _propagated_components(config, policy)
-    mu = config.detector_mu
-    # D1 = reflected arm(s): R (+ Rc); D2 = transmitted arm(s): S (+ Sc)
-    n_s = np.arange(dims[0]).reshape(-1, 1, 1)
-    n_r = np.arange(dims[2]).reshape(1, 1, -1)
-    if with_companion:
-        n_s = n_s.reshape(-1, 1, 1, 1, 1, 1)
-        n_r = n_r.reshape(1, 1, -1, 1, 1, 1)
-        n_sc = np.arange(dims[3]).reshape(1, 1, 1, -1, 1, 1)
-        n_rc = np.arange(dims[5]).reshape(1, 1, 1, 1, 1, -1)
-        n_d1 = n_r + n_rc
-        n_d2 = n_s + n_sc
-    else:
-        n_d1 = n_r
-        n_d2 = n_s
-    w = single_photon_weights(mu, n_d1)
-    if config.use_d2_veto:
-        w = w * no_click_weights(mu, n_d2)
-    sqrt_w = np.sqrt(w)
-    t_dim = dims[1]
-    rho_t = np.zeros((t_dim, t_dim), dtype=complex)
-    p_success = 0.0
-    for weight, tensor in comps:
-        psi_w = tensor * sqrt_w
-        if with_companion:
-            branch = np.einsum("strucv,sTrucv->tT", psi_w, psi_w.conj())
-        else:
-            branch = np.einsum("str,sTr->tT", psi_w, psi_w.conj())
-        rho_t += weight * branch
-        p_success += weight * float(np.trace(branch).real)
+    heralding = _heralding_map(config.r, config.source, config.detector_mu,
+                               config.use_d2_veto, config.n_max, policy)
+    amps = coherent_state(config.alpha, config.n_max, policy).amplitudes
+    rho_t = np.tensordot(heralding, np.outer(amps, amps.conj()), axes=2)
+    p_success = float(np.trace(rho_t).real)
     if p_success < policy.conditioning_floor:
         raise TruncationError(
             f"herald probability {p_success:.3e} below conditioning floor"
         )
     rho_t = rho_t / p_success
-    out = DensityOperator(0.5 * (rho_t + rho_t.conj().T), (t_dim,))
+    out = DensityOperator(0.5 * (rho_t + rho_t.conj().T), (_ANCILLA_DIM,))
     out = resize_mode(out, 0, config.n_max + 1, policy)
     out.validate(policy)
     branch = "d1"

@@ -114,6 +114,16 @@ class RunConfig:
         return AmplifierConfig(alpha=alpha, source=source, **amp)
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; true/false, NaN and Infinity are not."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_keys(section: dict, allowed: set[str], prefix: str,
                 problems: list[str]) -> None:
     for key in section:
@@ -153,16 +163,31 @@ def _build_config(raw: dict, problems: list[str]) -> RunConfig | None:
                 {"weight_vacuum", "weight_two_photon", "mode_overlap"},
                 "amplifier.source.", problems)
     amp["source"] = source_raw
-    try:
-        SourceModel(**source_raw)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"amplifier.source: {exc}")
-    try:
-        test_amp = dict(amp)
-        src = SourceModel(**test_amp.pop("source"))
-        AmplifierConfig(alpha=0.1, source=src, **test_amp)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"amplifier: {exc}")
+    typed = [f"amplifier.source.{key}: must be a finite number, got "
+             f"{source_raw[key]!r}"
+             for key in defaults["amplifier"]["source"]
+             if not _is_number(source_raw[key])]
+    typed += [f"amplifier.{key}: must be a finite number, got {amp[key]!r}"
+              for key in ("gain", "reflectivity", "detector_mu")
+              if amp.get(key) is not None and not _is_number(amp[key])]
+    if not _is_integer(amp.get("n_max")):
+        typed.append(f"amplifier.n_max: must be an integer, got "
+                     f"{amp.get('n_max')!r}")
+    typed += [f"amplifier.{key}: must be true or false, got {amp[key]!r}"
+              for key in ("use_d2_veto", "accept_both_heralds")
+              if not isinstance(amp.get(key), bool)]
+    problems.extend(typed)
+    if not typed:
+        try:
+            SourceModel(**source_raw)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"amplifier.source: {exc}")
+        try:
+            test_amp = dict(amp)
+            src = SourceModel(**test_amp.pop("source"))
+            AmplifierConfig(alpha=0.1, source=src, **test_amp)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"amplifier: {exc}")
 
     sweep = {**defaults["sweep"], **raw.get("sweep", {})}
     _check_keys(raw.get("sweep", {}),
@@ -170,8 +195,9 @@ def _build_config(raw: dict, problems: list[str]) -> RunConfig | None:
                  "seed", "output_dir"}, "sweep.", problems)
     alphas = sweep.get("alphas", [])
     if not isinstance(alphas, list) or any(
-            not isinstance(a, (int, float)) or a < 0 for a in alphas):
-        problems.append("sweep.alphas: must be a list of non-negative numbers")
+            not _is_number(a) or a < 0 for a in alphas):
+        problems.append(
+            "sweep.alphas: must be a list of finite non-negative numbers")
         alphas = []
     # each alpha owns an output directory and a seed, both keyed at 4
     # decimals but rounded differently (0.12345 -> alpha_0.1235/, key 1234)
@@ -188,27 +214,27 @@ def _build_config(raw: dict, problems: list[str]) -> RunConfig | None:
         )
     phases_raw = sweep.get("phases")
     phases: tuple[float, ...] = ()
-    if isinstance(phases_raw, int) and phases_raw >= 1:
+    if _is_integer(phases_raw) and phases_raw >= 1:
         phases = tuple(default_phase_grid(phases_raw))
     elif isinstance(phases_raw, list) and phases_raw and all(
-            isinstance(t, (int, float)) for t in phases_raw):
+            _is_number(t) for t in phases_raw):
         phases = tuple(float(t) for t in phases_raw)
     else:
         problems.append(
             "sweep.phases: must be a positive phase count or a list of angles"
         )
     samples = sweep.get("samples_per_state")
-    if not isinstance(samples, int) or samples < 0:
+    if not _is_integer(samples) or samples < 0:
         problems.append("sweep.samples_per_state: must be a non-negative integer")
         samples = 0
     else:
         problems.extend(_stage_problems(sweep.get("stage"), samples))
     eta = sweep.get("eta_hd")
-    if not isinstance(eta, (int, float)) or not 0.0 < eta <= 1.0:
+    if not _is_number(eta) or not 0.0 < eta <= 1.0:
         problems.append(f"sweep.eta_hd: must lie in (0, 1], got {eta!r}")
         eta = 1.0
     seed = sweep.get("seed")
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         problems.append("sweep.seed: must be a non-negative integer")
         seed = 0
     if not isinstance(sweep.get("output_dir"), str):
@@ -218,25 +244,26 @@ def _build_config(raw: dict, problems: list[str]) -> RunConfig | None:
     _check_keys(raw.get("tomography", {}),
                 {"bin_count", "bin_range", "n_max", "max_iter", "tol"},
                 "tomography.", problems)
-    if not (isinstance(tomo.get("bin_count"), int) and tomo["bin_count"] >= 1):
+    if not (_is_integer(tomo.get("bin_count")) and tomo["bin_count"] >= 1):
         problems.append("tomography.bin_count: must be a positive integer")
     rng_pair = tomo.get("bin_range")
     if not (isinstance(rng_pair, list) and len(rng_pair) == 2
-            and all(isinstance(v, (int, float)) for v in rng_pair)
+            and all(_is_number(v) for v in rng_pair)
             and rng_pair[0] < rng_pair[1]):
-        problems.append("tomography.bin_range: must be [lo, hi] with lo < hi")
-    if not (isinstance(tomo.get("n_max"), int) and tomo["n_max"] >= 1):
+        problems.append("tomography.bin_range: must be [lo, hi], finite, "
+                        "with lo < hi")
+    if not (_is_integer(tomo.get("n_max")) and tomo["n_max"] >= 1):
         problems.append("tomography.n_max: must be a positive integer")
-    if not (isinstance(tomo.get("max_iter"), int) and tomo["max_iter"] >= 1):
+    if not (_is_integer(tomo.get("max_iter")) and tomo["max_iter"] >= 1):
         problems.append("tomography.max_iter: must be a positive integer")
-    if not (isinstance(tomo.get("tol"), (int, float)) and tomo["tol"] > 0):
-        problems.append("tomography.tol: must be positive")
+    if not (_is_number(tomo.get("tol")) and tomo["tol"] > 0):
+        problems.append("tomography.tol: must be a finite positive number")
 
     wig = {**defaults["wigner"], **raw.get("wigner", {})}
     _check_keys(raw.get("wigner", {}), {"extent", "points"}, "wigner.", problems)
-    if not (isinstance(wig.get("extent"), (int, float)) and wig["extent"] > 0):
-        problems.append("wigner.extent: must be positive")
-    if not (isinstance(wig.get("points"), int) and wig["points"] >= 2):
+    if not (_is_number(wig.get("extent")) and wig["extent"] > 0):
+        problems.append("wigner.extent: must be a finite positive number")
+    if not (_is_integer(wig.get("points")) and wig["points"] >= 2):
         problems.append("wigner.points: must be an integer >= 2")
 
     if problems:

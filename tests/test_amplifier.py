@@ -1,6 +1,7 @@
 """Heralded amplifier circuit: resource, conditioning, imperfections."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from scissorlab import (
     EXPERIMENT_PRESET,
     EXPERIMENT_PRESET_MU,
     IDEAL_SOURCE,
+    CapacityError,
+    NumericalPolicy,
     SourceModel,
     TruncationError,
     build_resource,
@@ -29,7 +32,8 @@ from scissorlab import (
     single_photon_weights,
     trace_distance,
 )
-from scissorlab.amplifier import _propagated_components
+from scissorlab import amplifier
+from scissorlab.amplifier import _heralding_map
 
 
 def ideal_config(alpha, g=2.0, **kw):
@@ -186,21 +190,129 @@ def test_inefficient_detector_shrinks_success():
         0.5 * full.success_probability, rel=0.05)
 
 
-def test_outcome_partition_closes():
-    # the four on/off outcome combinations on (D1, D2) exhaust every run
-    cfg = ideal_config(0.4, detector_mu=0.6)
-    comps, dims, _ = _propagated_components(cfg, DEFAULT_POLICY)
-    n_s = np.arange(dims[0]).reshape(-1, 1, 1)
-    n_r = np.arange(dims[2]).reshape(1, 1, -1)
-    mu = cfg.detector_mu
-    total = 0.0
-    for d1 in (click_weights, no_click_weights):
-        for d2 in (click_weights, no_click_weights):
-            w = d1(mu, n_r) * d2(mu, n_s)
-            for weight, tensor in comps:
-                total += weight * float(
-                    np.sum(w * np.abs(tensor) ** 2))
-    assert total == pytest.approx(1.0, abs=1e-12)
+def test_outcome_partition_closes(monkeypatch):
+    # the four on/off outcome combinations on (D1, D2) exhaust every run:
+    # built with each pair of detector elements in place of the herald's,
+    # the outcome maps sum to a trace-preserving map on every |n><n'|
+    n_max, mu = 12, 0.6
+
+    def none(mu, n):
+        return (1.0 - mu) ** np.asarray(n, dtype=float)
+
+    def click(mu, n):
+        return 1.0 - none(mu, n)
+
+    companion = SourceModel(weight_vacuum=0.05, weight_two_photon=0.03,
+                            mode_overlap=0.9)
+    for source in (IDEAL_SOURCE, companion):
+        total = 0.0
+        for d1 in (click, none):
+            for d2 in (click, none):
+                monkeypatch.setattr(amplifier, "single_photon_weights", d1)
+                monkeypatch.setattr(amplifier, "no_click_weights", d2)
+                total = total + _heralding_map.__wrapped__(
+                    gain_to_reflectivity(2.0), source, mu, True, n_max,
+                    DEFAULT_POLICY)
+        np.testing.assert_allclose(np.trace(total, axis1=0, axis2=1),
+                                   np.eye(n_max + 1), atol=1e-12)
+
+
+def test_ideal_map_is_truncated_noiseless_amplifier():
+    # Ralph & Lund: with an ideal source, unit efficiency and the veto the
+    # circuit applies (r/sqrt 2) g^n to |n> for n <= 1 and nothing above
+    g = 2.0
+    r = gain_to_reflectivity(g)
+    heralding = _heralding_map(r, IDEAL_SOURCE, 1.0, True, 12, DEFAULT_POLICY)
+    expect = np.zeros((3, 3, 13, 13))
+    for n in (0, 1):
+        for m in (0, 1):
+            expect[n, m, n, m] = r * r / 2.0 * g ** (n + m)
+    np.testing.assert_allclose(heralding, expect, rtol=0, atol=1e-14)
+
+
+def test_heralding_map_is_built_once_per_setting():
+    _heralding_map.cache_clear()
+    cfg = ideal_config(0.1, source=EXPERIMENT_PRESET, detector_mu=0.3)
+    for alpha in (0.1, 0.25, 0.5, 1.0, 0.3 + 0.4j):
+        simulate(replace(cfg, alpha=alpha))
+    info = _heralding_map.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    heralding = _heralding_map(cfg.r, cfg.source, cfg.detector_mu,
+                               cfg.use_d2_veto, cfg.n_max, DEFAULT_POLICY)
+    assert not heralding.flags.writeable
+    with pytest.raises(ValueError):
+        heralding[0, 0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("source, size", [
+    (IDEAL_SOURCE, 15 * 3 * 15),
+    (EXPERIMENT_PRESET, 15 * 3 * 15 * 27),
+], ids=["ideal", "companion"])
+def test_dimension_cap_bounds_the_working_size(source, size):
+    cfg = ideal_config(0.2, source=source)
+    simulate(cfg, NumericalPolicy(dimension_cap=size))
+    with pytest.raises(CapacityError):
+        simulate(cfg, NumericalPolicy(dimension_cap=size - 1))
+
+
+#: simulate's populated 3x3 block and herald probability at g = 2, from the
+#: joint-state propagation this package used before the heralding map
+#: (entries below 1e-18 there are written as 0)
+PARENT_OUTPUTS = [
+    ("preset", 0.1, 0.014114561839115447, [
+        [0.9150220357581182, 0.15180003111210388, -1.1249078656746212e-05],
+        [0.15180003111210388, 0.08406874229372245, 0.006426919841953135],
+        [-1.1249078656746212e-05, 0.006426919841953135, 0.0009092219481593433],
+    ]),
+    ("preset", 0.5, 0.030349838901341138, [
+        [0.6147436331595424, 0.3470888300496817, -0.00012914919410463946],
+        [0.3470888300496817, 0.3747736740955652, 0.014695049545329245],
+        [-0.00012914919410463946, 0.014695049545329245, 0.010482692744892412],
+    ]),
+    ("preset", 0.3 + 0.4j, 0.030349838901341148, [
+        [0.6147436331595425, 0.20825329802980913 - 0.27767106403974545j,
+         3.6161774349298815e-05 + 0.00012398322634045355j],
+        [0.20825329802980913 + 0.27767106403974545j, 0.3747736740955653,
+         0.00881702972719755 - 0.011756039636263402j],
+        [3.6161774349298815e-05 - 0.00012398322634045355j,
+         0.00881702972719755 + 0.011756039636263402j, 0.010482692744892412],
+    ]),
+    ("companion", 0.1, 0.04068850404135716, [
+        [0.9316093848404997, 0.14852186882153715, 0.0],
+        [0.14852186882153715, 0.06777388901247994, 0.004360912406931729],
+        [0.0, 0.004360912406931729, 0.0006167261470203954],
+    ]),
+    ("companion", 0.5, 0.07699949266505687, [
+        [0.617829127966006, 0.3564938141616214, 0.0],
+        [0.3564938141616214, 0.3747693001917798, 0.010467403282138014],
+        [0.0, 0.010467403282138014, 0.007401571842214115],
+    ]),
+    ("companion", 0.3 + 0.4j, 0.07699949266505689, [
+        [0.6178291279660061, 0.2138962884969729 - 0.28519505132929723j, 0.0],
+        [0.2138962884969729 + 0.28519505132929723j, 0.37476930019178,
+         0.006280441969282809 - 0.008373922625710415j],
+        [0.0, 0.006280441969282809 + 0.008373922625710415j,
+         0.007401571842214115],
+    ]),
+]
+
+PINNED_SETTINGS = {
+    "preset": dict(source=EXPERIMENT_PRESET, detector_mu=EXPERIMENT_PRESET_MU,
+                   accept_both_heralds=True, use_d2_veto=False),
+    "companion": dict(source=SourceModel(0.05, 0.03, 0.9), detector_mu=0.4,
+                      use_d2_veto=True),
+}
+
+
+@pytest.mark.parametrize("setting, alpha, p_success, block", PARENT_OUTPUTS,
+                         ids=[f"{s}-{a}" for s, a, _, _ in PARENT_OUTPUTS])
+def test_companion_outputs_pinned(setting, alpha, p_success, block):
+    out = simulate(ideal_config(alpha, **PINNED_SETTINGS[setting]))
+    np.testing.assert_allclose(out.state.matrix[:3, :3], block,
+                               rtol=1e-12, atol=1e-12)
+    assert np.abs(out.state.matrix[3:]).max() < 1e-12
+    assert out.success_probability == pytest.approx(p_success, rel=1e-12,
+                                                    abs=1e-12)
 
 
 def test_phase_covariance():

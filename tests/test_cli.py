@@ -95,6 +95,43 @@ def test_colliding_alphas_flagged(tmp_path, alphas, clash):
                for p in problems)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("sweep.alphas", [math.inf]),
+    ("sweep.alphas", [math.nan]),
+    ("wigner.extent", math.inf),
+    ("tomography.bin_range", [-math.inf, 6.0]),
+    ("amplifier.gain", math.nan),
+    ("amplifier.detector_mu", True),
+    ("amplifier.n_max", 12.5),
+    ("amplifier.use_d2_veto", "no"),
+    ("amplifier.source", {"weight_vacuum": math.nan}),
+    ("sweep.seed", True),
+    ("sweep.phases", True),
+    ("sweep.samples_per_state", True),
+])
+def test_non_finite_and_boolean_values_flagged(tmp_path, capsys, key, value):
+    # Python's json reads NaN, Infinity and true; none is a valid number here
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{key: value,
+                                     "sweep.output_dir": str(out_dir)})
+    path_key = key + ".weight_vacuum" if isinstance(value, dict) else key
+    assert main(["check", "--config", str(path)]) == 1
+    assert f"  - {path_key}: " in capsys.readouterr().out
+    assert main(["run", "--config", str(path)]) == 1
+    assert f"  - {path_key}: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_wigner_verb_rejects_non_finite_alpha(tmp_path, capsys, alpha):
+    path = write_config(tmp_path)
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--config", str(path), "--alpha", alpha,
+                 "--out", str(out)]) == 1
+    assert f"error: alpha must be finite, got {alpha}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_samples_rejected_at_stage_sampled(tmp_path, capsys):
     out_dir = tmp_path / "out"
     path = write_config(tmp_path, **{"sweep.stage": "sampled",
