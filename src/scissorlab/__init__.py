@@ -39,11 +39,8 @@ from .fock import (
     vacuum_state,
 )
 from .measurement import (
-    DetectorCalibration,
     QuadratureSamples,
-    amplitude_from_counts,
     default_phase_grid,
-    expected_count_rate,
     quadrature_moments,
     quadrature_operator,
     quadrature_pdf,
@@ -83,7 +80,6 @@ from .tomography import (
     QuadratureHistogram,
     ReconstructionResult,
     TomographyProblem,
-    bin_povm,
     bin_samples,
     maxlik_reconstruct,
     phase_povm_elements,

@@ -233,10 +233,7 @@ def _build_config(raw: dict, problems: list[str]) -> RunConfig | None:
     if not _is_number(eta) or not 0.0 < eta <= 1.0:
         problems.append(f"sweep.eta_hd: must lie in (0, 1], got {eta!r}")
         eta = 1.0
-    seed = sweep.get("seed")
-    if not _is_integer(seed) or seed < 0:
-        problems.append("sweep.seed: must be a non-negative integer")
-        seed = 0
+    problems.extend(_seed_problems(sweep.get("seed")))
     if not isinstance(sweep.get("output_dir"), str):
         problems.append("sweep.output_dir: must be a string path")
 
@@ -275,11 +272,18 @@ def _build_config(raw: dict, problems: list[str]) -> RunConfig | None:
         phases=phases,
         samples_per_state=samples,
         eta_hd=float(eta),
-        seed=seed,
+        seed=sweep["seed"],
         output_dir=sweep["output_dir"],
         tomography=tomo,
         wigner=wig,
     )
+
+
+def _seed_problems(seed) -> list[str]:
+    """The master seed rule, shared by the config and ``run --seed``."""
+    if not _is_integer(seed) or seed < 0:
+        return [f"sweep.seed: must be a non-negative integer, got {seed!r}"]
+    return []
 
 
 def _stage_problems(stage, samples_per_state: int) -> list[str]:
@@ -434,7 +438,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "out", None) is not None:
         updates["output_dir"] = str(args.out)
     cfg = replace(cfg, **updates) if updates else cfg
-    _fail_on(_stage_problems(cfg.stage, cfg.samples_per_state))
+    _fail_on(_seed_problems(cfg.seed)
+             + _stage_problems(cfg.stage, cfg.samples_per_state))
     return cfg
 
 

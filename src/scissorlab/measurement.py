@@ -1,4 +1,4 @@
-"""Homodyne quadrature statistics, sampling, and detector calibration.
+"""Homodyne quadrature statistics, exact bin masses, and sampling.
 
 Quadrature convention: X_theta = a e^{-i theta} + a^+ e^{i theta}, so the
 vacuum has unit variance and a coherent state |alpha> has mean quadrature
@@ -18,8 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.special import eval_hermite, gammaln
+from scipy.special import eval_hermite, gammaln, ndtr
 
 from .fock import DensityOperator, FockVector, State
 from .numerics import DEFAULT_POLICY, NumericalPolicy, TruncationError
@@ -55,39 +54,6 @@ class QuadratureSamples:
 
     def __len__(self) -> int:
         return self.x.size
-
-
-@dataclass(frozen=True)
-class DetectorCalibration:
-    """On/off count-rate calibration: C = rate (1 - exp(-mu |alpha|^2))."""
-
-    pulse_rate: float = 800e3
-    efficiency: float = 0.11
-
-    def __post_init__(self):
-        if self.pulse_rate <= 0.0:
-            raise ValueError("pulse_rate must be positive")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must lie in (0, 1], got {self.efficiency}")
-
-
-def amplitude_from_counts(count_rate: float, cal: DetectorCalibration) -> float:
-    """Invert the on/off calibration curve to the input |alpha|."""
-    if count_rate < 0.0:
-        raise ValueError("count rate cannot be negative")
-    frac = count_rate / cal.pulse_rate
-    if frac >= 1.0:
-        raise ValueError(
-            f"count rate {count_rate} is not below the pulse rate {cal.pulse_rate}"
-        )
-    return math.sqrt(-math.log(1.0 - frac) / cal.efficiency)
-
-
-def expected_count_rate(alpha_mag: float, cal: DetectorCalibration) -> float:
-    """Forward calibration curve; inverse of amplitude_from_counts."""
-    if alpha_mag < 0.0:
-        raise ValueError("alpha magnitude cannot be negative")
-    return cal.pulse_rate * (1.0 - math.exp(-cal.efficiency * alpha_mag ** 2))
 
 
 def wavefunctions(x, n_max: int) -> np.ndarray:
@@ -147,6 +113,50 @@ def quadrature_moments(rho: State, theta: float) -> tuple[float, float]:
     return mean, second - mean * mean
 
 
+def _overlap_stack(edges, n_max: int) -> np.ndarray:
+    """Phase-free overlaps S[k, m, n] = integral_k psi_m psi_n dx of the
+    bins (-inf, e_0], ..., [e_last, +inf), exact in psi at the edges.
+
+    Off the diagonal the primitive is the Wronskian [psi_m' psi_n -
+    psi_m psi_n'] / (n - m), psi_n' = (sqrt(n) psi_{n-1} - sqrt(n+1)
+    psi_{n+1}) / 2; it vanishes at both infinities.  On the diagonal,
+    edges below 0 take F_n = integral_{-inf}^x psi_n^2 = F_{n-1} -
+    psi_n psi_{n-1} / sqrt(n) from F_0 = Phi(x), and edges at or above 0
+    take -G_n, G_n = integral_x^{+inf} psi_n^2 = G_{n-1} + psi_n psi_{n-1}
+    / sqrt(n) from G_0 = Phi(-x), so a bin in either tail is a difference
+    of small numbers.  The one bin that crosses 0 gets the identity back.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or np.any(np.diff(edges) <= 0):
+        raise ValueError("bin edges must be a strictly increasing 1-D array")
+    d = n_max + 1
+    full = wavefunctions(edges, d)
+    psi = full[:, :d]
+    root = np.sqrt(np.arange(d + 1))
+    lower = np.pad(psi[:, :-1], ((0, 0), (1, 0)))
+    dpsi = 0.5 * (root[:d] * lower - root[1:] * full[:, 1:])
+    n = np.arange(d)
+    gap = n[None, :] - n[:, None] + np.eye(d)   # diagonal replaced below
+    prim = (dpsi[:, :, None] * psi[:, None, :]
+            - psi[:, :, None] * dpsi[:, None, :]) / gap
+    below = edges < 0
+    diag = np.empty((edges.size, d))
+    diag[:, 0] = np.where(below, ndtr(edges), -ndtr(-edges))
+    for k in range(1, d):
+        diag[:, k] = diag[:, k - 1] - psi[:, k] * psi[:, k - 1] / root[k]
+    prim[:, n, n] = diag
+    prim = np.concatenate([np.zeros((1, d, d)), prim, np.zeros((1, d, d))])
+    stack = np.diff(prim, axis=0)
+    stack[np.count_nonzero(below), n, n] += 1.0
+    return stack
+
+
+def _phase_factors(theta, n_max: int) -> np.ndarray:
+    """e^{i theta (m - n)}; a phase array gives one (d, d) block per phase."""
+    n = np.arange(n_max + 1)
+    return np.exp(1j * np.multiply.outer(theta, n[:, None] - n[None, :]))
+
+
 def sample_homodyne(rho: State, phases, n_samples: int,
                     eta_hd: float = 1.0, seed=None,
                     policy: NumericalPolicy = DEFAULT_POLICY
@@ -159,13 +169,15 @@ def sample_homodyne(rho: State, phases, n_samples: int,
     phases : homodyne angles; sample i uses phases[i % len(phases)].
     n_samples : total number of draws.
     eta_hd : homodyne efficiency; the state is sent through a loss eta_hd
-        channel before its quadrature densities are evaluated.
+        channel before its quadrature distributions are evaluated.
     seed : anything accepted by numpy.random.default_rng; fixed seeds give
         bit-identical sample streams.
 
-    Uses inverse-CDF draws on a dense fixed grid with linear
-    interpolation, one precomputed table per phase; TruncationError if
-    more than ``policy.truncation_tol`` of the mass lies off the grid.
+    Each phase's table is the exact CDF at the points of the fixed
+    [-10, 10] grid: the running sum of the grid cells' closed-form masses
+    Re(Phi_theta o rho^T) @ S^T (S from _overlap_stack), drawn by linear
+    interpolation.  The two open cells beyond the grid hold the exact
+    off-grid mass; TruncationError if it exceeds ``policy.truncation_tol``.
     """
     phases = [float(t) for t in phases]
     if not phases:
@@ -177,19 +189,23 @@ def sample_homodyne(rho: State, phases, n_samples: int,
         if not 0.0 < eta_hd <= 1.0:
             raise ValueError(f"eta_hd must lie in (0, 1], got {eta_hd}")
         rho = apply_loss(rho, LossChannel(eta_hd, mode=0), policy)
-    tables = []
-    for theta in phases:
-        pdf = quadrature_pdf(rho, theta, _SAMPLING_GRID, policy)
-        cdf = np.concatenate([[0.0], cumulative_trapezoid(pdf, _SAMPLING_GRID)])
-        total = cdf[-1]
-        if not abs(1.0 - total) <= policy.truncation_tol:
-            raise TruncationError(f"{1.0 - total:.3g} of the mass at theta="
-                                  f"{theta:g} lies off the sampling grid")
-        tables.append(cdf / total)
+    if abs(rho.trace() - 1.0) > policy.unit_trace_tol:
+        raise ValueError(f"state must be normalized, trace is {rho.trace()}")
+    k, d = len(phases), rho.dim
+    phi_rho = (_phase_factors(np.array(phases), d - 1) * rho.matrix.T).real
+    masses = phi_rho.reshape(k, d * d) \
+        @ _overlap_stack(_SAMPLING_GRID, d - 1).reshape(-1, d * d).T
+    off = masses[:, 0] + masses[:, -1]
+    worst = int(np.argmax(off))
+    if not off[worst] <= policy.truncation_tol:
+        raise TruncationError(f"{off[worst]:.3g} of the mass at theta="
+                              f"{phases[worst]:g} lies off the sampling grid")
+    tables = np.zeros((k, _SAMPLING_GRID.size))
+    np.cumsum(np.clip(masses[:, 1:-1], 0.0, None), axis=1, out=tables[:, 1:])
+    tables /= tables[:, -1:]
     rng = np.random.default_rng(seed)
     u = rng.random(n_samples)
     values = np.empty(n_samples)
-    k = len(phases)
     for idx, table in enumerate(tables):
         values[idx::k] = np.interp(u[idx::k], table, _SAMPLING_GRID)
     return QuadratureSamples(np.array(phases)[np.arange(n_samples) % k],

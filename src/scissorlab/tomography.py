@@ -17,10 +17,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .fock import DensityOperator
-from .measurement import QuadratureSamples, wavefunctions
+from .measurement import QuadratureSamples, _overlap_stack, _phase_factors
 from .numerics import DEFAULT_POLICY, NumericalPolicy
 
 
@@ -91,60 +90,11 @@ def bin_samples(samples: QuadratureSamples, phases, bin_count: int = 100,
     return out
 
 
-def _overlap_stack(edges, n_max: int) -> np.ndarray:
-    """Phase-free overlaps S[k, m, n] = integral_k psi_m psi_n dx of the
-    bins (-inf, e_0], ..., [e_last, +inf), exact in psi at the edges.
-
-    Off the diagonal the primitive is the Wronskian [psi_m' psi_n -
-    psi_m psi_n'] / (n - m), psi_n' = (sqrt(n) psi_{n-1} - sqrt(n+1)
-    psi_{n+1}) / 2; it vanishes at both infinities.  On the diagonal,
-    edges below 0 take F_n = integral_{-inf}^x psi_n^2 = F_{n-1} -
-    psi_n psi_{n-1} / sqrt(n) from F_0 = Phi(x), and edges at or above 0
-    take -G_n, G_n = integral_x^{+inf} psi_n^2 = G_{n-1} + psi_n psi_{n-1}
-    / sqrt(n) from G_0 = Phi(-x), so a bin in either tail is a difference
-    of small numbers.  The one bin that crosses 0 gets the identity back.
-    """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or np.any(np.diff(edges) <= 0):
-        raise ValueError("bin edges must be a strictly increasing 1-D array")
-    d = n_max + 1
-    full = wavefunctions(edges, d)
-    psi = full[:, :d]
-    root = np.sqrt(np.arange(d + 1))
-    lower = np.pad(psi[:, :-1], ((0, 0), (1, 0)))
-    dpsi = 0.5 * (root[:d] * lower - root[1:] * full[:, 1:])
-    n = np.arange(d)
-    gap = n[None, :] - n[:, None] + np.eye(d)   # diagonal replaced below
-    prim = (dpsi[:, :, None] * psi[:, None, :]
-            - psi[:, :, None] * dpsi[:, None, :]) / gap
-    below = edges < 0
-    diag = np.empty((edges.size, d))
-    diag[:, 0] = np.where(below, ndtr(edges), -ndtr(-edges))
-    for k in range(1, d):
-        diag[:, k] = diag[:, k - 1] - psi[:, k] * psi[:, k - 1] / root[k]
-    prim[:, n, n] = diag
-    prim = np.concatenate([np.zeros((1, d, d)), prim, np.zeros((1, d, d))])
-    stack = np.diff(prim, axis=0)
-    stack[np.count_nonzero(below), n, n] += 1.0
-    return stack
-
-
-def _phase_factors(theta, n_max: int) -> np.ndarray:
-    """e^{i theta (m - n)}; a phase array gives one (d, d) block per phase."""
-    n = np.arange(n_max + 1)
-    return np.exp(1j * np.multiply.outer(theta, n[:, None] - n[None, :]))
-
-
 def phase_povm_elements(theta: float, edges: np.ndarray, n_max: int
                         ) -> np.ndarray:
     """All elements of one phase, Pi[k, m, n] = e^{i (m - n) theta}
     S[k, m, n]: underflow (from -inf), the bins, overflow (to +inf)."""
     return _overlap_stack(edges, n_max) * _phase_factors(theta, n_max)
-
-
-def bin_povm(theta: float, lo: float, hi: float, n_max: int) -> np.ndarray:
-    """Pi[m, n] = e^{i (m - n) theta} integral_lo^hi psi_m psi_n dx."""
-    return phase_povm_elements(theta, [lo, hi], n_max)[1]
 
 
 @dataclass

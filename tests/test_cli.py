@@ -149,6 +149,14 @@ def test_zero_samples_rejected_at_stage_sampled(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_negative_seed_override_rejected(tmp_path, capsys):
+    # --seed bypasses the config file, so it must meet the same rule
+    path = small_sampled_config(tmp_path)
+    assert main(["run", "--config", str(path), "--seed", "-1"]) == 1
+    assert "  - sweep.seed: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_schema_version_checked(tmp_path):
     path = write_config(tmp_path, schema_version=99)
     _, problems = validate_config(path)
@@ -334,13 +342,30 @@ def test_console_script_smoke(tmp_path):
     assert proc.stdout.startswith("ok:")
 
 
+def fresh_interpreter_env():
+    """The environment of a subprocess that imports this checkout."""
+    src = str(Path(scissorlab.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_import_skips_scipy_integrate():
+    # sampling and tomography use closed forms; no quadrature routine is
+    # needed, and importing scipy.integrate would cost time and memory
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, scissorlab; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=fresh_interpreter_env(),
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_module_entry_point_smoke(tmp_path):
     # the real entry point in a fresh interpreter, whether or not the
     # console script is installed
-    src = str(Path(scissorlab.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = fresh_interpreter_env()
     path = small_sampled_config(tmp_path, **{"sweep.samples_per_state": 2000})
 
     def cli(*args):

@@ -9,17 +9,14 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import erf
+from scipy.special import erf, ndtr
 
 from scissorlab import (
     DensityOperator,
-    DetectorCalibration,
     QuadratureSamples,
     TruncationError,
-    amplitude_from_counts,
     coherent_state,
     default_phase_grid,
-    expected_count_rate,
     fock_state,
     ideal_output,
     quadrature_moments,
@@ -31,7 +28,7 @@ from scissorlab import (
     wavefunctions,
     write_samples_csv,
 )
-from scissorlab.measurement import _CSV_CHUNK_ROWS
+from scissorlab.measurement import _CSV_CHUNK_ROWS, _SAMPLING_GRID
 
 GRID = np.linspace(-8.0, 8.0, 1601)
 DENSE = np.linspace(-12.0, 12.0, 24001)
@@ -192,6 +189,22 @@ def test_vacuum_samples_pass_chi_squared():
     assert chi2 < stats.chi2.ppf(1 - 1e-4, len(counts) - 1)
 
 
+def test_draws_invert_exact_cdf():
+    # a coherent state's quadrature is N(mu_theta, 1): each draw must be
+    # its uniform pushed through the exact CDF, normalised on the grid and
+    # linearly interpolated
+    alpha, phases, n = 0.7 + 0.3j, [0.0, 1.1, 2.5], 30000
+    samples = sample_homodyne(coherent_state(alpha, 30), phases, n, seed=7)
+    u = np.random.default_rng(7).random(n)
+    for k, theta in enumerate(phases):
+        mu = 2 * (alpha * np.exp(-1j * theta)).real
+        table = ndtr(_SAMPLING_GRID - mu)
+        table = (table - table[0]) / (table[-1] - table[0])
+        np.testing.assert_allclose(
+            samples.x[k::3], np.interp(u[k::3], table, _SAMPLING_GRID),
+            rtol=0, atol=1e-9)
+
+
 def test_sample_moments_match_state():
     rho = ideal_output(0.25, 2.0).state
     mean_true, var_true = quadrature_moments(rho, 0.0)
@@ -280,21 +293,3 @@ def test_off_grid_mass_raises():
     # ~1e-9 off the grid sits inside the default truncation_tol
     samples = sample_homodyne(coherent_state(2.0, 30), [0.0], 10, seed=0)
     assert len(samples) == 10
-
-
-def test_count_rate_calibration_roundtrip():
-    cal = DetectorCalibration(pulse_rate=800e3, efficiency=0.11)
-    alpha = 0.35
-    rate = expected_count_rate(alpha, cal)
-    # C = R (1 - e^{-mu |alpha|^2})
-    assert rate == pytest.approx(
-        800e3 * (1 - math.exp(-0.11 * alpha ** 2)), rel=1e-12)
-    assert amplitude_from_counts(rate, cal) == pytest.approx(alpha, rel=1e-12)
-
-
-def test_amplitude_from_counts_domain():
-    cal = DetectorCalibration()
-    with pytest.raises(ValueError):
-        amplitude_from_counts(-1.0, cal)
-    with pytest.raises(ValueError):
-        amplitude_from_counts(cal.pulse_rate, cal)

@@ -14,7 +14,6 @@ from scissorlab import (
     QuadratureSamples,
     TomographyProblem,
     apply_loss,
-    bin_povm,
     bin_samples,
     default_phase_grid,
     fidelity,
@@ -67,7 +66,7 @@ def test_bin_povm_against_dense_quadrature():
     overlap = np.trapezoid(psi[:, :, None] * psi[:, None, :], x, axis=0)
     m = np.arange(n_max + 1)
     oracle = overlap * np.exp(1j * theta * (m[:, None] - m[None, :]))
-    ours = bin_povm(theta, lo, hi, n_max)
+    ours = phase_povm_elements(theta, [lo, hi], n_max)[1]
     np.testing.assert_allclose(ours, oracle, atol=1e-9)
 
 
@@ -105,10 +104,10 @@ def test_phase_block_against_dense_quadrature(edges, n_max):
 def test_far_tail_bin_keeps_relative_precision():
     # a bin of mass ~1e-12: built from the +inf side it is a difference of
     # two small tail masses, not of two primitives near the identity
-    vac = bin_povm(0.0, 7.0, 7.5, 4)[0, 0].real
+    vac = phase_povm_elements(0.0, [7.0, 7.5], 4)[1][0, 0].real
     tail = ndtr(-7.0) - ndtr(-7.5)
     assert vac == pytest.approx(tail, rel=1e-12, abs=0)
-    lower = bin_povm(0.0, -7.5, -7.0, 4)[0, 0].real
+    lower = phase_povm_elements(0.0, [-7.5, -7.0], 4)[1][0, 0].real
     assert lower == pytest.approx(tail, rel=1e-12, abs=0)
 
 
