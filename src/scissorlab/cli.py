@@ -8,9 +8,9 @@ Verbs:
   wigner  write one state's Wigner grid as CSV
   tomo    reconstruct a density matrix from a sample CSV
 
-Config files are JSON with nested sections (see default_config_dict for
-the full schema, and README for prose).  Determinism: the master seed and
-each alpha derive a per-alpha substream as
+Config files are JSON with nested sections (see _SCHEMA for every key,
+its default and its rule, and README for prose).  Determinism: the
+master seed and each alpha derive a per-alpha substream as
 SeedSequence([seed, round(alpha * 10^4)]), so adding or removing one alpha
 never perturbs the draws of the others.
 """
@@ -28,7 +28,6 @@ import numpy as np
 
 from .amplifier import (AmplifierConfig, HeraldedOutput, SourceModel,
                         ideal_output, simulate)
-from .fock import DensityOperator
 from .measurement import (
     default_phase_grid,
     read_samples_csv,
@@ -36,7 +35,6 @@ from .measurement import (
     write_samples_csv,
 )
 from .metrics import (
-    MetricsReport,
     build_metrics_report,
     phase_space_axes,
     wigner,
@@ -57,40 +55,99 @@ STAGES = ("analytic", "circuit", "sampled")
 SUMMARY_HEADER = "alpha,g_eff,ein_min,ein_avg,ein_max,p_success,reference_ein"
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; true/false, NaN and Infinity are not."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer_from(low: int):
+    return lambda v: _is_integer(v) and v >= low
+
+
+def _is_phases(value) -> bool:
+    """A phase count, or a non-empty list of distinct finite angles (a
+    repeated angle would have its draws binned twice)."""
+    if isinstance(value, list):
+        return (bool(value) and all(map(_is_number, value))
+                and len(set(value)) == len(value))
+    return _is_integer(value) and value >= 1
+
+
+# (accepts(value), rule) pairs that several keys share
+_NUMBER = (_is_number, "must be a finite number")
+_OPTIONAL_NUMBER = (lambda v: v is None or _is_number(v), _NUMBER[1])
+_POSITIVE = (lambda v: _is_number(v) and v > 0,
+             "must be a finite positive number")
+_FLAG = (lambda v: isinstance(v, bool), "must be true or false")
+_POSITIVE_INTEGER = (_integer_from(1), "must be a positive integer")
+_NON_NEGATIVE_INTEGER = (_integer_from(0), "must be a non-negative integer")
+
+#: The whole config schema: dotted key -> (default, accepts(value), rule).
+#: A rejected value is reported as "<key>: <rule>, got <value>".  The one
+#: key without a default (None) is left out of default_config_dict.
+_SCHEMA = {
+    "schema_version": (SCHEMA_VERSION,
+                       lambda v: _is_integer(v) and v == SCHEMA_VERSION,
+                       f"expected {SCHEMA_VERSION}"),
+    "amplifier.gain": (2.0, *_OPTIONAL_NUMBER),
+    "amplifier.reflectivity": (None, *_OPTIONAL_NUMBER),
+    "amplifier.detector_mu": (1.0, *_NUMBER),
+    "amplifier.use_d2_veto": (False, *_FLAG),
+    "amplifier.accept_both_heralds": (False, *_FLAG),
+    "amplifier.n_max": (12, _is_integer, "must be an integer"),
+    "amplifier.source.weight_vacuum": (0.0, *_NUMBER),
+    "amplifier.source.weight_two_photon": (0.0, *_NUMBER),
+    "amplifier.source.mode_overlap": (1.0, *_NUMBER),
+    "sweep.alphas": ([0.1, 0.25, 0.5, 1.0],
+                     lambda v: isinstance(v, list) and all(
+                         _is_number(a) and a >= 0 for a in v),
+                     "must be a list of finite non-negative numbers"),
+    "sweep.stage": ("circuit", lambda v: v in STAGES,
+                    f"must be one of {STAGES}"),
+    "sweep.phases": (12, _is_phases, "must be a positive phase count or a "
+                     "list of distinct angles"),
+    "sweep.samples_per_state": (200000, *_NON_NEGATIVE_INTEGER),
+    "sweep.eta_hd": (0.68, lambda v: _is_number(v) and 0.0 < v <= 1.0,
+                     "must lie in (0, 1]"),
+    "sweep.seed": (1, *_NON_NEGATIVE_INTEGER),
+    "sweep.output_dir": ("sweep_out", lambda v: isinstance(v, str),
+                         "must be a string path"),
+    "tomography.bin_count": (100, *_POSITIVE_INTEGER),
+    "tomography.bin_range": ([-6.0, 6.0],
+                             lambda v: isinstance(v, list) and len(v) == 2
+                             and all(map(_is_number, v)) and v[0] < v[1],
+                             "must be [lo, hi], finite, with lo < hi"),
+    "tomography.n_max": (10, *_POSITIVE_INTEGER),
+    "tomography.max_iter": (2000, *_POSITIVE_INTEGER),
+    "tomography.tol": (1e-10, *_POSITIVE),
+    "wigner.extent": (6.0, *_POSITIVE),
+    "wigner.points": (201, _integer_from(2), "must be an integer >= 2"),
+}
+_SECTIONS = {key.rpartition(".")[0] for key in _SCHEMA} - {""}
+
+
+def _nest(flat: dict) -> dict:
+    """Dotted keys back into nested sections, lists copied (the defaults'
+    own lists are shared by every call)."""
+    out: dict = {}
+    for key, value in flat.items():
+        *sections, leaf = key.split(".")
+        node = out
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = list(value) if isinstance(value, list) else value
+    return out
+
+
 def default_config_dict() -> dict:
     """A complete, valid configuration with the package defaults."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "amplifier": {
-            "gain": 2.0,
-            "detector_mu": 1.0,
-            "use_d2_veto": False,
-            "accept_both_heralds": False,
-            "n_max": 12,
-            "source": {
-                "weight_vacuum": 0.0,
-                "weight_two_photon": 0.0,
-                "mode_overlap": 1.0,
-            },
-        },
-        "sweep": {
-            "alphas": [0.1, 0.25, 0.5, 1.0],
-            "stage": "circuit",
-            "phases": 12,
-            "samples_per_state": 200000,
-            "eta_hd": 0.68,
-            "seed": 1,
-            "output_dir": "sweep_out",
-        },
-        "tomography": {
-            "bin_count": 100,
-            "bin_range": [-6.0, 6.0],
-            "n_max": 10,
-            "max_iter": 2000,
-            "tol": 1e-10,
-        },
-        "wigner": {"extent": 6.0, "points": 201},
-    }
+    return _nest({key: default for key, (default, _, _) in _SCHEMA.items()
+                  if default is not None})
 
 
 @dataclass(frozen=True)
@@ -114,91 +171,56 @@ class RunConfig:
         return AmplifierConfig(alpha=alpha, source=source, **amp)
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number; true/false, NaN and Infinity are not."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+def _flatten(node: dict, prefix: str, flat: dict, problems: list[str]) -> dict:
+    """Collect a parsed config's values under their dotted keys, reporting
+    unknown keys and sections that are not objects."""
+    for key, value in node.items():
+        path = prefix + key
+        if path in _SECTIONS:
+            if isinstance(value, dict):
+                _flatten(value, path + ".", flat, problems)
+            else:
+                problems.append(f"{path}: must be a JSON object")
+        elif path in _SCHEMA:
+            flat[path] = value
+        else:
+            problems.append(f"{path}: unknown key")
+    return flat
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
+    values = {key: flat.get(key, default)
+              for key, (default, _, _) in _SCHEMA.items()}
+    # never defaulted: a file must say which schema it follows
+    values["schema_version"] = flat.get("schema_version")
+    bad = set()
+    for key, (_, accepts, rule) in _SCHEMA.items():
+        if not accepts(values[key]):
+            bad.add(key)
+            problems.append(f"{key}: {rule}, got {values[key]!r}")
 
-
-def _check_keys(section: dict, allowed: set[str], prefix: str,
-                problems: list[str]) -> None:
-    for key in section:
-        if key not in allowed:
-            problems.append(f"{prefix}{key}: unknown key")
-
-
-def _build_config(raw: dict, problems: list[str]) -> RunConfig | None:
-    if not isinstance(raw, dict):
-        problems.append("config root must be a JSON object")
-        return None
-    _check_keys(raw, {"schema_version", "amplifier", "sweep", "tomography",
-                      "wigner"}, "", problems)
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        problems.append(
-            f"schema_version: expected {SCHEMA_VERSION}, "
-            f"got {raw.get('schema_version')!r}"
-        )
-
-    defaults = default_config_dict()
-    amp = {**defaults["amplifier"], **raw.get("amplifier", {})}
-    _check_keys(raw.get("amplifier", {}),
-                {"gain", "reflectivity", "detector_mu", "use_d2_veto",
-                 "accept_both_heralds", "n_max", "source"},
-                "amplifier.", problems)
-    if "reflectivity" in amp and "gain" in amp:
-        if raw.get("amplifier", {}).get("reflectivity") is not None \
-                and raw.get("amplifier", {}).get("gain") is not None:
+    # gain has a default and reflectivity none, so a given reflectivity
+    # replaces the default gain
+    if values["amplifier.reflectivity"] is not None:
+        if flat.get("amplifier.gain") is not None:
             problems.append(
                 "amplifier: gain and reflectivity are both set; they are "
                 "tied by g = sqrt(1 - r^2)/r, so give exactly one"
             )
-        elif "reflectivity" in raw.get("amplifier", {}):
-            amp.pop("gain", None)
-    source_raw = {**defaults["amplifier"]["source"], **amp.get("source", {})}
-    _check_keys(amp.get("source", {}),
-                {"weight_vacuum", "weight_two_photon", "mode_overlap"},
-                "amplifier.source.", problems)
-    amp["source"] = source_raw
-    typed = [f"amplifier.source.{key}: must be a finite number, got "
-             f"{source_raw[key]!r}"
-             for key in defaults["amplifier"]["source"]
-             if not _is_number(source_raw[key])]
-    typed += [f"amplifier.{key}: must be a finite number, got {amp[key]!r}"
-              for key in ("gain", "reflectivity", "detector_mu")
-              if amp.get(key) is not None and not _is_number(amp[key])]
-    if not _is_integer(amp.get("n_max")):
-        typed.append(f"amplifier.n_max: must be an integer, got "
-                     f"{amp.get('n_max')!r}")
-    typed += [f"amplifier.{key}: must be true or false, got {amp[key]!r}"
-              for key in ("use_d2_veto", "accept_both_heralds")
-              if not isinstance(amp.get(key), bool)]
-    problems.extend(typed)
-    if not typed:
+        values["amplifier.gain"] = None
+    sections = _nest(values)
+    amp, sweep = sections["amplifier"], sections["sweep"]
+    if not any(key.startswith("amplifier.") for key in bad):
+        where = "amplifier.source"
         try:
-            SourceModel(**source_raw)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"amplifier.source: {exc}")
-        try:
-            test_amp = dict(amp)
-            src = SourceModel(**test_amp.pop("source"))
-            AmplifierConfig(alpha=0.1, source=src, **test_amp)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"amplifier: {exc}")
+            source = SourceModel(**amp["source"])
+            where = "amplifier"
+            AmplifierConfig(alpha=0.0, source=source,
+                            **{k: v for k, v in amp.items() if k != "source"})
+        except ValueError as exc:
+            problems.append(f"{where}: {exc}")
 
-    sweep = {**defaults["sweep"], **raw.get("sweep", {})}
-    _check_keys(raw.get("sweep", {}),
-                {"alphas", "stage", "phases", "samples_per_state", "eta_hd",
-                 "seed", "output_dir"}, "sweep.", problems)
-    alphas = sweep.get("alphas", [])
-    if not isinstance(alphas, list) or any(
-            not _is_number(a) or a < 0 for a in alphas):
-        problems.append(
-            "sweep.alphas: must be a list of finite non-negative numbers")
-        alphas = []
+    alphas = [] if "sweep.alphas" in bad else sweep["alphas"]
     # each alpha owns an output directory and a seed, both keyed at 4
     # decimals but rounded differently (0.12345 -> alpha_0.1235/, key 1234)
     dirs = [_alpha_dir_name(a) for a in alphas]
@@ -208,91 +230,33 @@ def _build_config(raw: dict, problems: list[str]) -> RunConfig | None:
     if clashes:
         problems.append(f"sweep.alphas: {clashes} coincide at 4 decimals "
                         f"(output directory or seed)")
-    if sweep.get("stage") not in STAGES:
-        problems.append(
-            f"sweep.stage: must be one of {STAGES}, got {sweep.get('stage')!r}"
-        )
-    phases_raw = sweep.get("phases")
-    phases: tuple[float, ...] = ()
-    if _is_integer(phases_raw) and phases_raw >= 1:
-        phases = tuple(default_phase_grid(phases_raw))
-    elif isinstance(phases_raw, list) and phases_raw and all(
-            _is_number(t) for t in phases_raw):
-        phases = tuple(float(t) for t in phases_raw)
-    else:
-        problems.append(
-            "sweep.phases: must be a positive phase count or a list of angles"
-        )
-    samples = sweep.get("samples_per_state")
-    if not _is_integer(samples) or samples < 0:
-        problems.append("sweep.samples_per_state: must be a non-negative integer")
-        samples = 0
-    else:
-        problems.extend(_stage_problems(sweep.get("stage"), samples))
-    eta = sweep.get("eta_hd")
-    if not _is_number(eta) or not 0.0 < eta <= 1.0:
-        problems.append(f"sweep.eta_hd: must lie in (0, 1], got {eta!r}")
-        eta = 1.0
-    problems.extend(_seed_problems(sweep.get("seed")))
-    if not isinstance(sweep.get("output_dir"), str):
-        problems.append("sweep.output_dir: must be a string path")
 
-    tomo = {**defaults["tomography"], **raw.get("tomography", {})}
-    _check_keys(raw.get("tomography", {}),
-                {"bin_count", "bin_range", "n_max", "max_iter", "tol"},
-                "tomography.", problems)
-    if not (_is_integer(tomo.get("bin_count")) and tomo["bin_count"] >= 1):
-        problems.append("tomography.bin_count: must be a positive integer")
-    rng_pair = tomo.get("bin_range")
-    if not (isinstance(rng_pair, list) and len(rng_pair) == 2
-            and all(_is_number(v) for v in rng_pair)
-            and rng_pair[0] < rng_pair[1]):
-        problems.append("tomography.bin_range: must be [lo, hi], finite, "
-                        "with lo < hi")
-    if not (_is_integer(tomo.get("n_max")) and tomo["n_max"] >= 1):
-        problems.append("tomography.n_max: must be a positive integer")
-    if not (_is_integer(tomo.get("max_iter")) and tomo["max_iter"] >= 1):
-        problems.append("tomography.max_iter: must be a positive integer")
-    if not (_is_number(tomo.get("tol")) and tomo["tol"] > 0):
-        problems.append("tomography.tol: must be a finite positive number")
-
-    wig = {**defaults["wigner"], **raw.get("wigner", {})}
-    _check_keys(raw.get("wigner", {}), {"extent", "points"}, "wigner.", problems)
-    if not (_is_number(wig.get("extent")) and wig["extent"] > 0):
-        problems.append("wigner.extent: must be a finite positive number")
-    if not (_is_integer(wig.get("points")) and wig["points"] >= 2):
-        problems.append("wigner.points: must be an integer >= 2")
+    phases = sweep["phases"]
+    if "sweep.phases" in bad:
+        phases = ()
+    elif isinstance(phases, list):
+        phases = tuple(float(t) for t in phases)
+    else:
+        phases = tuple(default_phase_grid(phases))
+    # settings valid alone but not for tomography
+    if sweep["stage"] == "sampled":
+        if "sweep.samples_per_state" not in bad \
+                and sweep["samples_per_state"] == 0:
+            problems.append("sweep.samples_per_state: must be positive at "
+                            "stage sampled (tomography cannot reconstruct "
+                            "from no samples)")
+        if len(phases) == 1:
+            problems.append("sweep.phases: must give at least two distinct "
+                            "angles at stage sampled (tomography cannot "
+                            "reconstruct from one)")
 
     if problems:
         return None
-    return RunConfig(
-        amplifier=amp,
-        alphas=tuple(float(a) for a in alphas),
-        stage=sweep["stage"],
-        phases=phases,
-        samples_per_state=samples,
-        eta_hd=float(eta),
-        seed=sweep["seed"],
-        output_dir=sweep["output_dir"],
-        tomography=tomo,
-        wigner=wig,
-    )
-
-
-def _seed_problems(seed) -> list[str]:
-    """The master seed rule, shared by the config and ``run --seed``."""
-    if not _is_integer(seed) or seed < 0:
-        return [f"sweep.seed: must be a non-negative integer, got {seed!r}"]
-    return []
-
-
-def _stage_problems(stage, samples_per_state: int) -> list[str]:
-    """Settings valid alone but not at this stage (``run --stage`` can
-    change the stage after the config passed)."""
-    if stage == "sampled" and samples_per_state == 0:
-        return ["sweep.samples_per_state: must be positive at stage sampled "
-                "(tomography cannot reconstruct from no samples)"]
-    return []
+    # the sweep section's keys are RunConfig's remaining fields
+    sweep.update(alphas=tuple(map(float, alphas)), phases=phases,
+                 eta_hd=float(sweep["eta_hd"]))
+    return RunConfig(amplifier=amp, tomography=sections["tomography"],
+                     wigner=sections["wigner"], **sweep)
 
 
 def validate_config(path) -> tuple[RunConfig | None, list[str]]:
@@ -301,15 +265,22 @@ def validate_config(path) -> tuple[RunConfig | None, list[str]]:
     Returns (config, []) when valid, else (None, violations); violations
     carry dotted key paths, and parse failures name the line.
     """
-    problems: list[str] = []
+    return _check_file(path, {})
+
+
+def _check_file(path, overrides: dict) -> tuple[RunConfig | None, list[str]]:
+    """validate_config with dotted keys set over the file's values."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         return None, [f"parse error at line {exc.lineno}, column {exc.colno}: "
                       f"{exc.msg}"]
-    cfg = _build_config(raw, problems)
-    return cfg, problems
+    if not isinstance(raw, dict):
+        return None, ["config root must be a JSON object"]
+    problems: list[str] = []
+    flat = {**_flatten(raw, "", {}, problems), **overrides}
+    return _build_config(flat, problems), problems
 
 
 def _alpha_key(alpha: float) -> int:
@@ -421,30 +392,18 @@ def _fail_on(problems: list[str]) -> None:
             f"  - {p}" for p in problems))
 
 
-def _load_config_or_fail(path) -> RunConfig:
-    cfg, problems = validate_config(path)
+def _load_config_or_fail(path, **sweep) -> RunConfig:
+    """validate_config, with the ``sweep`` keys given (not None) set over
+    the file's, so that ``run --seed`` and the like meet the same rules."""
+    cfg, problems = _check_file(path, {f"sweep.{key}": value for key, value
+                                       in sweep.items() if value is not None})
     _fail_on(problems)
     return cfg
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    from dataclasses import replace
-
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "stage", None) is not None:
-        updates["stage"] = args.stage
-    if getattr(args, "out", None) is not None:
-        updates["output_dir"] = str(args.out)
-    cfg = replace(cfg, **updates) if updates else cfg
-    _fail_on(_seed_problems(cfg.seed)
-             + _stage_problems(cfg.stage, cfg.samples_per_state))
-    return cfg
-
-
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(_load_config_or_fail(args.config), args)
+    cfg = _load_config_or_fail(args.config, seed=args.seed, stage=args.stage,
+                               output_dir=args.out)
     written = run_sweep(cfg)
     print(f"wrote {len(written)} artifacts under {cfg.output_dir}")
     return 0

@@ -66,10 +66,14 @@ def bin_samples(samples: QuadratureSamples, phases, bin_count: int = 100,
     """Histogram samples per phase on a shared uniform grid.
 
     Every sample's phase must appear in ``phases`` (exact match: samples
-    produced by this package reuse the list's float values verbatim).
-    Total counts including under/overflow equal the sample count.
+    produced by this package reuse the list's float values verbatim), and
+    no phase twice.  Total counts including under/overflow equal the
+    sample count.
     """
     phases = [float(t) for t in phases]
+    if len(set(phases)) < len(phases):
+        raise ValueError(f"repeated phase in {phases}: its samples would be "
+                         f"counted twice")
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
     lo, hi = value_range

@@ -59,6 +59,14 @@ def test_default_config_validates(tmp_path):
     assert cfg.phases[1] == pytest.approx(math.pi / 12)
 
 
+def test_readme_shows_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("### Config file", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == default_config_dict()
+
+
 def test_unknown_key_flagged(tmp_path):
     path = write_config(tmp_path, **{"sweep.eta_hc": 0.5})
     cfg, problems = validate_config(path)
@@ -108,18 +116,28 @@ def test_colliding_alphas_flagged(tmp_path, alphas, clash):
     ("sweep.seed", True),
     ("sweep.phases", True),
     ("sweep.samples_per_state", True),
+    # sections that are not objects
+    ("amplifier", 5),
+    ("sweep", []),
+    ("tomography", "x"),
+    ("amplifier.source", 5),
+    # a repeated angle would have its samples binned twice
+    ("sweep.phases", [0.0, 0.0, 1.0]),
 ])
-def test_non_finite_and_boolean_values_flagged(tmp_path, capsys, key, value):
+def test_non_finite_and_boolean_values_flagged(tmp_path, capsys, monkeypatch,
+                                               key, value):
     # Python's json reads NaN, Infinity and true; none is a valid number here
+    monkeypatch.chdir(tmp_path)  # where a replaced sweep section would write
     out_dir = tmp_path / "out"
-    path = write_config(tmp_path, **{key: value,
-                                     "sweep.output_dir": str(out_dir)})
+    path = write_config(tmp_path, **{"sweep.output_dir": str(out_dir),
+                                     key: value})
     path_key = key + ".weight_vacuum" if isinstance(value, dict) else key
     assert main(["check", "--config", str(path)]) == 1
     assert f"  - {path_key}: " in capsys.readouterr().out
     assert main(["run", "--config", str(path)]) == 1
     assert f"  - {path_key}: " in capsys.readouterr().err
     assert not out_dir.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
@@ -132,20 +150,23 @@ def test_wigner_verb_rejects_non_finite_alpha(tmp_path, capsys, alpha):
     assert not out.exists()
 
 
-def test_zero_samples_rejected_at_stage_sampled(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [
+    ("sweep.samples_per_state", 0),
+    ("sweep.phases", 1),
+    ("sweep.phases", [0.5]),
+], ids=["zero-samples", "one-phase", "one-angle"])
+def test_stage_sampled_needs_samples_and_phases(tmp_path, capsys, key, value):
     out_dir = tmp_path / "out"
-    path = write_config(tmp_path, **{"sweep.stage": "sampled",
-                                     "sweep.samples_per_state": 0})
+    path = write_config(tmp_path, **{"sweep.stage": "sampled", key: value})
     cfg, problems = validate_config(path)
     assert cfg is None
-    assert any(p.startswith("sweep.samples_per_state:") for p in problems)
-    # the circuit stage needs no samples, but --stage sampled does
-    path = write_config(tmp_path, **{"sweep.alphas": [0.25],
-                                     "sweep.samples_per_state": 0,
+    assert any(p.startswith(f"{key}:") for p in problems)
+    # the circuit stage needs no tomography, but --stage sampled does
+    path = write_config(tmp_path, **{"sweep.alphas": [0.25], key: value,
                                      "sweep.output_dir": str(out_dir)})
     assert main(["check", "--config", str(path)]) == 0
     assert main(["run", "--config", str(path), "--stage", "sampled"]) == 1
-    assert "sweep.samples_per_state:" in capsys.readouterr().err
+    assert f"{key}:" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -157,8 +178,10 @@ def test_negative_seed_override_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_schema_version_checked(tmp_path):
-    path = write_config(tmp_path, schema_version=99)
+@pytest.mark.parametrize("version", [99, True])
+def test_schema_version_checked(tmp_path, version):
+    # true == 1 in Python, but it is not the version number
+    path = write_config(tmp_path, schema_version=version)
     _, problems = validate_config(path)
     assert any("schema_version" in p for p in problems)
 

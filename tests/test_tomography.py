@@ -57,6 +57,14 @@ def test_bin_samples_rejects_unknown_phase():
         bin_samples(samples, [0.0], bin_count=10)
 
 
+def test_bin_samples_rejects_repeated_phase():
+    # each phase-0 draw would land in both phase-0 histograms
+    rho = ideal_output(0.3, 2.0).state
+    samples = sample_homodyne(rho, [0.0, 1.0], 10, seed=0)
+    with pytest.raises(ValueError, match="repeated phase"):
+        bin_samples(samples, [0.0, 0.0, 1.0], bin_count=10)
+
+
 def test_bin_povm_against_dense_quadrature():
     # independent oracle: trapezoid integral of psi_m psi_n over the bin,
     # rotated by e^{i theta (m - n)}
