@@ -28,6 +28,7 @@ import numpy as np
 
 from .amplifier import (AmplifierConfig, HeraldedOutput, SourceModel,
                         ideal_output, simulate)
+from .fock import coherent_state
 from .measurement import (
     default_phase_grid,
     read_samples_csv,
@@ -41,6 +42,7 @@ from .metrics import (
     write_metrics_json,
     write_wigner_csv,
 )
+from .numerics import DEFAULT_POLICY, TruncationError
 from .tomography import (
     TomographyProblem,
     bin_samples,
@@ -249,6 +251,24 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
             problems.append("sweep.phases: must give at least two distinct "
                             "angles at stage sampled (tomography cannot "
                             "reconstruct from one)")
+        if "tomography.bin_count" not in bad \
+                and sections["tomography"]["bin_count"] < 2:
+            problems.append("tomography.bin_count: must be at least 2 at "
+                            "stage sampled (one bin carries no phase "
+                            "information)")
+    # the circuit starts from |alpha> at the amplifier's cutoff; a cutoff
+    # above sqrt(dimension_cap) fails simulate's own capacity check, which
+    # run reports before writing anything
+    n_max = amp["n_max"]
+    if sweep["stage"] in ("circuit", "sampled") \
+            and "amplifier.n_max" not in bad \
+            and 1 <= n_max <= math.isqrt(DEFAULT_POLICY.dimension_cap):
+        for alpha in alphas:
+            try:
+                coherent_state(alpha, n_max)
+            except TruncationError as exc:
+                problems.append(f"sweep.alphas: alpha {alpha!r} does not fit "
+                                f"amplifier.n_max = {n_max} ({exc})")
 
     if problems:
         return None

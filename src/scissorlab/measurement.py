@@ -137,16 +137,20 @@ def _overlap_stack(edges, n_max: int) -> np.ndarray:
     dpsi = 0.5 * (root[:d] * lower - root[1:] * full[:, 1:])
     n = np.arange(d)
     gap = n[None, :] - n[:, None] + np.eye(d)   # diagonal replaced below
-    prim = (dpsi[:, :, None] * psi[:, None, :]
-            - psi[:, :, None] * dpsi[:, None, :]) / gap
+    # formed in place: at 4001 edges every (E, d, d) temporary is large
+    prim = dpsi[:, :, None] * psi[:, None, :]
+    prim -= psi[:, :, None] * dpsi[:, None, :]
+    prim /= gap
     below = edges < 0
     diag = np.empty((edges.size, d))
     diag[:, 0] = np.where(below, ndtr(edges), -ndtr(-edges))
     for k in range(1, d):
         diag[:, k] = diag[:, k - 1] - psi[:, k] * psi[:, k - 1] / root[k]
     prim[:, n, n] = diag
-    prim = np.concatenate([np.zeros((1, d, d)), prim, np.zeros((1, d, d))])
-    stack = np.diff(prim, axis=0)
+    stack = np.empty((edges.size + 1, d, d))
+    stack[0] = prim[0]
+    np.subtract(prim[1:], prim[:-1], out=stack[1:-1])
+    stack[-1] = 0.0 - prim[-1]
     stack[np.count_nonzero(below), n, n] += 1.0
     return stack
 

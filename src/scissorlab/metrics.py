@@ -2,9 +2,9 @@
 and the classical-information budget of the heralded amplifier.
 
 Phase-space convention matches the quadrature convention X = a + a^+:
-the vacuum Wigner function is exp(-(x^2+p^2)/2) / (2 pi) with unit peak
-value 1/(2 pi), and a coherent state |alpha> peaks at
-(x, p) = (2 Re alpha, 2 Im alpha).
+the vacuum Wigner function is exp(-(x^2+p^2)/2) / (2 pi), peaking at
+1/(2 pi), and a coherent state |alpha> peaks at (2 Re alpha, 2 Im alpha).
+A Wigner grid is a product U A V^T of Hermite-function tables (``wigner``).
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import DensityOperator, FockVector, State
-from .measurement import quadrature_moments
+from .measurement import quadrature_moments, wavefunctions
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,22 +65,39 @@ def phase_space_axes(extent: float = 6.0, points: int = 201) -> np.ndarray:
     return np.linspace(-extent, extent, points)
 
 
+@lru_cache(maxsize=8)
+def _wigner_map(d: int) -> np.ndarray:
+    """Read-only real M[(j,k), (m,n)] = <j,k|B|m,n> (-1)^n, j, k < 2d - 1 and
+    m, n < d, with B the balanced beamsplitter of optics._bs_matrix; it is
+    2^{-(m+n)/2} sqrt(j! k!/(m! n!)) [z^j] (1+z)^m (z-1)^n where j + k = m + n.
+    Exact int coefficients; each entry is rounded once from its square."""
+    size = 2 * d - 1
+    fact = [math.factorial(i) for i in range(size)]
+    out = np.zeros((size, size, d, d))
+    for m in range(d):
+        poly = [math.comb(m, i) for i in range(m + 1)]     # (1 + z)^m
+        for n in range(d):
+            den = fact[m] * fact[n] << (m + n)
+            for j, c in enumerate(poly):
+                out[j, m + n - j, m, n] = math.copysign(
+                    math.sqrt(c * c * fact[j] * fact[m + n - j] / den), c)
+            poly = [b - a for a, b in zip(poly + [0], [0] + poly)]  # (z - 1)
+    out = out.reshape(size * size, d * d)
+    out.setflags(write=False)
+    return out
+
+
 def wigner(rho: State, x=None, p=None) -> WignerGrid:
     """Evaluate the Wigner function of a single-mode state on a grid.
 
-    Uses the Fock-basis kernel expansion: with s = x^2 + p^2, the
-    |m><n| (m >= n) kernel is
+    W is the Fourier transform over y of <x + y/2| rho |x - y/2>; the change
+    to x +- y/2 is a 45-degree rotation, acting on Hermite products as the
+    balanced beamsplitter B (``_wigner_map``), and the Fourier transform
+    multiplies psi_k by (-i)^k.  So, with psi the quadrature eigenfunctions
+    (``wavefunctions``) of orders 0..2d-2, the real grid is U Re(A) V^T:
 
-        (-1)^n / (2 pi) * e^{-s/2} (x - i p)^{m-n}
-        sqrt(n!/m!) L_n^{m-n}(s)
-
-    and W = sum_{mn} rho_mn K_mn, accumulated over the lower triangle via
-    conjugate symmetry.  Per diagonal offset k = m - n the Laguerre
-    polynomials come from the three-term recurrence
-
-        L_{n+1}^k = ((2n + 1 + k - s) L_n^k - (n + k) L_{n-1}^k) / (n + 1)
-
-    and the offset's sum is multiplied by (x - i p)^k once.
+        W(x, p) = sum_{j,k} A_jk psi_j(sqrt2 x) psi_k(sqrt2 p),
+        A_jk = (-i)^k / sqrt(2 pi) sum_{m+n=j+k} <j,k|B|m,n> (-1)^n rho_mn.
     """
     if isinstance(rho, FockVector):
         rho = rho.to_density()
@@ -88,31 +105,13 @@ def wigner(rho: State, x=None, p=None) -> WignerGrid:
         raise ValueError("Wigner maps are computed for single-mode states")
     x = phase_space_axes() if x is None else np.asarray(x, dtype=float)
     p = phase_space_axes() if p is None else np.asarray(p, dtype=float)
-    gx, gp = np.meshgrid(x, p, indexing="ij")
-    s = gx * gx + gp * gp
-    lowered = gx - 1j * gp
-    d = rho.dim
-    mat = rho.matrix
-    values = np.zeros_like(s)
-    power = np.ones_like(lowered)       # (x - i p)^k
-    for k in range(d):
-        # c_n = (-1)^n sqrt(n!/(n+k)!) rho_{n+k, n}
-        n = np.arange(d - k)
-        norm = np.exp(0.5 * (gammaln(n + 1) - gammaln(n + k + 1)))
-        coeff = (-1.0) ** n * norm * mat[n + k, n]
-        prev, cur = np.zeros_like(s), np.ones_like(s)     # L_{-1}, L_0
-        total = coeff[0] * cur
-        for j in range(1, d - k):
-            prev, cur = cur, ((2 * j - 1 + k - s) * cur
-                              - (j - 1 + k) * prev) / j
-            total += coeff[j] * cur
-        if k == 0:
-            values += total.real
-        else:
-            power = power * lowered
-            values += 2.0 * (total * power).real
-    values *= np.exp(-0.5 * s) / TWO_PI
-    return WignerGrid(x, p, values)
+    d, size = rho.dim, 2 * rho.dim - 1
+    # the real map takes the real and imaginary parts of rho as two columns
+    c = _wigner_map(d) @ rho.matrix.reshape(-1).view(float).reshape(-1, 2)
+    turns = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(size) % 4]  # (-i)^k
+    a = (c.view(complex).reshape(size, size) * turns).real / math.sqrt(TWO_PI)
+    u, v = (wavefunctions(math.sqrt(2.0) * axis, size - 1) for axis in (x, p))
+    return WignerGrid(x, p, u @ a @ v.T)
 
 
 def write_wigner_csv(grid: WignerGrid, path) -> None:

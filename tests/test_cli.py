@@ -154,7 +154,8 @@ def test_wigner_verb_rejects_non_finite_alpha(tmp_path, capsys, alpha):
     ("sweep.samples_per_state", 0),
     ("sweep.phases", 1),
     ("sweep.phases", [0.5]),
-], ids=["zero-samples", "one-phase", "one-angle"])
+    ("tomography.bin_count", 1),
+], ids=["zero-samples", "one-phase", "one-angle", "one-bin"])
 def test_stage_sampled_needs_samples_and_phases(tmp_path, capsys, key, value):
     out_dir = tmp_path / "out"
     path = write_config(tmp_path, **{"sweep.stage": "sampled", key: value})
@@ -168,6 +169,24 @@ def test_stage_sampled_needs_samples_and_phases(tmp_path, capsys, key, value):
     assert main(["run", "--config", str(path), "--stage", "sampled"]) == 1
     assert f"{key}:" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("stage", ["circuit", "sampled"])
+def test_alpha_beyond_the_cutoff_rejected(tmp_path, capsys, stage):
+    # |2.5> loses 1.2e-2 of its probability above amplifier.n_max = 12
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"sweep.alphas": [0.25, 2.5],
+                                     "sweep.stage": stage,
+                                     "sweep.output_dir": str(out_dir)})
+    message = "  - sweep.alphas: alpha 2.5 does not fit amplifier.n_max = 12"
+    assert main(["check", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().out
+    assert main(["run", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    # the closed form needs no coherent input on the cutoff
+    assert main(["run", "--config", str(path), "--stage", "analytic"]) == 0
+    assert (out_dir / "summary.csv").is_file()
 
 
 def test_negative_seed_override_rejected(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from scissorlab import (
     write_metrics_json,
     write_wigner_csv,
 )
+from scissorlab.metrics import _wigner_map
+from scissorlab.optics import _bs_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,6 +106,30 @@ def test_wigner_matches_genlaguerre_kernels(dim):
     np.testing.assert_allclose(grid.values,
                                genlaguerre_wigner(rho, axes, axes),
                                rtol=0, atol=1e-13)
+
+
+def test_wigner_map_is_built_once_per_cutoff():
+    _wigner_map.cache_clear()
+    config = AmplifierConfig(alpha=0.1, gain=2.0)
+    for alpha in (0.1, 0.25, 0.5, 1.0):
+        wigner(simulate(replace(config, alpha=alpha)).state)
+    info = _wigner_map.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    wigner(vacuum_state(4))
+    assert _wigner_map.cache_info().misses == 2
+    mapping = _wigner_map(13)
+    assert not mapping.flags.writeable
+    with pytest.raises(ValueError):
+        mapping[0, 0] = 1.0
+
+
+def test_wigner_map_is_the_balanced_beamsplitter():
+    # <j,k|B|m,n> (-1)^n on photon numbers m, n < d, outputs j, k < 2d - 1
+    d, size = 4, 7
+    bs = _bs_matrix(size, 1.0 / math.sqrt(2.0)).reshape((size,) * 4)
+    expect = bs[:, :, :d, :d] * (-1.0) ** np.arange(d)
+    np.testing.assert_allclose(_wigner_map(d).reshape(size, size, d, d),
+                               expect, rtol=0, atol=1e-15)
 
 
 def test_wigner_marginals_match_pdfs():
