@@ -32,9 +32,7 @@ from .fock import (
     fock_state,
     mean_photon_number,
     number_distribution,
-    partial_trace,
     resize_mode,
-    tensor_product,
     trace_distance,
     vacuum_state,
 )
@@ -70,9 +68,7 @@ from .numerics import (
     TruncationError,
 )
 from .optics import (
-    BeamsplitterSpec,
     LossChannel,
-    apply_beamsplitter,
     apply_loss,
     apply_phase,
 )

@@ -50,7 +50,7 @@ from .numerics import (
     NumericalPolicy,
     TruncationError,
 )
-from .optics import BeamsplitterSpec, _bs_matrix, apply_beamsplitter, apply_phase
+from .optics import _bs_matrix, apply_phase
 
 #: companion/ancilla modes never hold more than two photons
 _ANCILLA_DIM = 3
@@ -223,23 +223,27 @@ def _source_components(source: SourceModel) -> list[tuple[float, dict[int, np.nd
 
 
 def _resource_components(r: float, source: SourceModel,
-                         with_companion: bool) -> list[tuple[float, FockVector]]:
-    """Pure components of the A-BS output over (T, R[, Tc, Rc])."""
-    a_bs = BeamsplitterSpec(r=r, modes=(0, 1))
+                         with_companion: bool) -> list[tuple[float, np.ndarray]]:
+    """Pure components of the A-BS output over (T, R[, Tc, Rc]).
+
+    Each entry is (weight, flat amplitudes).  R and Rc enter in vacuum, so
+    the A-BS acts on (T, R) as u @ amps, and on both pairs at once as
+    u @ A @ u^T with A the (T, R) x (Tc, Rc) amplitudes.  The source never
+    holds more than two photons, where _bs_matrix(3, r) is exactly unitary.
+    """
+    u = _bs_matrix(_ANCILLA_DIM, r)
     comps = []
     for weight, amp_t_tc in _source_components(source):
+        # flat index t * 3 + r, so R (and Rc) in vacuum is every third entry
         if with_companion:
-            tensor = np.zeros((_ANCILLA_DIM,) * 4, dtype=complex)
-            tensor[:, 0, :, 0] = amp_t_tc
-            vec = FockVector(tensor.reshape(-1), (_ANCILLA_DIM,) * 4)
-            vec = apply_beamsplitter(vec, a_bs)                      # T with R
-            vec = apply_beamsplitter(vec, BeamsplitterSpec(r=r, modes=(2, 3)))
+            a = np.zeros((_ANCILLA_DIM ** 2,) * 2, dtype=complex)
+            a[::_ANCILLA_DIM, ::_ANCILLA_DIM] = amp_t_tc
+            amps = (u @ a @ u.T).reshape(-1)
         else:
-            tensor = np.zeros((_ANCILLA_DIM,) * 2, dtype=complex)
-            tensor[:, 0] = amp_t_tc[:, 0]
-            vec = FockVector(tensor.reshape(-1), (_ANCILLA_DIM,) * 2)
-            vec = apply_beamsplitter(vec, a_bs)
-        comps.append((weight, vec))
+            a = np.zeros(_ANCILLA_DIM ** 2, dtype=complex)
+            a[::_ANCILLA_DIM] = amp_t_tc[:, 0]
+            amps = u @ a
+        comps.append((weight, amps))
     return comps
 
 
@@ -258,8 +262,8 @@ def build_resource(r: float, source: SourceModel = IDEAL_SOURCE,
     dims = (_ANCILLA_DIM,) * (4 if with_companion else 2)
     d = math.prod(dims)
     mat = np.zeros((d, d), dtype=complex)
-    for weight, vec in comps:
-        mat += weight * np.outer(vec.amplitudes, vec.amplitudes.conj())
+    for weight, amps in comps:
+        mat += weight * np.outer(amps, amps.conj())
     return DensityOperator(mat, dims).validate(policy)
 
 
@@ -290,6 +294,25 @@ def ideal_output(alpha: complex, g: float, n_max: int = 12,
     return HeraldedOutput(vec.to_density(), p, branch)
 
 
+def _check_working_size(n_max: int, source: SourceModel,
+                        policy: NumericalPolicy) -> None:
+    """Raise CapacityError if the circuit's joint space exceeds the cap.
+
+    The space is (S, R, T) with S and R padded to n_max + 3, so that the
+    S-BS is exactly unitary on every populated photon-number sector (at
+    most n_max + 2 photons), times (Sc, Tc, Rc) of dimension 3 each when the
+    source is only partially mode-matched.
+    """
+    c = _ANCILLA_DIM if source.mode_overlap < 1.0 else 1
+    d_sig = n_max + _ANCILLA_DIM
+    size = d_sig * _ANCILLA_DIM * d_sig * c ** 3
+    if size > policy.dimension_cap:
+        raise CapacityError(
+            f"n_max = {n_max} needs a circuit working size of {size}, above "
+            f"the cap {policy.dimension_cap}"
+        )
+
+
 @lru_cache(maxsize=64)
 def _heralding_map(r: float, source: SourceModel, mu: float, veto: bool,
                    n_max: int, policy: NumericalPolicy) -> np.ndarray:
@@ -306,16 +329,10 @@ def _heralding_map(r: float, source: SourceModel, mu: float, veto: bool,
     sum_{s, r, sc, rc} w(s + sc, r + rc) u u' uc uc', is formed in real
     arithmetic; the resource, reduced over Tc, is then contracted into it.
     """
+    _check_working_size(n_max, source, policy)
     with_companion = source.mode_overlap < 1.0
     c = _ANCILLA_DIM if with_companion else 1
-    # S and R are padded to n_max + 3 so that the S-BS is exactly unitary on
-    # every populated photon-number sector (at most n_max + 2 photons)
-    d_sig = n_max + _ANCILLA_DIM
-    size = d_sig * _ANCILLA_DIM * d_sig * c ** 3
-    if size > policy.dimension_cap:
-        raise CapacityError(
-            f"simulation dimension {size} exceeds cap {policy.dimension_cap}"
-        )
+    d_sig = n_max + _ANCILLA_DIM   # S and R, padded as _check_working_size says
     split = 1.0 / math.sqrt(2.0)
     # S-BS rows |s, r>, columns |n>_S |j>_R restricted to the inputs that
     # occur; the companion S-BS sees vacuum on Sc and |jc> on Rc
@@ -337,8 +354,8 @@ def _heralding_map(r: float, source: SourceModel, mu: float, veto: bool,
     # the resource over (T, R, Tc, Rc) reduced over Tc, as
     # res[t, (j, jc), t', (j', jc')]
     res = np.zeros((_ANCILLA_DIM, x, _ANCILLA_DIM, x), dtype=complex)
-    for weight, vec in _resource_components(r, source, with_companion):
-        amp = vec.amplitudes.reshape(_ANCILLA_DIM, _ANCILLA_DIM, c, c)
+    for weight, amps in _resource_components(r, source, with_companion):
+        amp = amps.reshape(_ANCILLA_DIM, _ANCILLA_DIM, c, c)
         amp = amp.transpose(0, 2, 1, 3).reshape(_ANCILLA_DIM, c, x)
         res += weight * np.tensordot(amp, amp.conj(), axes=(1, 1))
     heralding = np.tensordot(res, gram, axes=([1, 3], [1, 3]))

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .amplifier import (AmplifierConfig, HeraldedOutput, SourceModel,
-                        ideal_output, simulate)
+                        _check_working_size, ideal_output, simulate)
 from .fock import coherent_state
 from .measurement import (
     default_phase_grid,
@@ -212,6 +212,8 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
         values["amplifier.gain"] = None
     sections = _nest(values)
     amp, sweep = sections["amplifier"], sections["sweep"]
+    # set once simulate's working space at this cutoff is known to fit the cap
+    fits = False
     if not any(key.startswith("amplifier.") for key in bad):
         where = "amplifier.source"
         try:
@@ -219,6 +221,10 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
             where = "amplifier"
             AmplifierConfig(alpha=0.0, source=source,
                             **{k: v for k, v in amp.items() if k != "source"})
+            if sweep["stage"] in ("circuit", "sampled"):
+                where = "amplifier.n_max"
+                _check_working_size(amp["n_max"], source, DEFAULT_POLICY)
+                fits = True
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
 
@@ -256,13 +262,9 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
             problems.append("tomography.bin_count: must be at least 2 at "
                             "stage sampled (one bin carries no phase "
                             "information)")
-    # the circuit starts from |alpha> at the amplifier's cutoff; a cutoff
-    # above sqrt(dimension_cap) fails simulate's own capacity check, which
-    # run reports before writing anything
+    # the circuit starts from |alpha> at the amplifier's cutoff
     n_max = amp["n_max"]
-    if sweep["stage"] in ("circuit", "sampled") \
-            and "amplifier.n_max" not in bad \
-            and 1 <= n_max <= math.isqrt(DEFAULT_POLICY.dimension_cap):
+    if fits:
         for alpha in alphas:
             try:
                 coherent_state(alpha, n_max)

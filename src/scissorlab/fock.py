@@ -1,9 +1,12 @@
-"""Truncated Fock-space states and the linear algebra on them.
+"""Truncated Fock-space states and the measures on them.
 
 States are dense complex arrays tagged with per-mode dimensions.  A mode
 truncated at ``n_max`` photons is represented on the ``n_max + 1``
 amplitudes for photon numbers ``0..n_max``.  Multimode objects flatten the
-tensor product in row-major (C) order, first mode slowest.  Instances are
+tensor product in row-major (C) order, first mode slowest, which is the
+order ``np.kron`` gives.  Besides the two state classes, the module builds
+number and coherent states, pads or truncates one mode, and computes
+photon-number statistics, fidelity and trace distance.  Instances are
 value-like: arrays are copied in and frozen on construction.
 """
 
@@ -14,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_POLICY,
-    CapacityError,
-    NumericalPolicy,
-    TruncationError,
-)
+from .numerics import DEFAULT_POLICY, NumericalPolicy, TruncationError
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -201,51 +199,6 @@ def coherent_state(alpha: complex, n_max: int,
             f"probability at n_max={n_max} (tolerance {tol:.1e})"
         )
     return FockVector(amps / math.sqrt(kept), (n_max + 1,))
-
-
-def tensor_product(a: State, b: State,
-                   policy: NumericalPolicy = DEFAULT_POLICY) -> State:
-    """Kronecker product of two states; mode_dims concatenate.
-
-    Mixing a pure and a mixed input promotes the pure side to a density
-    operator.  Raises CapacityError if the joint dimension exceeds the cap.
-    """
-    dims = a.mode_dims + b.mode_dims
-    if math.prod(dims) > policy.dimension_cap:
-        raise CapacityError(
-            f"joint dimension {math.prod(dims)} exceeds cap {policy.dimension_cap}"
-        )
-    if isinstance(a, FockVector) and isinstance(b, FockVector):
-        return FockVector(np.kron(a.amplitudes, b.amplitudes), dims)
-    am = a.to_density().matrix if isinstance(a, FockVector) else a.matrix
-    bm = b.to_density().matrix if isinstance(b, FockVector) else b.matrix
-    return DensityOperator(np.kron(am, bm), dims)
-
-
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Trace out all modes not listed in ``keep``.
-
-    ``keep`` is an iterable of mode indices; the kept modes stay in their
-    original relative order.  The total trace is preserved exactly.
-    """
-    keep = sorted(set(int(k) for k in keep))
-    n = rho.n_modes
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} outside 0..{n - 1}")
-    if not keep:
-        raise ValueError("must keep at least one mode")
-    dims = rho.mode_dims
-    if len(keep) == n:
-        return rho
-    tensor = rho.matrix.reshape(dims + dims)
-    # contract bra/ket axis pairs of every traced mode, highest index first
-    traced = [m for m in range(n) if m not in keep]
-    for m in sorted(traced, reverse=True):
-        k = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=m, axis2=k + m)
-    new_dims = tuple(dims[m] for m in keep)
-    d = math.prod(new_dims)
-    return DensityOperator(tensor.reshape(d, d), new_dims)
 
 
 def resize_mode(state: State, mode: int, new_dim: int,

@@ -192,7 +192,7 @@ def sample_homodyne(rho: State, phases, n_samples: int,
     if eta_hd != 1.0:
         if not 0.0 < eta_hd <= 1.0:
             raise ValueError(f"eta_hd must lie in (0, 1], got {eta_hd}")
-        rho = apply_loss(rho, LossChannel(eta_hd, mode=0), policy)
+        rho = apply_loss(rho, LossChannel(eta_hd))
     if abs(rho.trace() - 1.0) > policy.unit_trace_tol:
         raise ValueError(f"state must be normalized, trace is {rho.trace()}")
     k, d = len(phases), rho.dim

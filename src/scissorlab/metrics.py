@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import DensityOperator, FockVector, State
+from .fock import FockVector, State
 from .measurement import quadrature_moments, wavefunctions
 
 TWO_PI = 2.0 * math.pi

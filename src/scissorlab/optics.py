@@ -1,16 +1,18 @@
 """Passive linear-optical elements on truncated Fock states.
 
-Beamsplitter convention ("real" marker): with reflectivity r and
-transmissivity t = sqrt(1 - r^2), the creation operators of the two
-addressed modes (i, j) map as
+Beamsplitter convention ("real"): with reflectivity r and transmissivity
+t = sqrt(1 - r^2), the creation operators of the two addressed modes
+(i, j) map as
 
     a_i^+  ->  t a_i^+ + r a_j^+
     a_j^+  -> -r a_i^+ + t a_j^+
 
 so a single photon in mode i goes to t|1,0> + r|0,1>.  The inverse map is
-the same element with the modes swapped.  Loss is realized physically:
-couple the lossy mode to a vacuum ancilla on a beamsplitter of reflectivity
-sqrt(1 - eta) and trace the ancilla out.
+the same element with the modes swapped.  Loss of transmission eta is the
+binomial damping channel in closed form: each photon survives independently
+with probability eta, so rho'[m, n] = sum_k b_k[m] b_k[n] rho[m+k, n+k]
+with b_k[m] = sqrt(C(m+k, k) eta^m (1-eta)^k) (Lvovsky & Raymer, RMP 81,
+299 (2009), Sec. II).
 """
 
 from __future__ import annotations
@@ -21,42 +23,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import DensityOperator, FockVector, State, partial_trace, tensor_product, vacuum_state
-from .numerics import DEFAULT_POLICY, NumericalPolicy, TruncationError
-
-#: the only phase convention this package implements (see module docstring)
-REAL_CONVENTION = "real"
-
-
-@dataclass(frozen=True)
-class BeamsplitterSpec:
-    """Reflectivity, the two mode indices addressed, and a convention marker."""
-
-    r: float
-    modes: tuple[int, int] = (0, 1)
-    convention: str = REAL_CONVENTION
-
-    def __post_init__(self):
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"reflectivity must lie in [0, 1], got {self.r}")
-        i, j = self.modes
-        if i == j:
-            raise ValueError("beamsplitter needs two distinct modes")
-        if self.convention != REAL_CONVENTION:
-            raise ValueError(f"unsupported phase convention {self.convention!r}")
-        object.__setattr__(self, "modes", (int(i), int(j)))
-
-    @property
-    def t(self) -> float:
-        return math.sqrt(1.0 - self.r * self.r)
+from .fock import DensityOperator, FockVector, State
 
 
 @dataclass(frozen=True)
 class LossChannel:
-    """Transmission eta through a beamsplitter tap on one mode."""
+    """Transmission eta of one lossy mode."""
 
     eta: float
-    mode: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
@@ -93,64 +67,6 @@ def _bs_matrix(dim: int, r: float) -> np.ndarray:
     return mat
 
 
-def _apply_pair_unitary_vec(amps: np.ndarray, dims: tuple[int, ...],
-                            i: int, j: int, u: np.ndarray) -> np.ndarray:
-    t = amps.reshape(dims)
-    t = np.moveaxis(t, (i, j), (-2, -1))
-    lead = t.shape[:-2]
-    flat = t.reshape(-1, dims[i] * dims[j])
-    out = flat @ u.T
-    out = out.reshape(lead + (dims[i], dims[j]))
-    out = np.moveaxis(out, (-2, -1), (i, j))
-    return out.reshape(-1)
-
-
-def apply_beamsplitter(state: State, spec: BeamsplitterSpec,
-                       policy: NumericalPolicy = DEFAULT_POLICY) -> State:
-    """Apply a beamsplitter to two equally-truncated modes of a state.
-
-    Photon-number sectors that do not fit the per-mode truncation are
-    clipped; if the clipped weight exceeds ``policy.truncation_tol`` a
-    TruncationError is raised, otherwise it is silently discarded (it is
-    then below the package's accuracy floor).
-    """
-    i, j = spec.modes
-    n = state.n_modes
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"modes {spec.modes} outside 0..{n - 1}")
-    if state.mode_dims[i] != state.mode_dims[j]:
-        raise ValueError(
-            f"beamsplitter requires equal truncation on both modes, got "
-            f"{state.mode_dims[i]} and {state.mode_dims[j]}"
-        )
-    u = _bs_matrix(state.mode_dims[i], float(spec.r))
-    if isinstance(state, FockVector):
-        before = state.norm_sq()
-        out = _apply_pair_unitary_vec(state.amplitudes, state.mode_dims, i, j, u)
-        leak = before - float(np.vdot(out, out).real)
-        if leak > policy.truncation_tol:
-            raise TruncationError(
-                f"beamsplitter leaks {leak:.3e} of norm past the truncation"
-            )
-        return FockVector(out, state.mode_dims)
-    before = state.trace()
-    dims = state.mode_dims
-    d = math.prod(dims)
-    k = len(dims)
-    # U rho U^+: act with u on the ket-side pair (i, j), then with conj(u)
-    # on the matching bra-side pair (k+i, k+j) of the doubled index set.
-    dims2 = dims + dims
-    work = _apply_pair_unitary_vec(state.matrix.reshape(-1), dims2, i, j, u)
-    work = _apply_pair_unitary_vec(work, dims2, k + i, k + j, u.conj())
-    mat = work.reshape(d, d)
-    leak = before - float(np.trace(mat).real)
-    if leak > policy.truncation_tol:
-        raise TruncationError(
-            f"beamsplitter leaks {leak:.3e} of trace past the truncation"
-        )
-    return DensityOperator(0.5 * (mat + mat.conj().T), dims)
-
-
 def apply_phase(state: State, theta: float, mode: int = 0) -> State:
     """Phase-space rotation: amplitude at photon number n gains e^{i n theta}."""
     dims = state.mode_dims
@@ -171,27 +87,25 @@ def apply_phase(state: State, theta: float, mode: int = 0) -> State:
     return DensityOperator(tensor.reshape(d, d), dims)
 
 
-def apply_loss(rho: State, channel: LossChannel,
-               policy: NumericalPolicy = DEFAULT_POLICY) -> DensityOperator:
-    """Transmit one mode through loss eta; always returns a density operator.
+def apply_loss(rho: State, channel: LossChannel) -> DensityOperator:
+    """Transmit a single-mode state through loss eta (the binomial channel).
 
-    Implementation: tensor a vacuum ancilla of the same dimension, mix on a
-    beamsplitter with r = sqrt(1 - eta), and trace the ancilla out.  The
-    ancilla dimension is sufficient for this to be exact (no leakage).
+    Always returns a density operator; eta = 1 returns the input unchanged.
+    Raises ValueError for a multimode state.
     """
     if isinstance(rho, FockVector):
         rho = rho.to_density()
-    if channel.eta == 1.0:
+    if rho.n_modes != 1:
+        raise ValueError(
+            f"apply_loss acts on one mode, got mode_dims {rho.mode_dims}")
+    eta = channel.eta
+    if eta == 1.0:
         return rho
-    mode = channel.mode
-    dims = rho.mode_dims
-    if not 0 <= mode < len(dims):
-        raise ValueError(f"mode {mode} outside 0..{len(dims) - 1}")
-    anc = vacuum_state(dims[mode] - 1).to_density() if dims[mode] > 1 else None
-    if anc is None:
-        return rho  # a 1-dimensional mode holds vacuum only; loss is trivial
-    joint = tensor_product(rho, anc, policy)
-    spec = BeamsplitterSpec(r=math.sqrt(1.0 - channel.eta),
-                            modes=(mode, len(dims)))
-    mixed = apply_beamsplitter(joint, spec, policy)
-    return partial_trace(mixed, keep=range(len(dims)))
+    d = rho.dim
+    out = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        # amplitude for m photons kept out of m + k, with k lost
+        b = np.array([math.sqrt(math.comb(m + k, k) * eta ** m * (1.0 - eta) ** k)
+                      for m in range(d - k)])
+        out[:d - k, :d - k] += np.outer(b, b) * rho.matrix[k:, k:]
+    return DensityOperator(out, rho.mode_dims)

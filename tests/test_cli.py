@@ -189,6 +189,42 @@ def test_alpha_beyond_the_cutoff_rejected(tmp_path, capsys, stage):
     assert (out_dir / "summary.csv").is_file()
 
 
+@pytest.mark.parametrize("stage", ["circuit", "sampled"])
+@pytest.mark.parametrize("n_max, overlap, size", [
+    (575, 1.0, 578 * 3 * 578),
+    (2000, 1.0, 2003 * 3 * 2003),
+    # the companion modes multiply the working size by 27
+    (109, 0.9, 112 * 3 * 112 * 27),
+], ids=["575", "2000", "companion-109"])
+def test_cutoff_beyond_the_capacity_rejected(tmp_path, capsys, stage, n_max,
+                                             overlap, size):
+    # simulate refuses a working size above NumericalPolicy.dimension_cap,
+    # so check must refuse that cutoff too, and run before writing anything
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"amplifier.n_max": n_max,
+                                     "amplifier.source": {"mode_overlap": overlap},
+                                     "sweep.stage": stage,
+                                     "sweep.output_dir": str(out_dir)})
+    message = (f"  - amplifier.n_max: n_max = {n_max} needs a circuit "
+               f"working size of {size}, above the cap 1000000")
+    assert main(["check", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().out
+    assert main(["run", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("n_max, overlap", [(574, 1.0), (108, 0.9)])
+def test_cutoff_at_the_capacity_accepted(tmp_path, n_max, overlap):
+    # only check: running at such a cutoff would build a
+    # (n_max + 3)^4-float beamsplitter table
+    path = write_config(tmp_path, **{"amplifier.n_max": n_max,
+                                     "amplifier.source": {"mode_overlap": overlap}})
+    cfg, problems = validate_config(path)
+    assert problems == []
+    assert cfg.amplifier["n_max"] == n_max
+
+
 def test_negative_seed_override_rejected(tmp_path, capsys):
     # --seed bypasses the config file, so it must meet the same rule
     path = small_sampled_config(tmp_path)

@@ -7,7 +7,6 @@ import pytest
 
 from scissorlab import (
     DEFAULT_POLICY,
-    CapacityError,
     DensityOperator,
     FockVector,
     TruncationError,
@@ -16,9 +15,7 @@ from scissorlab import (
     fock_state,
     mean_photon_number,
     number_distribution,
-    partial_trace,
     resize_mode,
-    tensor_product,
     trace_distance,
     vacuum_state,
 )
@@ -84,74 +81,6 @@ def test_number_distribution_poisson():
     expect = np.array([math.exp(-nbar) * nbar ** n / math.factorial(n)
                        for n in range(31)])
     np.testing.assert_allclose(p, expect, atol=1e-12)
-
-
-def test_tensor_product_kron_order():
-    a = fock_state(1, 2)   # dim 3
-    b = fock_state(2, 3)   # dim 4
-    joint = tensor_product(a, b)
-    assert joint.mode_dims == (3, 4)
-    # flat index = n_a * 4 + n_b
-    assert joint.amplitudes[1 * 4 + 2] == pytest.approx(1.0)
-    assert np.count_nonzero(joint.amplitudes) == 1
-
-
-def test_tensor_product_promotes_mixed_with_pure():
-    rho = random_density(3, seed=0)
-    psi = fock_state(0, 2)
-    joint = tensor_product(rho, psi)
-    assert isinstance(joint, DensityOperator)
-    assert joint.mode_dims == (3, 3)
-    assert joint.trace() == pytest.approx(1.0)
-
-
-def test_tensor_product_capacity_guard():
-    big = vacuum_state(10 ** 4)
-    with pytest.raises(CapacityError):
-        tensor_product(big, vacuum_state(10 ** 4))
-
-
-def test_partial_trace_resource_weights():
-    # t|1,0> + r|0,1> with r = 0.6: the kept first mode carries
-    # weight r^2 at n=0 and t^2 at n=1
-    r, t = 0.6, 0.8
-    amps = np.zeros(4, dtype=complex)
-    amps[1 * 2 + 0] = t
-    amps[0 * 2 + 1] = r
-    rho = FockVector(amps, (2, 2)).to_density()
-    kept = partial_trace(rho, keep=(0,))
-    assert kept.mode_dims == (2,)
-    assert kept.matrix[0, 0].real == pytest.approx(0.36, abs=1e-14)
-    assert kept.matrix[1, 1].real == pytest.approx(0.64, abs=1e-14)
-    assert abs(kept.matrix[0, 1]) < 1e-14
-
-
-def test_partial_trace_schmidt_symmetry():
-    # both reductions of a pure bipartite state share their spectrum
-    rng = np.random.default_rng(11)
-    amps = rng.normal(size=12) + 1j * rng.normal(size=12)
-    psi = FockVector(amps / np.linalg.norm(amps), (3, 4))
-    rho = psi.to_density()
-    left = partial_trace(rho, keep=(0,)).eigenvalues()
-    right = partial_trace(rho, keep=(1,)).eigenvalues()
-    np.testing.assert_allclose(np.sort(left), np.sort(right)[-3:], atol=1e-12)
-
-
-def test_partial_trace_preserves_trace():
-    rho = random_density(6, seed=3)
-    joint = tensor_product(rho, random_density(2, seed=4))
-    for keep in ((0,), (1,), (0, 1)):
-        red = partial_trace(joint, keep=keep)
-        assert red.trace() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_partial_trace_recovers_product_factors():
-    for seed in range(3):
-        a = random_density(4, seed=20 + seed)
-        b = random_density(3, seed=30 + seed)
-        joint = tensor_product(a, b)
-        assert trace_distance(partial_trace(joint, keep=(0,)), a) < 1e-12
-        assert trace_distance(partial_trace(joint, keep=(1,)), b) < 1e-12
 
 
 def test_resize_mode_pad_and_truncate():

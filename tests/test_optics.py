@@ -11,30 +11,37 @@ import numpy as np
 import pytest
 
 from scissorlab import (
-    BeamsplitterSpec,
     DensityOperator,
     FockVector,
     LossChannel,
-    TruncationError,
-    apply_beamsplitter,
     apply_loss,
     apply_phase,
     coherent_state,
     fock_state,
     mean_photon_number,
-    tensor_product,
     trace_distance,
-    vacuum_state,
 )
 from scissorlab.optics import _bs_matrix
 
 
 def two_mode(n_a, n_b, dim):
-    return tensor_product(fock_state(n_a, dim - 1), fock_state(n_b, dim - 1))
+    return np.kron(fock_state(n_a, dim - 1).amplitudes,
+                   fock_state(n_b, dim - 1).amplitudes)
 
 
-def amp(state, n_a, n_b, dim):
-    return state.amplitudes[n_a * dim + n_b]
+def split(amps, r):
+    """The beamsplitter on modes (0, 1) of a two-mode amplitude vector."""
+    dim = math.isqrt(amps.size)
+    return _bs_matrix(dim, r) @ amps
+
+
+def swap_modes(amps):
+    dim = math.isqrt(amps.size)
+    return amps.reshape(dim, dim).T.reshape(-1)
+
+
+def amp(amps, n_a, n_b, dim):
+    return amps[n_a * dim + n_b]
 
 
 def random_two_mode(dim, seed):
@@ -45,13 +52,13 @@ def random_two_mode(dim, seed):
     n = np.arange(dim)
     v[n[:, None] + n[None, :] > dim - 1] = 0.0
     v = v.ravel()
-    return FockVector(v / np.linalg.norm(v), (dim, dim))
+    return v / np.linalg.norm(v)
 
 
 def test_bs_matrix_unitary_on_complete_sectors():
     # the matrix is block-diagonal in total photon number; sectors with
     # N <= dim - 1 are fully represented and must map isometrically
-    for dim in (2, 4, 9):
+    for dim in (2, 3, 4, 9):
         n = np.arange(dim)
         keep = (n[:, None] + n[None, :] <= dim - 1).ravel()
         for r in (0.0, 0.3, 1.0 / math.sqrt(2.0), 0.95):
@@ -68,11 +75,10 @@ def test_single_photon_split():
     # row on |0,1>
     r = 0.6
     t = 0.8
-    spec = BeamsplitterSpec(r)
-    out = apply_beamsplitter(two_mode(1, 0, 4), spec)
+    out = split(two_mode(1, 0, 4), r)
     assert amp(out, 1, 0, 4) == pytest.approx(t, abs=1e-14)
     assert amp(out, 0, 1, 4) == pytest.approx(r, abs=1e-14)
-    out = apply_beamsplitter(two_mode(0, 1, 4), spec)
+    out = split(two_mode(0, 1, 4), r)
     assert amp(out, 1, 0, 4) == pytest.approx(-r, abs=1e-14)
     assert amp(out, 0, 1, 4) == pytest.approx(t, abs=1e-14)
 
@@ -81,15 +87,14 @@ def test_two_photon_manual_expansion():
     # |2,0> = (a^dag)^2/sqrt(2) |00> -> t^2|2,0> + sqrt2 t r |1,1> + r^2|0,2>
     r = 0.35
     t = math.sqrt(1.0 - r * r)
-    out = apply_beamsplitter(two_mode(2, 0, 5), BeamsplitterSpec(r))
+    out = split(two_mode(2, 0, 5), r)
     assert amp(out, 2, 0, 5) == pytest.approx(t * t, abs=1e-14)
     assert amp(out, 1, 1, 5) == pytest.approx(math.sqrt(2) * t * r, abs=1e-14)
     assert amp(out, 0, 2, 5) == pytest.approx(r * r, abs=1e-14)
 
 
 def test_hong_ou_mandel():
-    out = apply_beamsplitter(two_mode(1, 1, 4),
-                             BeamsplitterSpec(1.0 / math.sqrt(2.0)))
+    out = split(two_mode(1, 1, 4), 1.0 / math.sqrt(2.0))
     assert amp(out, 1, 1, 4) == pytest.approx(0.0, abs=1e-14)
     assert amp(out, 0, 2, 4) == pytest.approx(1.0 / math.sqrt(2), abs=1e-14)
     assert amp(out, 2, 0, 4) == pytest.approx(-1.0 / math.sqrt(2), abs=1e-14)
@@ -98,25 +103,24 @@ def test_hong_ou_mandel():
 def test_inverse_is_swapped_modes():
     for seed, r in ((0, 0.3), (1, 0.72), (2, 1.0 / math.sqrt(2))):
         psi = random_two_mode(6, seed)
-        fwd = apply_beamsplitter(psi, BeamsplitterSpec(r, modes=(0, 1)))
-        back = apply_beamsplitter(fwd, BeamsplitterSpec(r, modes=(1, 0)))
-        np.testing.assert_allclose(back.amplitudes, psi.amplitudes,
-                                   atol=1e-12)
+        fwd = split(psi, r)
+        back = swap_modes(split(swap_modes(fwd), r))
+        np.testing.assert_allclose(back, psi, atol=1e-12)
 
 
 def test_energy_conserved():
     for seed in range(3):
         psi = random_two_mode(5, 40 + seed)
-        out = apply_beamsplitter(psi, BeamsplitterSpec(0.55))
-        assert mean_photon_number(out) == pytest.approx(
-            mean_photon_number(psi), abs=1e-12)
+        out = split(psi, 0.55)
+        assert mean_photon_number(FockVector(out, (5, 5))) == pytest.approx(
+            mean_photon_number(FockVector(psi, (5, 5))), abs=1e-12)
 
 
 def test_total_photon_distribution_preserved():
     # the mixer is block-diagonal in n_a + n_b, so the distribution of
     # the total photon number must come through untouched
     def total_dist(state, dim):
-        a = np.abs(state.amplitudes.reshape(dim, dim)) ** 2
+        a = np.abs(state.reshape(dim, dim)) ** 2
         p = np.zeros(2 * dim - 1)
         for n_a in range(dim):
             for n_b in range(dim):
@@ -125,7 +129,7 @@ def test_total_photon_distribution_preserved():
 
     for seed, r in ((11, 0.25), (12, 0.8), (13, 1.0 / math.sqrt(2))):
         psi = random_two_mode(6, seed)
-        out = apply_beamsplitter(psi, BeamsplitterSpec(r))
+        out = split(psi, r)
         np.testing.assert_allclose(total_dist(out, 6), total_dist(psi, 6),
                                    atol=1e-12)
 
@@ -135,39 +139,12 @@ def test_coherent_factorizes():
     alpha, r = 0.5, 0.4
     t = math.sqrt(1.0 - r * r)
     n = 14
-    joint = tensor_product(coherent_state(alpha, n), vacuum_state(n))
-    out = apply_beamsplitter(joint, BeamsplitterSpec(r))
-    expect = tensor_product(coherent_state(t * alpha, n),
-                            coherent_state(r * alpha, n))
-    np.testing.assert_allclose(out.amplitudes, expect.amplitudes, atol=1e-9)
-
-
-def test_density_branch_consistent_with_pure():
-    psi = random_two_mode(5, 7)
-    spec = BeamsplitterSpec(0.61)
-    via_pure = apply_beamsplitter(psi, spec).to_density()
-    via_density = apply_beamsplitter(psi.to_density(), spec)
-    assert trace_distance(via_pure, via_density) < 1e-12
-
-
-def test_leakage_guard():
-    # |1,1> at dims (2,2): both N=2 output kets fall outside the cutoff
-    psi = FockVector(np.array([0, 0, 0, 1], dtype=complex), (2, 2))
-    with pytest.raises(TruncationError):
-        apply_beamsplitter(psi, BeamsplitterSpec(1.0 / math.sqrt(2)))
-
-
-def test_unequal_dims_rejected():
-    psi = tensor_product(fock_state(0, 2), fock_state(0, 3))
-    with pytest.raises(ValueError):
-        apply_beamsplitter(psi, BeamsplitterSpec(0.5))
-
-
-def test_bad_reflectivity_rejected():
-    with pytest.raises(ValueError):
-        BeamsplitterSpec(1.2)
-    with pytest.raises(ValueError):
-        BeamsplitterSpec(0.5, modes=(1, 1))
+    joint = np.kron(coherent_state(alpha, n).amplitudes,
+                    fock_state(0, n).amplitudes)
+    out = split(joint, r)
+    expect = np.kron(coherent_state(t * alpha, n).amplitudes,
+                     coherent_state(r * alpha, n).amplitudes)
+    np.testing.assert_allclose(out, expect, atol=1e-9)
 
 
 def test_phase_rotates_coherent():
@@ -186,10 +163,15 @@ def test_phase_density_matches_pure():
 
 
 def test_phase_on_selected_mode():
-    joint = tensor_product(fock_state(1, 3), fock_state(2, 3))
+    joint = FockVector(two_mode(1, 2, 4), (4, 4))
     out = apply_phase(joint, math.pi / 2, mode=1)
     # only the n=2 factor picks up e^{i pi} = -1
-    assert amp(out, 1, 2, 4) == pytest.approx(-1.0, abs=1e-14)
+    assert amp(out.amplitudes, 1, 2, 4) == pytest.approx(-1.0, abs=1e-14)
+    # and the reduced state of mode 0 is untouched
+    rho = apply_phase(joint.to_density(), math.pi / 2, mode=1)
+    red = np.einsum("anbn->ab", rho.matrix.reshape(4, 4, 4, 4))
+    np.testing.assert_allclose(red, fock_state(1, 3).to_density().matrix,
+                               atol=1e-14)
 
 
 def kraus_loss(rho, eta):
@@ -246,15 +228,17 @@ def test_loss_eta_one_identity():
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-15)
 
 
-def test_loss_on_selected_mode():
-    joint = tensor_product(fock_state(1, 1).to_density(),
-                           fock_state(1, 1).to_density())
-    out = apply_loss(joint, LossChannel(0.5, mode=1))
-    # mode 0 untouched, mode 1 half-damped
-    assert out.matrix.reshape(2, 2, 2, 2)[1, 1, 1, 1].real == pytest.approx(
-        0.5, abs=1e-12)
-    assert out.matrix.reshape(2, 2, 2, 2)[1, 0, 1, 0].real == pytest.approx(
-        0.5, abs=1e-12)
+def test_loss_rejects_multimode_state():
+    joint = FockVector(two_mode(1, 1, 2), (2, 2))
+    for state in (joint, joint.to_density()):
+        with pytest.raises(ValueError, match="one mode"):
+            apply_loss(state, LossChannel(0.5))
+    # a single-mode pure state is promoted to a density operator
+    psi = coherent_state(0.3, 6)
+    out = apply_loss(psi, LossChannel(0.5))
+    assert isinstance(out, DensityOperator)
+    np.testing.assert_array_equal(
+        out.matrix, apply_loss(psi.to_density(), LossChannel(0.5)).matrix)
 
 
 def test_loss_channel_validation():
