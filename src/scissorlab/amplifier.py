@@ -27,11 +27,14 @@ never interferes with the signal.
 
 Heralding map.  The resource, both beamsplitters and the detector POVMs do
 not depend on alpha, so the circuit is one fixed completely positive map
-from the signal to T.  ``simulate`` builds it once per circuit setting
-(gain, source, mu, veto, n_max, policy), caches it, and then costs one
-small contraction per alpha.  For an ideal source at unit efficiency with
-the veto, the map is Ralph & Lund's g^n truncated at one photon
-(arXiv:0809.0326): |n> -> (r / sqrt 2) g^n |n> for n <= 1, nothing above.
+from the signal, held on 0..n_max photons (n_max is the input cutoff
+only), to T, which like R and the companion modes holds at most two: the
+heralded state has three levels at every cutoff.  ``simulate`` builds the
+map once per circuit setting (gain, source, mu, veto, n_max, policy),
+caches it, and then costs one small contraction per alpha.  For an ideal
+source at unit efficiency with the veto, the map is Ralph & Lund's g^n
+truncated at one photon (arXiv:0809.0326): |n> -> (r / sqrt 2) g^n |n>
+for n <= 1, nothing above.
 """
 
 from __future__ import annotations
@@ -43,14 +46,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import DensityOperator, FockVector, coherent_state, resize_mode
+from .fock import DensityOperator, FockVector, coherent_state
 from .numerics import (
     DEFAULT_POLICY,
     CapacityError,
     NumericalPolicy,
     TruncationError,
 )
-from .optics import _bs_matrix, apply_phase
+from .optics import _balanced_coefficients, _bs_matrix, apply_phase
 
 #: companion/ancilla modes never hold more than two photons
 _ANCILLA_DIM = 3
@@ -193,57 +196,42 @@ def single_photon_weights(mu: float, n: np.ndarray | int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # resource construction
 
-def _source_components(source: SourceModel) -> list[tuple[float, dict[int, np.ndarray]]]:
+def _source_components(source: SourceModel) -> list[tuple[float, np.ndarray]]:
     """Pure components of the raw source, before the A-BS.
 
-    Each entry is (weight, {photon count -> amplitudes over (T, Tc)}):
-    amplitudes are given on the (matched, companion) pair as a dims-(3,3)
-    tensor; the companion axis is dropped later when mode_overlap == 1.
+    Each entry is (weight, amplitudes over (T, Tc) as a 3 x 3 array), for
+    the vacuum, one photon (m a_T^+ + mc a_Tc^+)|0> and the pair
+    (m a_T^+ + mc a_Tc^+)^2 / sqrt(2) |0>; Tc stays in vacuum when m = 1.
     """
     m = source.mode_overlap
     mc = math.sqrt(max(0.0, 1.0 - m * m))
-    comps = []
-    if source.weight_vacuum > 0.0:
-        t = np.zeros((_ANCILLA_DIM, _ANCILLA_DIM), dtype=complex)
-        t[0, 0] = 1.0
-        comps.append((source.weight_vacuum, t))
-    if source.weight_single > 0.0:
-        t = np.zeros((_ANCILLA_DIM, _ANCILLA_DIM), dtype=complex)
-        t[1, 0] = m
-        t[0, 1] = mc
-        comps.append((source.weight_single, t))
-    if source.weight_two_photon > 0.0:
-        # (m a_T^+ + mc a_Tc^+)^2 / sqrt(2) acting on vacuum
-        t = np.zeros((_ANCILLA_DIM, _ANCILLA_DIM), dtype=complex)
-        t[2, 0] = m * m
-        t[1, 1] = math.sqrt(2.0) * m * mc
-        t[0, 2] = mc * mc
-        comps.append((source.weight_two_photon, t))
-    return comps
+    amps = ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            [[0.0, mc, 0.0], [m, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            [[0.0, 0.0, mc * mc], [0.0, math.sqrt(2.0) * m * mc, 0.0],
+             [m * m, 0.0, 0.0]])
+    weights = (source.weight_vacuum, source.weight_single,
+               source.weight_two_photon)
+    return [(w, np.array(a, dtype=complex))
+            for w, a in zip(weights, amps) if w > 0.0]
 
 
-def _resource_components(r: float, source: SourceModel,
-                         with_companion: bool) -> list[tuple[float, np.ndarray]]:
-    """Pure components of the A-BS output over (T, R[, Tc, Rc]).
+def _resource_components(r: float,
+                         source: SourceModel) -> list[tuple[float, np.ndarray]]:
+    """Pure components of the A-BS output over (T, R) x (Tc, Rc).
 
-    Each entry is (weight, flat amplitudes).  R and Rc enter in vacuum, so
-    the A-BS acts on (T, R) as u @ amps, and on both pairs at once as
-    u @ A @ u^T with A the (T, R) x (Tc, Rc) amplitudes.  The source never
-    holds more than two photons, where _bs_matrix(3, r) is exactly unitary.
+    Each entry is (weight, amplitudes A[(t, r), (tc, rc)]).  R and Rc enter
+    in vacuum, so the A-BS acts on both pairs at once as u @ A @ u^T; only
+    the column (tc, rc) = (0, 0) is populated when the source is fully
+    mode-matched.  The source never holds more than two photons, where
+    _bs_matrix(3, r) is exactly unitary.
     """
     u = _bs_matrix(_ANCILLA_DIM, r)
     comps = []
     for weight, amp_t_tc in _source_components(source):
         # flat index t * 3 + r, so R (and Rc) in vacuum is every third entry
-        if with_companion:
-            a = np.zeros((_ANCILLA_DIM ** 2,) * 2, dtype=complex)
-            a[::_ANCILLA_DIM, ::_ANCILLA_DIM] = amp_t_tc
-            amps = (u @ a @ u.T).reshape(-1)
-        else:
-            a = np.zeros(_ANCILLA_DIM ** 2, dtype=complex)
-            a[::_ANCILLA_DIM] = amp_t_tc[:, 0]
-            amps = u @ a
-        comps.append((weight, amps))
+        a = np.zeros((_ANCILLA_DIM ** 2,) * 2, dtype=complex)
+        a[::_ANCILLA_DIM, ::_ANCILLA_DIM] = amp_t_tc
+        comps.append((weight, u @ a @ u.T))
     return comps
 
 
@@ -258,11 +246,11 @@ def build_resource(r: float, source: SourceModel = IDEAL_SOURCE,
     if not 0.0 < r < 1.0:
         raise ValueError(f"reflectivity must lie in (0, 1), got {r}")
     with_companion = source.mode_overlap < 1.0
-    comps = _resource_components(r, source, with_companion)
     dims = (_ANCILLA_DIM,) * (4 if with_companion else 2)
     d = math.prod(dims)
     mat = np.zeros((d, d), dtype=complex)
-    for weight, amps in comps:
+    for weight, amps in _resource_components(r, source):
+        amps = amps.reshape(-1) if with_companion else amps[:, 0]
         mat += weight * np.outer(amps, amps.conj())
     return DensityOperator(mat, dims).validate(policy)
 
@@ -270,22 +258,17 @@ def build_resource(r: float, source: SourceModel = IDEAL_SOURCE,
 # ---------------------------------------------------------------------------
 # the analytic reference and the full circuit
 
-def ideal_output(alpha: complex, g: float, n_max: int = 12,
-                 accept_both_heralds: bool = False,
+def ideal_output(alpha: complex, g: float, accept_both_heralds: bool = False,
                  policy: NumericalPolicy = DEFAULT_POLICY) -> HeraldedOutput:
     """Closed-form heralded state ~ |0> + g alpha |1> and its probability.
 
-    The success probability of the single-detector branch is
+    The state lives on mode T's three levels, like simulate's.  The success
+    probability of the single-detector branch is
     exp(-|alpha|^2) (r^2 / 2) (1 + g^2 |alpha|^2); accepting the
     phase-flipped partner herald doubles it without changing the state.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     r = gain_to_reflectivity(g)
-    amps = np.zeros(n_max + 1, dtype=complex)
-    amps[0] = 1.0
-    amps[1] = g * alpha
-    vec = FockVector(amps, (n_max + 1,)).normalized()
+    vec = FockVector([1.0, g * alpha, 0.0], (_ANCILLA_DIM,)).normalized()
     a2 = abs(alpha) ** 2
     p = math.exp(-a2) * (r * r / 2.0) * (1.0 + g * g * a2)
     branch = "both" if accept_both_heralds else "d1"
@@ -296,12 +279,12 @@ def ideal_output(alpha: complex, g: float, n_max: int = 12,
 
 def _check_working_size(n_max: int, source: SourceModel,
                         policy: NumericalPolicy) -> None:
-    """Raise CapacityError if the circuit's joint space exceeds the cap.
+    """Raise CapacityError if the circuit's working size exceeds the cap.
 
-    The space is (S, R, T) with S and R padded to n_max + 3, so that the
-    S-BS is exactly unitary on every populated photon-number sector (at
-    most n_max + 2 photons), times (Sc, Tc, Rc) of dimension 3 each when the
-    source is only partially mode-matched.
+    The size is that of the joint space (S, R, T), with S and R holding up
+    to n_max + 2 photons, times (Sc, Tc, Rc) of dimension 3 each when the
+    source is only partially mode-matched.  No array _heralding_map
+    allocates has more than three times as many entries.
     """
     c = _ANCILLA_DIM if source.mode_overlap < 1.0 else 1
     d_sig = n_max + _ANCILLA_DIM
@@ -324,41 +307,40 @@ def _heralding_map(r: float, source: SourceModel, mu: float, veto: bool,
     probability.  The companion modes (Sc, Tc, Rc) have dimension 1 when
     the source is fully mode-matched, so every source takes this one path.
 
-    The balanced-beamsplitter unitaries are real, so the detector-weighted
-    Gram of their columns, G[(n, j, jc), (n', j', jc')] =
-    sum_{s, r, sc, rc} w(s + sc, r + rc) u u' uc uc', is formed in real
-    arithmetic; the resource, reduced over Tc, is then contracted into it.
+    The S-BS conserves photon number and its coefficients
+    C[s, n, j] = <s, n+j-s|B|n, j> are real, so the detector-weighted Gram of
+    its inputs |n>_S |j>_R couples only inputs of one total N = n + j:
+    G[(n, j), (n', j'), jc] = sum_s C[s, n, j] w[s, N - s, jc] C[s, n', j'].
+    The companion S-BS takes |0>_Sc |jc>_Rc to |sc, jc - sc> and so keeps jc;
+    w sums the detector weights over those outputs.  G is built one sector N
+    at a time, and the resource, reduced over Tc, is contracted into it.
     """
     _check_working_size(n_max, source, policy)
-    with_companion = source.mode_overlap < 1.0
-    c = _ANCILLA_DIM if with_companion else 1
-    d_sig = n_max + _ANCILLA_DIM   # S and R, padded as _check_working_size says
-    split = 1.0 / math.sqrt(2.0)
-    # S-BS rows |s, r>, columns |n>_S |j>_R restricted to the inputs that
-    # occur; the companion S-BS sees vacuum on Sc and |jc> on Rc
-    u = _bs_matrix(d_sig, split).reshape(d_sig * d_sig, d_sig, d_sig)
-    u = u[:, :n_max + 1, :_ANCILLA_DIM].reshape(d_sig * d_sig, -1)
-    uc = _bs_matrix(c, split)[:, :c]
-    n = np.arange(d_sig)
-    k = u.shape[1]
-    gram = np.zeros((k, c, k, c))
-    for (sc, rc), uc_row in zip(np.ndindex(c, c), uc):
-        # D1 watches R (+ Rc) for exactly one photon, D2 S (+ Sc) for none
-        d2 = no_click_weights(mu, n + sc) if veto else np.ones(d_sig)
-        w = np.outer(d2, single_photon_weights(mu, n + rc)).reshape(-1, 1)
-        g_pair = u.T @ (w * u)
-        gram += (g_pair[:, np.newaxis, :, np.newaxis]
-                 * np.outer(uc_row, uc_row)[np.newaxis, :, np.newaxis, :])
-    x = _ANCILLA_DIM * c
-    gram = gram.reshape(n_max + 1, x, n_max + 1, x)
-    # the resource over (T, R, Tc, Rc) reduced over Tc, as
-    # res[t, (j, jc), t', (j', jc')]
-    res = np.zeros((_ANCILLA_DIM, x, _ANCILLA_DIM, x), dtype=complex)
-    for weight, amps in _resource_components(r, source, with_companion):
-        amp = amps.reshape(_ANCILLA_DIM, _ANCILLA_DIM, c, c)
-        amp = amp.transpose(0, 2, 1, 3).reshape(_ANCILLA_DIM, c, x)
-        res += weight * np.tensordot(amp, amp.conj(), axes=(1, 1))
-    heralding = np.tensordot(res, gram, axes=([1, 3], [1, 3]))
+    c = _ANCILLA_DIM if source.mode_overlap < 1.0 else 1
+    coeffs = _balanced_coefficients(n_max + 1, _ANCILLA_DIM)
+    top = n_max + _ANCILLA_DIM     # S and R each hold up to n_max + 2 photons
+    counts = np.arange(top + _ANCILLA_DIM - 1)
+    # D1 watches R + Rc for exactly one photon, D2 S + Sc for none
+    d1 = single_photon_weights(mu, counts)
+    d2 = no_click_weights(mu, counts) if veto else np.ones(counts.size)
+    w = np.zeros((top, top, c))
+    for jc, sc in zip(*np.tril_indices(c)):
+        w[:, :, jc] += coeffs[sc, 0, jc] ** 2 * np.outer(
+            d2[sc:sc + top], d1[jc - sc:jc - sc + top])
+    photons = np.add.outer(np.arange(n_max + 1), np.arange(_ANCILLA_DIM))
+    gram = np.zeros((n_max + 1, _ANCILLA_DIM, n_max + 1, _ANCILLA_DIM, c))
+    for total in range(top):
+        n, j = np.nonzero(photons == total)
+        s = np.arange(total + 1)
+        u = coeffs[:total + 1, n, j]
+        gram[n[:, np.newaxis], j[:, np.newaxis], n, j] = np.einsum(
+            "sa,sc,sb->abc", u, w[s, total - s], u)
+    # the resource reduced over Tc at equal jc, as res[t, j, t', j', jc]
+    res = np.zeros((_ANCILLA_DIM,) * 4 + (c,), dtype=complex)
+    for weight, amps in _resource_components(r, source):
+        amp = amps.reshape((_ANCILLA_DIM,) * 4)[:, :, :c, :c]
+        res += weight * np.einsum("ajtc,bktc->ajbkc", amp, amp.conj())
+    heralding = np.tensordot(res, gram, axes=([1, 3, 4], [1, 3, 4]))
     heralding.setflags(write=False)
     return heralding
 
@@ -391,7 +373,6 @@ def simulate(config: AmplifierConfig,
         )
     rho_t = rho_t / p_success
     out = DensityOperator(0.5 * (rho_t + rho_t.conj().T), (_ANCILLA_DIM,))
-    out = resize_mode(out, 0, config.n_max + 1, policy)
     out.validate(policy)
     branch = "d1"
     if config.accept_both_heralds:

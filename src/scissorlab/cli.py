@@ -322,8 +322,7 @@ def _stage_output(cfg: RunConfig, alpha: float, stage: str) -> HeraldedOutput:
     """One alpha's output: the closed form at stage analytic, else the circuit."""
     amp_cfg = cfg.amplifier_config(alpha)
     if stage == "analytic":
-        return ideal_output(alpha, amp_cfg.g, amp_cfg.n_max,
-                            amp_cfg.accept_both_heralds)
+        return ideal_output(alpha, amp_cfg.g, amp_cfg.accept_both_heralds)
     return simulate(amp_cfg)
 
 

@@ -1,13 +1,14 @@
 """Truncated Fock-space states and the measures on them.
 
 States are dense complex arrays tagged with per-mode dimensions.  A mode
-truncated at ``n_max`` photons is represented on the ``n_max + 1``
-amplitudes for photon numbers ``0..n_max``.  Multimode objects flatten the
-tensor product in row-major (C) order, first mode slowest, which is the
-order ``np.kron`` gives.  Besides the two state classes, the module builds
-number and coherent states, pads or truncates one mode, and computes
-photon-number statistics, fidelity and trace distance.  Instances are
-value-like: arrays are copied in and frozen on construction.
+holding at most ``n_max`` photons is represented on the ``n_max + 1``
+amplitudes for photon numbers ``0..n_max``: the amplifier's coherent input
+on its cutoff, its heralded mode on three levels.  Multimode objects
+flatten the tensor product in row-major (C) order, first mode slowest,
+which is the order ``np.kron`` gives.  Besides the two state classes, the
+module builds number and coherent states, pads or truncates one mode, and
+computes photon-number statistics, fidelity and trace distance.
+Instances are value-like: arrays are copied in and frozen on construction.
 """
 
 from __future__ import annotations

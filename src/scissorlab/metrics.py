@@ -19,6 +19,7 @@ import numpy as np
 
 from .fock import FockVector, State
 from .measurement import quadrature_moments, wavefunctions
+from .optics import _balanced_coefficients
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,20 +69,15 @@ def phase_space_axes(extent: float = 6.0, points: int = 201) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _wigner_map(d: int) -> np.ndarray:
     """Read-only real M[(j,k), (m,n)] = <j,k|B|m,n> (-1)^n, j, k < 2d - 1 and
-    m, n < d, with B the balanced beamsplitter of optics._bs_matrix; it is
-    2^{-(m+n)/2} sqrt(j! k!/(m! n!)) [z^j] (1+z)^m (z-1)^n where j + k = m + n.
-    Exact int coefficients; each entry is rounded once from its square."""
+    m, n < d, with B the balanced beamsplitter: the coefficients
+    optics._balanced_coefficients(d, d)[j, m, n] placed at k = m + n - j."""
     size = 2 * d - 1
-    fact = [math.factorial(i) for i in range(size)]
+    j, m, n = np.indices((size, d, d))
+    held = j <= m + n
     out = np.zeros((size, size, d, d))
-    for m in range(d):
-        poly = [math.comb(m, i) for i in range(m + 1)]     # (1 + z)^m
-        for n in range(d):
-            den = fact[m] * fact[n] << (m + n)
-            for j, c in enumerate(poly):
-                out[j, m + n - j, m, n] = math.copysign(
-                    math.sqrt(c * c * fact[j] * fact[m + n - j] / den), c)
-            poly = [b - a for a, b in zip(poly + [0], [0] + poly)]  # (z - 1)
+    # adding 0.0 turns a signed zero coefficient into +0.0
+    out[j[held], (m + n - j)[held], m[held], n[held]] = (
+        _balanced_coefficients(d, d)[held] * (-1.0) ** n[held] + 0.0)
     out = out.reshape(size * size, d * d)
     out.setflags(write=False)
     return out

@@ -67,6 +67,24 @@ def _bs_matrix(dim: int, r: float) -> np.ndarray:
     return mat
 
 
+def _balanced_coefficients(dm: int, dn: int) -> np.ndarray:
+    """Real C[p, m, n] = <p, m+n-p|B|m, n> for m < dm, n < dn and p <= m + n
+    (zero above), with B the balanced beamsplitter of _bs_matrix; it is
+    2^{-(m+n)/2} sqrt(p! q!/(m! n!)) [z^p] (1+z)^m (1-z)^n where q = m + n - p.
+    Exact int coefficients; each entry is rounded once from its square."""
+    fact = [math.factorial(i) for i in range(dm + dn - 1)]
+    out = np.zeros((dm + dn - 1, dm, dn))
+    for m in range(dm):
+        poly = [math.comb(m, i) for i in range(m + 1)]     # (1 + z)^m
+        for n in range(dn):
+            den = fact[m] * fact[n] << (m + n)
+            for p, c in enumerate(poly):
+                out[p, m, n] = math.copysign(
+                    math.sqrt(c * c * fact[p] * fact[m + n - p] / den), c)
+            poly = [a - b for a, b in zip(poly + [0], [0] + poly)]  # (1 - z)
+    return out
+
+
 def apply_phase(state: State, theta: float, mode: int = 0) -> State:
     """Phase-space rotation: amplitude at photon number n gains e^{i n theta}."""
     dims = state.mode_dims

@@ -271,13 +271,18 @@ def write_density_json(rho: DensityOperator, path) -> None:
 
 
 def read_density_json(path) -> DensityOperator:
+    """Read write_density_json's format; ValueError unless a valid state."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    n_max = int(payload["n_max"])
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: density JSON must be an object")
+    for key in ("n_max", "re", "im"):
+        if key not in payload:
+            raise ValueError(f"{path}: density JSON lacks key {key!r}")
+    n_max = payload["n_max"]
     mat = np.asarray(payload["re"], dtype=float) \
         + 1j * np.asarray(payload["im"], dtype=float)
-    if mat.shape != (n_max + 1, n_max + 1):
+    if not isinstance(n_max, int) or mat.shape != (n_max + 1, n_max + 1):
         raise ValueError(
-            f"matrix shape {mat.shape} inconsistent with n_max {n_max}"
-        )
-    return DensityOperator(mat, (n_max + 1,))
+            f"matrix shape {mat.shape} inconsistent with n_max {n_max!r}")
+    return DensityOperator(mat, (n_max + 1,)).validate()

@@ -73,7 +73,7 @@ def test_criterion_1_analytic_circuit_equivalence(_report):
     worst_rel = 0.0
     for alpha in ALPHA_GRID:
         circuit = simulate(ideal_config(alpha, n_max=12))
-        closed = ideal_output(alpha, 2.0, n_max=12)
+        closed = ideal_output(alpha, 2.0)
         worst_td = max(worst_td, trace_distance(circuit.state, closed.state))
         rel = abs(circuit.success_probability - closed.success_probability) \
             / closed.success_probability

@@ -26,13 +26,13 @@ from scissorlab import (
     phase_covariance_check,
     quadrature_moments,
     reflectivity_to_gain,
-    resize_mode,
     simulate,
     single_photon_weights,
     trace_distance,
 )
 from scissorlab import amplifier
 from scissorlab.amplifier import _heralding_map
+from scissorlab.optics import _bs_matrix
 
 
 def ideal_config(alpha, g=2.0, **kw):
@@ -132,8 +132,9 @@ def test_ideal_output_formula():
         (g * alpha) ** 2 / norm, abs=1e-12)
     assert out.state.matrix[0, 1].real == pytest.approx(
         g * alpha / norm, abs=1e-12)
-    # nothing above the one-photon level
-    assert abs(out.state.matrix[2:, 2:]).max() < 1e-15
+    # mode T's three levels, nothing above the one-photon level
+    assert out.state.mode_dims == (3,)
+    assert not out.state.matrix[2].any() and not out.state.matrix[:, 2].any()
 
 
 def test_circuit_matches_closed_form():
@@ -158,7 +159,7 @@ def test_vacuum_input_heralds_vacuum():
     out = simulate(ideal_config(0.0))
     r2 = 1.0 / 5.0
     assert out.success_probability == pytest.approx(r2 / 2.0, rel=1e-12)
-    assert trace_distance(out.state, fock_state(0, 12).to_density()) < 1e-12
+    assert trace_distance(out.state, fock_state(0, 2).to_density()) < 1e-12
 
 
 def test_success_probability_grows_with_drive():
@@ -227,6 +228,53 @@ def test_ideal_map_is_truncated_noiseless_amplifier():
         for m in (0, 1):
             expect[n, m, n, m] = r * r / 2.0 * g ** (n + m)
     np.testing.assert_allclose(heralding, expect, rtol=0, atol=1e-14)
+
+
+def dense_heralding_map(r, source, mu, veto, n_max):
+    """The map from the full S-BS table: columns of _bs_matrix(n_max + 3)
+    for the inputs |n>_S |j>_R, their detector-weighted Gram u^T (w u)
+    per companion output, and the resource reduced over Tc."""
+    c = 3 if source.mode_overlap < 1.0 else 1
+    d_sig, split = n_max + 3, 1.0 / math.sqrt(2.0)
+    u = _bs_matrix(d_sig, split).reshape(d_sig ** 2, d_sig, d_sig)
+    u = u[:, :n_max + 1, :3].reshape(d_sig ** 2, -1)
+    uc = _bs_matrix(c, split)[:, :c]
+    n = np.arange(d_sig)
+    gram = 0.0
+    for (sc, rc), uc_row in zip(np.ndindex(c, c), uc):
+        d2 = no_click_weights(mu, n + sc) if veto else np.ones(d_sig)
+        w = np.outer(d2, single_photon_weights(mu, n + rc)).reshape(-1, 1)
+        gram = gram + np.multiply.outer(u.T @ (w * u), np.outer(uc_row, uc_row))
+    # gram[(n, j), (n', j'), jc, jc'] -> [n, (j, jc), n', (j', jc')]
+    gram = gram.reshape(n_max + 1, 3, n_max + 1, 3, c, c)
+    gram = gram.transpose(0, 1, 4, 2, 3, 5).reshape(n_max + 1, 3 * c,
+                                                    n_max + 1, 3 * c)
+    res = 0.0
+    for weight, amps in amplifier._resource_components(r, source):
+        amp = amps.reshape(3, 3, 3, 3)[:, :, :c, :c]
+        amp = amp.transpose(0, 2, 1, 3).reshape(3, c, -1)
+        res = res + weight * np.tensordot(amp, amp.conj(), axes=(1, 1))
+    return np.tensordot(res, gram, axes=([1, 3], [1, 3]))
+
+
+@pytest.mark.parametrize("veto", [True, False], ids=["veto", "no-veto"])
+@pytest.mark.parametrize("source", [
+    IDEAL_SOURCE, SourceModel(0.05, 0.03, 0.9)], ids=["ideal", "companion"])
+def test_sector_map_matches_dense_gram(source, veto):
+    r, n_max = gain_to_reflectivity(2.0), 20
+    heralding = _heralding_map(r, source, 0.3, veto, n_max, DEFAULT_POLICY)
+    np.testing.assert_allclose(
+        heralding, dense_heralding_map(r, source, 0.3, veto, n_max),
+        rtol=0, atol=1e-14)
+
+
+def test_heralded_state_has_three_levels():
+    # mode T holds at most two photons whatever the input cutoff
+    for n_max in (12, 40):
+        out = simulate(ideal_config(0.5, source=EXPERIMENT_PRESET,
+                                    n_max=n_max))
+        assert out.state.mode_dims == (3,)
+    assert ideal_output(0.5, 2.0).state.mode_dims == (3,)
 
 
 def test_heralding_map_is_built_once_per_setting():
@@ -307,9 +355,8 @@ PINNED_SETTINGS = {
                          ids=[f"{s}-{a}" for s, a, _, _ in PARENT_OUTPUTS])
 def test_companion_outputs_pinned(setting, alpha, p_success, block):
     out = simulate(ideal_config(alpha, **PINNED_SETTINGS[setting]))
-    np.testing.assert_allclose(out.state.matrix[:3, :3], block,
-                               rtol=1e-12, atol=1e-12)
-    assert np.abs(out.state.matrix[3:]).max() < 1e-12
+    assert out.state.mode_dims == (3,)
+    np.testing.assert_allclose(out.state.matrix, block, rtol=1e-12, atol=1e-12)
     assert out.success_probability == pytest.approx(p_success, rel=1e-12,
                                                     abs=1e-12)
 
@@ -323,7 +370,8 @@ def test_phase_covariance():
 def test_truncation_robustness():
     a = simulate(ideal_config(0.5, n_max=12)).state
     b = simulate(ideal_config(0.5, n_max=14)).state
-    assert trace_distance(a, resize_mode(b, 0, 13)) < 1e-10
+    assert a.mode_dims == b.mode_dims == (3,)
+    assert trace_distance(a, b) < 1e-10
 
 
 def test_two_photon_contamination_degrades_output():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import scissorlab
-from scissorlab import read_density_json, read_samples_csv
+from scissorlab import cli, read_density_json, read_samples_csv, wigner
 from scissorlab.cli import (
     SUMMARY_HEADER,
     default_config_dict,
@@ -216,8 +216,7 @@ def test_cutoff_beyond_the_capacity_rejected(tmp_path, capsys, stage, n_max,
 
 @pytest.mark.parametrize("n_max, overlap", [(574, 1.0), (108, 0.9)])
 def test_cutoff_at_the_capacity_accepted(tmp_path, n_max, overlap):
-    # only check: running at such a cutoff would build a
-    # (n_max + 3)^4-float beamsplitter table
+    # only check: the rule at the cap is what is under test
     path = write_config(tmp_path, **{"amplifier.n_max": n_max,
                                      "amplifier.source": {"mode_overlap": overlap}})
     cfg, problems = validate_config(path)
@@ -288,6 +287,26 @@ def test_analytic_sweep_artifacts(tmp_path):
     metrics = json.loads((out_dir / "alpha_0.1000" / "metrics.json")
                          .read_text())
     assert metrics["g_eff"] == pytest.approx(2.0 / 1.04, rel=1e-9)
+
+
+def test_analytic_stage_ignores_the_input_cutoff(tmp_path, monkeypatch):
+    # the closed form takes no coherent input, so check accepts any
+    # amplifier.n_max at stage analytic, and the heralded state it maps
+    # stays on mode T's three levels
+    def three_level_wigner(state, x, p):
+        assert state.mode_dims == (3,)
+        return wigner(state, x, p)
+
+    monkeypatch.setattr(cli, "wigner", three_level_wigner)
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"amplifier.n_max": 5000,
+                                     "sweep.alphas": [0.25],
+                                     "sweep.stage": "analytic",
+                                     "sweep.output_dir": str(out_dir)})
+    assert main(["check", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--stage", "analytic"]) == 0
+    lines = (out_dir / "alpha_0.2500" / "wigner.csv").read_text().splitlines()
+    assert len(lines) == 1 + 201 * 201
 
 
 def test_summary_rows_sorted_by_alpha(tmp_path):
@@ -396,6 +415,29 @@ def test_wigner_verb_from_density_file(tmp_path):
     assert main(["wigner", "--config", str(cfg), "--rho", str(rho_path),
                  "--out", str(out)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"n_max": 1, "re": [[2, 0], [0, -1]], "im": [[0, 0], [0, 0]]},
+     "negative eigenvalue"),
+    ({"n_max": 1, "re": [[2, 0], [0, 2]], "im": [[0, 0], [0, 0]]},
+     "trace 4.0 is not 1"),
+    ({"n_max": 1, "re": [[1, 0], [0, 0]]}, "lacks key 'im'"),
+    ([[1, 0], [0, 0]], "must be an object"),
+    ({"n_max": None, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+     "inconsistent with n_max None"),
+], ids=["negative", "trace-4", "no-im", "list", "null-n_max"])
+def test_wigner_verb_rejects_bad_density_file(tmp_path, capsys, payload,
+                                              message):
+    cfg = write_config(tmp_path)
+    rho_path = tmp_path / "rho.json"
+    rho_path.write_text(json.dumps(payload))
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--config", str(cfg), "--rho", str(rho_path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_tomo_verb_roundtrip(tmp_path):

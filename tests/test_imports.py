@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and
+every module-level private function or class is referenced."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,44 @@ def test_no_unused_imports():
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
     assert {name: found for name, found in stale.items() if found} == {}
+
+
+def orphaned_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that no Name or attribute
+    in any of the modules refers to."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.lineno, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{module} line {line}: {name}" for module, line, name in defined
+            if name not in used]
+
+
+def test_scanner_flags_only_orphaned_privates():
+    sources = {
+        "a.py": ("from b import _shared\n"
+                 "def _local():\n    return _shared()\n"
+                 "class _Orphan:\n    pass\n"
+                 "def public():\n    return _local()\n"),
+        "b.py": ("def _shared():\n    return 1\n"
+                 "def _stale():\n    return 2\n"
+                 "def _through_attr():\n    return 3\n"
+                 "import b\nb._through_attr()\n"),
+    }
+    assert orphaned_privates(sources) == ["a.py line 4: _Orphan",
+                                          "b.py line 3: _stale"]
+
+
+def test_no_orphaned_private_helpers():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert "cli.py" in sources
+    assert orphaned_privates(sources) == []

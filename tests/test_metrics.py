@@ -30,7 +30,7 @@ from scissorlab import (
     write_wigner_csv,
 )
 from scissorlab.metrics import _wigner_map
-from scissorlab.optics import _bs_matrix
+from scissorlab.optics import _balanced_coefficients, _bs_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,14 +117,26 @@ def test_wigner_map_is_built_once_per_cutoff():
     assert (info.misses, info.hits) == (1, 3)
     wigner(vacuum_state(4))
     assert _wigner_map.cache_info().misses == 2
-    mapping = _wigner_map(13)
+    mapping = _wigner_map(3)
     assert not mapping.flags.writeable
     with pytest.raises(ValueError):
         mapping[0, 0] = 1.0
 
 
 def test_wigner_map_is_the_balanced_beamsplitter():
-    # <j,k|B|m,n> (-1)^n on photon numbers m, n < d, outputs j, k < 2d - 1
+    # C[p, m, n] = <p, m+n-p|B|m, n> on photon numbers m < dm, n < dn: the
+    # Wigner map at cutoff 4 reads it at (4, 4), the heralding map at
+    # n_max = 12 at (13, 3) for the signal and R
+    for dm, dn in ((4, 4), (13, 3)):
+        size = dm + dn - 1
+        bs = _bs_matrix(size, 1.0 / math.sqrt(2.0)).reshape((size,) * 4)
+        bs = bs[:, :, :dm, :dn]
+        p, m, n = np.indices((size, dm, dn))
+        q = m + n - p
+        expect = np.where(q >= 0, bs[p, np.maximum(q, 0), m, n], 0.0)
+        np.testing.assert_allclose(_balanced_coefficients(dm, dn), expect,
+                                   rtol=0, atol=1e-15)
+    # <j,k|B|m,n> (-1)^n on m, n < d, outputs j, k < 2d - 1
     d, size = 4, 7
     bs = _bs_matrix(size, 1.0 / math.sqrt(2.0)).reshape((size,) * 4)
     expect = bs[:, :, :d, :d] * (-1.0) ** np.arange(d)
