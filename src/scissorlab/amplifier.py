@@ -258,8 +258,8 @@ def build_resource(r: float, source: SourceModel = IDEAL_SOURCE,
 # ---------------------------------------------------------------------------
 # the analytic reference and the full circuit
 
-def ideal_output(alpha: complex, g: float, accept_both_heralds: bool = False,
-                 policy: NumericalPolicy = DEFAULT_POLICY) -> HeraldedOutput:
+def ideal_output(alpha: complex, g: float,
+                 accept_both_heralds: bool = False) -> HeraldedOutput:
     """Closed-form heralded state ~ |0> + g alpha |1> and its probability.
 
     The state lives on mode T's three levels, like simulate's.  The success

@@ -20,7 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import traceback
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -326,8 +329,44 @@ def _stage_output(cfg: RunConfig, alpha: float, stage: str) -> HeraldedOutput:
     return simulate(amp_cfg)
 
 
+@contextmanager
+def _samples_written_in_child(samples, path: Path):
+    """Write samples to path in a forked child while the with-body runs.
+
+    The child only formats and writes (no BLAS) and leaves through
+    os._exit, printing its traceback if the write fails.  Leaving the
+    body always waits for the child; a failed child then raises OSError,
+    unless the body is already raising, whose exception wins.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            write_samples_csv(samples, path)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    try:
+        yield
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise OSError(f"writing {path} failed in its child process "
+                      f"(exit status {code})")
+
+
 def _run_single(cfg: RunConfig, alpha: float, out_dir: Path) -> tuple[dict, list[Path]]:
-    """Produce one alpha's artifacts; returns its summary row and paths."""
+    """Produce one alpha's artifacts; returns its summary row and paths.
+
+    At stage sampled, samples.csv is written by a forked child while the
+    reconstruction, metrics and Wigner grid run here.
+    """
     written: list[Path] = []
     out = _stage_output(cfg, alpha, cfg.stage)
     state_for_metrics = out.state
@@ -335,38 +374,40 @@ def _run_single(cfg: RunConfig, alpha: float, out_dir: Path) -> tuple[dict, list
     alpha_dir = out_dir / _alpha_dir_name(alpha)
     alpha_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfg.stage == "sampled":
-        samples = sample_homodyne(out.state, cfg.phases, cfg.samples_per_state,
-                                  eta_hd=cfg.eta_hd,
-                                  seed=_alpha_seed(cfg.seed, alpha))
-        sample_path = alpha_dir / "samples.csv"
-        write_samples_csv(samples, sample_path)
-        written.append(sample_path)
-        hists = bin_samples(samples, cfg.phases,
-                            bin_count=cfg.tomography["bin_count"],
-                            value_range=tuple(cfg.tomography["bin_range"]))
-        problem = TomographyProblem(hists, n_max=cfg.tomography["n_max"])
-        recon = maxlik_reconstruct(problem,
-                                   max_iter=cfg.tomography["max_iter"],
-                                   tol=cfg.tomography["tol"])
-        rho_path = alpha_dir / "rho.json"
-        write_density_json(recon.rho, rho_path)
-        written.append(rho_path)
-        state_for_metrics = recon.rho
-        eta_for_metrics = cfg.eta_hd
+    with ExitStack() as children:
+        if cfg.stage == "sampled":
+            samples = sample_homodyne(out.state, cfg.phases,
+                                      cfg.samples_per_state, eta_hd=cfg.eta_hd,
+                                      seed=_alpha_seed(cfg.seed, alpha))
+            sample_path = alpha_dir / "samples.csv"
+            children.enter_context(
+                _samples_written_in_child(samples, sample_path))
+            written.append(sample_path)
+            hists = bin_samples(samples, cfg.phases,
+                                bin_count=cfg.tomography["bin_count"],
+                                value_range=tuple(cfg.tomography["bin_range"]))
+            problem = TomographyProblem(hists, n_max=cfg.tomography["n_max"])
+            recon = maxlik_reconstruct(problem,
+                                       max_iter=cfg.tomography["max_iter"],
+                                       tol=cfg.tomography["tol"])
+            rho_path = alpha_dir / "rho.json"
+            write_density_json(recon.rho, rho_path)
+            written.append(rho_path)
+            state_for_metrics = recon.rho
+            eta_for_metrics = cfg.eta_hd
 
-    report = build_metrics_report(state_for_metrics, alpha,
-                                  out.success_probability, cfg.phases,
-                                  eta_hd=eta_for_metrics)
-    metrics_path = alpha_dir / "metrics.json"
-    write_metrics_json(report, metrics_path)
-    written.append(metrics_path)
+        report = build_metrics_report(state_for_metrics, alpha,
+                                      out.success_probability, cfg.phases,
+                                      eta_hd=eta_for_metrics)
+        metrics_path = alpha_dir / "metrics.json"
+        write_metrics_json(report, metrics_path)
+        written.append(metrics_path)
 
-    axes = phase_space_axes(cfg.wigner["extent"], cfg.wigner["points"])
-    grid = wigner(state_for_metrics, axes, axes)
-    wigner_path = alpha_dir / "wigner.csv"
-    write_wigner_csv(grid, wigner_path)
-    written.append(wigner_path)
+        axes = phase_space_axes(cfg.wigner["extent"], cfg.wigner["points"])
+        grid = wigner(state_for_metrics, axes, axes)
+        wigner_path = alpha_dir / "wigner.csv"
+        write_wigner_csv(grid, wigner_path)
+        written.append(wigner_path)
 
     row = {
         "alpha": alpha,

@@ -280,8 +280,14 @@ def read_density_json(path) -> DensityOperator:
         if key not in payload:
             raise ValueError(f"{path}: density JSON lacks key {key!r}")
     n_max = payload["n_max"]
-    mat = np.asarray(payload["re"], dtype=float) \
-        + 1j * np.asarray(payload["im"], dtype=float)
+    try:
+        mat = np.asarray(payload["re"], dtype=float) \
+            + 1j * np.asarray(payload["im"], dtype=float)
+    except TypeError as exc:  # an entry such as {} that is not a number
+        raise ValueError(f"{path}: density matrix entry is not a number "
+                         f"({exc})") from exc
+    if not np.isfinite(mat).all():  # null reads as NaN
+        raise ValueError(f"{path}: density matrix entry is not finite")
     if not isinstance(n_max, int) or mat.shape != (n_max + 1, n_max + 1):
         raise ValueError(
             f"matrix shape {mat.shape} inconsistent with n_max {n_max!r}")

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import scissorlab
-from scissorlab import cli, read_density_json, read_samples_csv, wigner
+from scissorlab import (cli, read_density_json, read_samples_csv,
+                        sample_homodyne, wigner, write_samples_csv)
 from scissorlab.cli import (
     SUMMARY_HEADER,
     default_config_dict,
@@ -368,6 +369,49 @@ def test_sampled_stage_writes_and_repeats(tmp_path):
     assert (out / "summary.csv").read_bytes() == summary_one
 
 
+def test_sampled_stage_samples_match_an_inline_write(tmp_path):
+    # the forked writer must produce exactly what an in-process write of
+    # the same seeded draws produces
+    cfg, _ = validate_config(small_sampled_config(tmp_path))
+    run_sweep(cfg)
+    alpha = cfg.alphas[0]
+    out = cli._stage_output(cfg, alpha, cfg.stage)
+    samples = sample_homodyne(out.state, cfg.phases, cfg.samples_per_state,
+                              eta_hd=cfg.eta_hd,
+                              seed=cli._alpha_seed(cfg.seed, alpha))
+    inline = tmp_path / "inline.csv"
+    write_samples_csv(samples, inline)
+    assert (tmp_path / "out" / "alpha_0.2500" / "samples.csv").read_bytes() \
+        == inline.read_bytes()
+
+
+def test_failed_sample_writer_fails_the_run(tmp_path, capsys, monkeypatch):
+    def broken_writer(samples, path):
+        raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(cli, "write_samples_csv", broken_writer)
+    path = small_sampled_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "samples.csv" in err
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("writer_fails", [False, True])
+def test_reconstruction_error_wins_over_the_sample_writer(tmp_path,
+                                                          monkeypatch,
+                                                          writer_fails):
+    def failing(*args, **kwargs):
+        raise ValueError("reconstruction failed")
+
+    monkeypatch.setattr(cli, "maxlik_reconstruct", failing)
+    if writer_fails:
+        monkeypatch.setattr(cli, "write_samples_csv", failing)
+    cfg, _ = validate_config(small_sampled_config(tmp_path))
+    with pytest.raises(ValueError, match="reconstruction failed"):
+        run_sweep(cfg)
+
+
 def test_seed_override_changes_samples(tmp_path):
     path = small_sampled_config(tmp_path)
     assert main(["run", "--config", str(path)]) == 0
@@ -426,7 +470,12 @@ def test_wigner_verb_from_density_file(tmp_path):
     ([[1, 0], [0, 0]], "must be an object"),
     ({"n_max": None, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
      "inconsistent with n_max None"),
-], ids=["negative", "trace-4", "no-im", "list", "null-n_max"])
+    ({"n_max": 1, "re": [[{}, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+     "entry is not a number"),
+    ({"n_max": 1, "re": [[1, 0], [0, 0]], "im": [[0, None], [0, 0]]},
+     "entry is not finite"),
+], ids=["negative", "trace-4", "no-im", "list", "null-n_max", "object-entry",
+        "null-entry"])
 def test_wigner_verb_rejects_bad_density_file(tmp_path, capsys, payload,
                                               message):
     cfg = write_config(tmp_path)
