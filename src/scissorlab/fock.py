@@ -83,9 +83,10 @@ class FockVector:
 class DensityOperator:
     """Mixed state on one or more truncated modes.
 
-    The matrix must be Hermitian; trace and positivity are checked on
-    demand via :meth:`validate` (they are O(d^3) and some intermediates are
-    deliberately sub-normalized, e.g. heralded branches before conditioning).
+    The matrix must be finite and Hermitian; trace and positivity are
+    checked on demand via :meth:`validate` (they are O(d^3) and some
+    intermediates are deliberately sub-normalized, e.g. heralded branches
+    before conditioning).
     """
 
     matrix: np.ndarray
@@ -97,6 +98,9 @@ class DensityOperator:
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match mode_dims {dims}")
+        # NaN would slip through every comparison below and in validate()
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix entry is not finite")
         herm = np.abs(mat - mat.conj().T).max()
         if herm > DEFAULT_POLICY.hermiticity_tol:
             raise ValueError(f"matrix is not Hermitian (max asymmetry {herm:.3e})")

@@ -78,7 +78,8 @@ def _require_density(rho: State) -> DensityOperator:
 
 
 def quadrature_operator(theta: float, dim: int) -> np.ndarray:
-    """Matrix of X_theta on a dim-dimensional truncated mode."""
+    """Matrix of X_theta on a dim-dimensional truncated mode (an oracle for
+    ``quadrature_moments``, which needs no operator)."""
     off = np.sqrt(np.arange(1, dim, dtype=float))
     return (np.diag(off * np.exp(-1j * theta), 1)
             + np.diag(off * np.exp(1j * theta), -1))
@@ -98,19 +99,34 @@ def quadrature_pdf(rho: State, theta: float, x,
     return float(p[0]) if scalar else p
 
 
-def quadrature_moments(rho: State, theta: float) -> tuple[float, float]:
-    """Mean and variance of X_theta, from the tridiagonal operator."""
-    rho = _require_density(rho)
-    # one padding level: squaring the operator clipped at the state's own
-    # cutoff would drop the a a^dag ladder term of <X^2> for any population
-    # sitting at the edge
-    dim = rho.dim + 1
-    xop = quadrature_operator(theta, dim)
-    m = np.zeros((dim, dim), dtype=complex)
-    m[:rho.dim, :rho.dim] = rho.matrix
-    mean = float(np.trace(m @ xop).real)
-    second = float(np.trace(m @ (xop @ xop)).real)
-    return mean, second - mean * mean
+def _ladder_moments(rho: DensityOperator) -> tuple[complex, complex, float]:
+    """<a>, <a^2> and <n>: the traces every quadrature moment is built from."""
+    m, k = rho.matrix, np.arange(rho.dim)
+    # <a> = sum_k sqrt(k+1) rho[k+1, k]
+    # <a^2> = sum_k sqrt((k+1)(k+2)) rho[k+2, k]
+    a1 = complex(np.dot(np.sqrt(k[1:]), np.diagonal(m, -1)))
+    a2 = complex(np.dot(np.sqrt(k[1:-1] * k[2:]), np.diagonal(m, -2)))
+    return a1, a2, float(np.dot(k, np.diagonal(m).real))
+
+
+def quadrature_moments(rho: State, theta):
+    """Mean and variance of X_theta for a phase or an array of phases.
+
+    Both follow from three traces of the state, for every phase at once:
+    <X_theta> = 2 Re(e^{-i theta} <a>) and <X_theta^2> =
+    2 Re(e^{-2i theta} <a^2>) + 2 <n> + 1, the last term being the
+    [a, a^dag] = 1 of the a a^dag ladder product.  No operator is
+    truncated, so population at the state's own cutoff is exact.  A
+    scalar theta gives two floats, an array two arrays of its shape.
+    """
+    a1, a2, n_mean = _ladder_moments(_require_density(rho))
+    theta = np.asarray(theta, dtype=float)
+    mean = 2.0 * (a1 * np.exp(-1j * theta)).real
+    var = (2.0 * (a2 * np.exp(-2j * theta)).real + 2.0 * n_mean + 1.0
+           - mean * mean)
+    if theta.ndim == 0:
+        return float(mean), float(var)
+    return mean, var
 
 
 def _overlap_stack(edges, n_max: int) -> np.ndarray:

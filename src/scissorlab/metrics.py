@@ -110,13 +110,22 @@ def wigner(rho: State, x=None, p=None) -> WignerGrid:
     return WignerGrid(x, p, u @ a @ v.T)
 
 
+@lru_cache(maxsize=4)
+def _wigner_row_template(x_bytes: bytes, p_bytes: bytes) -> str:
+    """Rows ``x,p,%.17g`` (x outer loop) for the float64 axes whose raw
+    bytes are given; keyed on the bytes, so -0.0 and 0.0 stay distinct."""
+    heads = [f"{xv:.17g}" for xv in np.frombuffer(x_bytes).tolist()]
+    tails = [f",{pv:.17g},%.17g\n" for pv in np.frombuffer(p_bytes).tolist()]
+    return "".join([head + tail for head in heads for tail in tails])
+
+
 def write_wigner_csv(grid: WignerGrid, path) -> None:
     """Persist the grid as CSV rows ``x,p,w`` (x outer loop), every value
-    as %.17g: the axes are formatted once into row templates, and the
-    values go out through them in one write."""
-    heads = [f"{xv:.17g}" for xv in grid.x.tolist()]
-    tails = [f",{pv:.17g},%.17g\n" for pv in grid.p.tolist()]
-    template = "".join([head + tail for head in heads for tail in tails])
+    as %.17g.  The axes are formatted into a row template once per
+    distinct (x, p) pair (a small cache, since a sweep writes every
+    alpha on the same axes), and the values go out through it in one
+    write."""
+    template = _wigner_row_template(grid.x.tobytes(), grid.p.tobytes())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,p,w\n")
         fh.write(template % tuple(grid.values.ravel().tolist()))
@@ -142,10 +151,10 @@ def effective_gain(rho_out: State, alpha_in: complex,
     return mean / (2.0 * abs(alpha_in) * math.sqrt(eta_hd))
 
 
-def equivalent_input_noise(rho_out: State, g_eff: float, theta: float,
-                           eta_hd: float = 1.0,
-                           input_variance: float = 1.0) -> float:
-    """N_eq = Var(X_out, theta) / g_eff^2 - Var(X_in).
+def equivalent_input_noise(rho_out: State, g_eff: float, theta,
+                           eta_hd: float = 1.0, input_variance: float = 1.0):
+    """N_eq = Var(X_out, theta) / g_eff^2 - Var(X_in), for a phase or an
+    array of phases (a float or an array of the same shape).
 
     A state measured behind homodyne efficiency eta_hd has its variance
     pulled toward the vacuum; the inverse map
@@ -165,13 +174,15 @@ def equivalent_input_noise(rho_out: State, g_eff: float, theta: float,
 def ein_statistics(rho_out: State, g_eff: float, phases,
                    eta_hd: float = 1.0,
                    input_variance: float = 1.0) -> tuple[float, float, float]:
-    """(min, average, max) equivalent input noise across the phase list."""
-    phases = [float(t) for t in phases]
-    if not phases:
+    """(min, average, max) equivalent input noise across the phase list,
+    from one ``equivalent_input_noise`` call over the whole phase array
+    (so from one set of the state's ladder moments)."""
+    phases = np.array([float(t) for t in phases])
+    if not phases.size:
         raise ValueError("need at least one phase")
-    vals = [equivalent_input_noise(rho_out, g_eff, t, eta_hd, input_variance)
-            for t in phases]
-    return min(vals), float(np.mean(vals)), max(vals)
+    vals = equivalent_input_noise(rho_out, g_eff, phases, eta_hd,
+                                  input_variance)
+    return float(vals.min()), float(vals.mean()), float(vals.max())
 
 
 def reference_ein(g_eff: float) -> float:
@@ -281,6 +292,6 @@ def _provenance(eta_hd: float) -> str:
 
 
 def write_metrics_json(report: MetricsReport, path) -> None:
+    text = json.dumps(report.to_dict(), indent=1, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

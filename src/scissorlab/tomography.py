@@ -286,8 +286,6 @@ def read_density_json(path) -> DensityOperator:
     except TypeError as exc:  # an entry such as {} that is not a number
         raise ValueError(f"{path}: density matrix entry is not a number "
                          f"({exc})") from exc
-    if not np.isfinite(mat).all():  # null reads as NaN
-        raise ValueError(f"{path}: density matrix entry is not finite")
     if not isinstance(n_max, int) or mat.shape != (n_max + 1, n_max + 1):
         raise ValueError(
             f"matrix shape {mat.shape} inconsistent with n_max {n_max!r}")

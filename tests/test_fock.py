@@ -104,6 +104,28 @@ def test_density_rejects_non_hermitian():
         DensityOperator(m, (2,))
 
 
+@pytest.mark.parametrize("m", [
+    [[math.nan, 0.0], [0.0, 1.0]],
+    [[0.5, math.nan], [math.nan, 0.5]],
+    [[0.5, complex(0.0, math.nan)], [complex(0.0, math.nan), 0.5]],
+    [[math.inf, 0.0], [0.0, 0.0]],
+], ids=["nan-diagonal", "nan-off-diagonal", "nan-imaginary", "inf-diagonal"])
+def test_density_rejects_non_finite_entries(m):
+    # NaN fails no comparison, so Hermiticity, positivity and trace checks
+    # would all pass it: the constructor must say what is wrong
+    with pytest.raises(ValueError, match="entry is not finite"):
+        DensityOperator(np.array(m, dtype=complex), (2,))
+
+
+def test_no_path_to_validate_with_nan():
+    with pytest.raises(ValueError, match="entry is not finite"):
+        FockVector(np.array([math.nan, 1.0]), (2,)).to_density()
+    # a built state is read-only, so validate() never meets NaN either
+    rho = DensityOperator(np.diag([0.5, 0.5]).astype(complex), (2,))
+    with pytest.raises(ValueError, match="read-only"):
+        rho.matrix[0, 0] = math.nan
+
+
 def test_validate_catches_negative_eigenvalue():
     m = np.diag([1.2, -0.2]).astype(complex)
     rho = DensityOperator(m, (2,))

@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, and
-every module-level private function or class is referenced."""
+"""Source hygiene: every module-level import in the package is used, every
+module-level private function or class is referenced, and the names the
+package exports but never uses itself are a pinned set."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,17 @@ def test_no_unused_imports():
     assert {name: found for name, found in stale.items() if found} == {}
 
 
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every Name and attribute name the tree refers to."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
 def orphaned_privates(sources: dict[str, str]) -> list[str]:
     """Module-level private functions and classes that no Name or attribute
     in any of the modules refers to."""
@@ -49,11 +61,7 @@ def orphaned_privates(sources: dict[str, str]) -> list[str]:
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and node.name.startswith("_")
                     and not node.name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        used |= referenced_names(tree)
     return [f"{module} line {line}: {name}" for module, line, name in defined
             if name not in used]
 
@@ -78,3 +86,42 @@ def test_no_orphaned_private_helpers():
                for path in sorted(PACKAGE.glob("*.py"))}
     assert "cli.py" in sources
     assert orphaned_privates(sources) == []
+
+
+def exported_but_unused(sources: dict[str, str]) -> set[str]:
+    """Names ``__init__.py`` re-exports that no other module refers to by a
+    Name or attribute: public API whose only callers are outside the
+    package."""
+    init = ast.parse(sources["__init__.py"])
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set().union(*(referenced_names(ast.parse(source))
+                         for module, source in sources.items()
+                         if module != "__init__.py"))
+    return exported - used
+
+
+def test_scanner_flags_only_unused_exports():
+    sources = {
+        "__init__.py": "from .a import kept, spare\nfrom .b import via\n",
+        "a.py": "def kept():\n    return 1\ndef spare():\n    return 2\n",
+        "b.py": "import a\ndef via():\n    return a.kept()\n",
+    }
+    assert exported_but_unused(sources) == {"spare", "via"}
+
+
+#: exported names no package module uses; each is public API that tests,
+#: perfbench or users call.  Growing this set orphans another public name:
+#: use it inside the package or stop exporting it instead
+UNUSED_EXPORTS = {
+    "build_resource", "click_weights", "fidelity", "mean_photon_number",
+    "mutual_info_bound", "number_distribution", "phase_covariance_check",
+    "phase_povm_elements", "quadrature_operator", "quadrature_pdf",
+    "resize_mode", "vacuum_state",
+}
+
+
+def test_unused_exports_pinned():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert exported_but_unused(sources) == UNUSED_EXPORTS

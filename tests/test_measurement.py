@@ -131,8 +131,47 @@ def test_pdf_normalized_and_nonnegative():
             assert np.trapezoid(pdf, DENSE) == pytest.approx(1.0, abs=1e-8)
 
 
+def padded_operator_moments(rho, theta):
+    """Oracle: the operator products the ladder-moment form replaced.  One
+    padding level keeps the a a^dag term of <X^2> for population at the
+    state's own cutoff."""
+    dim = rho.dim + 1
+    xop = quadrature_operator(theta, dim)
+    m = np.zeros((dim, dim), dtype=complex)
+    m[:rho.dim, :rho.dim] = rho.matrix
+    mean = float(np.trace(m @ xop).real)
+    second = float(np.trace(m @ (xop @ xop)).real)
+    return mean, second - mean * mean
+
+
+def test_moments_match_padded_operator_oracle():
+    # random mixed states (full rank, so weight on the top Fock level),
+    # the bare top level and a displaced state, d = 2..13, at scalar and
+    # array theta; the two forms differ only by rounding, bounded here by
+    # 1e-13 absolute on means and variances of order 1..25
+    phases = np.append(default_phase_grid(12), [-2.5, 4.0, 11.0])
+    for d in range(2, 14):
+        states = [random_density(d, seed=d), random_density(d, seed=50 + d),
+                  fock_state(d - 1, d - 1).to_density()]
+        if d >= 8:
+            states.append(coherent_state(0.6 - 0.4j, d - 1,
+                                         truncation_tol=1e-2).to_density())
+        for rho in states:
+            expect = np.array([padded_operator_moments(rho, t)
+                               for t in phases])
+            mean, var = quadrature_moments(rho, phases)
+            assert mean.shape == var.shape == phases.shape
+            np.testing.assert_allclose(mean, expect[:, 0], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(var, expect[:, 1], rtol=0, atol=1e-13)
+            for k in (0, 5, 13):
+                scalar = quadrature_moments(rho, phases[k])
+                assert all(isinstance(v, float) for v in scalar)
+                np.testing.assert_allclose(scalar, expect[k], rtol=0,
+                                           atol=1e-13)
+
+
 def test_moments_match_pdf_integrals():
-    # two independent code paths: tridiagonal operator algebra against
+    # two independent code paths: the state's ladder moments against
     # direct integration of the distribution
     for seed, theta in ((0, 0.0), (1, 0.4), (2, 2.2)):
         rho = random_density(8, seed=seed)

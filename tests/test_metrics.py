@@ -29,7 +29,7 @@ from scissorlab import (
     write_metrics_json,
     write_wigner_csv,
 )
-from scissorlab.metrics import _wigner_map
+from scissorlab.metrics import _wigner_map, _wigner_row_template
 from scissorlab.optics import _balanced_coefficients, _bs_matrix
 
 TWO_PI = 2.0 * math.pi
@@ -180,6 +180,30 @@ def test_wigner_csv_layout(tmp_path):
     assert path.read_text() == reference_wigner_csv(odd)
 
 
+def test_wigner_csv_template_cache(tmp_path):
+    # alternate three axis pairs so each write either builds a template or
+    # reuses one built for other axes two writes earlier; every file must
+    # match the uncached row-at-a-time text byte for byte
+    fine = phase_space_axes(6.0, 201)
+    coarse = phase_space_axes(4.0, 41)
+    axes = [(coarse, coarse), (fine, fine), (coarse, coarse + 0.05)]
+    states = [ideal_output(a, 2.0).state for a in (0.1, 0.25)]
+    _wigner_row_template.cache_clear()
+    path = tmp_path / "wigner.csv"
+    for k in range(9):
+        x, p = axes[k % 3]
+        grid = wigner(states[k % 2], x, p)
+        write_wigner_csv(grid, path)
+        assert path.read_bytes() == reference_wigner_csv(grid).encode()
+    info = _wigner_row_template.cache_info()
+    assert (info.misses, info.hits) == (3, 6)
+    # -0.0 == 0.0, but the two print differently, so they are two keys
+    for zero in (0.0, -0.0, 0.0):
+        grid = wigner(states[0], coarse, np.array([zero, 0.5]))
+        write_wigner_csv(grid, path)
+        assert path.read_bytes() == reference_wigner_csv(grid).encode()
+
+
 def test_effective_gain_closed_form():
     # <X> of (|0> + g a |1>)/norm gives g_eff = g / (1 + g^2 a^2)
     for alpha, g in ((0.1, 2.0), (0.2, 1.0), (0.25, 2.0), (0.5, 3.0)):
@@ -251,6 +275,22 @@ def test_ein_extremes_sit_on_x_and_p():
         lo, abs=1e-12)
     assert equivalent_input_noise(rho, g_eff, math.pi / 2) == pytest.approx(
         hi, abs=1e-12)
+
+
+def test_ein_phase_array_matches_scalar_calls():
+    rho = simulate(AmplifierConfig(alpha=0.3 * np.exp(0.4j), gain=2.0,
+                                   use_d2_veto=True)).state
+    phases = np.linspace(-1.0, 4.0, 17)
+    vals = equivalent_input_noise(rho, 1.3, phases, eta_hd=0.7)
+    assert vals.shape == phases.shape
+    np.testing.assert_allclose(
+        vals, [equivalent_input_noise(rho, 1.3, t, eta_hd=0.7)
+               for t in phases], rtol=0, atol=1e-14)
+    lo, avg, hi = ein_statistics(rho, 1.3, phases, eta_hd=0.7)
+    assert (lo, hi) == (vals.min(), vals.max())
+    assert avg == pytest.approx(vals.mean(), abs=1e-15)
+    with pytest.raises(ValueError, match="at least one phase"):
+        ein_statistics(rho, 1.3, [])
 
 
 def test_ein_zero_for_lossless_identity():
