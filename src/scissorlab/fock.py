@@ -37,7 +37,7 @@ def _check_dims(mode_dims) -> tuple[int, ...]:
 class FockVector:
     """Pure state on one or more truncated modes.
 
-    amplitudes : flattened complex vector of length prod(mode_dims)
+    amplitudes : flattened finite complex vector of length prod(mode_dims)
     mode_dims  : per-mode dimension (n_max + 1 for each mode)
     """
 
@@ -51,6 +51,9 @@ class FockVector:
             raise ValueError(
                 f"amplitude length {amps.size} does not match mode_dims {dims}"
             )
+        # NaN would pass normalized()'s zero-norm guard and spread silently
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitude entry is not finite")
         object.__setattr__(self, "amplitudes", _frozen(amps))
         object.__setattr__(self, "mode_dims", dims)
 

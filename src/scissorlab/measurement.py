@@ -8,7 +8,9 @@ vacuum has unit variance and a coherent state |alpha> has mean quadrature
                       H_n(x / sqrt 2) exp(-x^2 / 4),
 
 with H_n the physicists' Hermite polynomials; |psi_0|^2 is the standard
-normal density.
+normal density.  They are evaluated by their normalized three-term
+recurrence, and the normal CDF Phi by ``math.erfc``, so the module needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermite, gammaln, ndtr
 
 from .fock import DensityOperator, FockVector, State
 from .numerics import DEFAULT_POLICY, NumericalPolicy, TruncationError
@@ -57,15 +58,21 @@ class QuadratureSamples:
 
 
 def wavefunctions(x, n_max: int) -> np.ndarray:
-    """Matrix psi[k, n] of the first n_max+1 eigenfunctions at points x."""
+    """Matrix psi[k, n] of the first n_max+1 eigenfunctions at points x.
+
+    By the normalized recurrence psi_0 = (2 pi)^{-1/4} e^{-x^2/4},
+    psi_1 = x psi_0, psi_{n+1} = (x psi_n - sqrt(n) psi_{n-1}) / sqrt(n+1)
+    (Lvovsky & Raymer, RMP 81, 299 (2009)).  It forms no Hermite value
+    or factorial, only terms of the size of psi, so no order overflows.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((x.size, n_max + 1))
-    xs = x / math.sqrt(2.0)
-    envelope = np.exp(-0.25 * x * x)
-    for n in range(n_max + 1):
-        log_norm = -0.25 * math.log(2.0 * math.pi) \
-            - 0.5 * (n * math.log(2.0) + gammaln(n + 1))
-        out[:, n] = math.exp(log_norm) * eval_hermite(n, xs) * envelope
+    out[:, 0] = (2.0 * math.pi) ** -0.25 * np.exp(-0.25 * x * x)
+    if n_max >= 1:
+        out[:, 1] = x * out[:, 0]
+    for n in range(1, n_max):
+        out[:, n + 1] = ((x * out[:, n] - math.sqrt(n) * out[:, n - 1])
+                         / math.sqrt(n + 1))
     return out
 
 
@@ -158,8 +165,11 @@ def _overlap_stack(edges, n_max: int) -> np.ndarray:
     prim -= psi[:, :, None] * dpsi[:, None, :]
     prim /= gap
     below = edges < 0
+    # Phi(-|e|), the smaller tail, which erfc keeps to full relative precision
+    root2 = math.sqrt(2.0)
+    tail = np.array([0.5 * math.erfc(abs(e) / root2) for e in edges.tolist()])
     diag = np.empty((edges.size, d))
-    diag[:, 0] = np.where(below, ndtr(edges), -ndtr(-edges))
+    diag[:, 0] = np.where(below, tail, -tail)
     for k in range(1, d):
         diag[:, k] = diag[:, k - 1] - psi[:, k] * psi[:, k - 1] / root[k]
     prim[:, n, n] = diag

@@ -70,18 +70,29 @@ def _bs_matrix(dim: int, r: float) -> np.ndarray:
 def _balanced_coefficients(dm: int, dn: int) -> np.ndarray:
     """Real C[p, m, n] = <p, m+n-p|B|m, n> for m < dm, n < dn and p <= m + n
     (zero above), with B the balanced beamsplitter of _bs_matrix; it is
-    2^{-(m+n)/2} sqrt(p! q!/(m! n!)) [z^p] (1+z)^m (1-z)^n where q = m + n - p.
-    Exact int coefficients; each entry is rounded once from its square."""
-    fact = [math.factorial(i) for i in range(dm + dn - 1)]
+    2^{-(m+n)/2} sqrt(p! q!/(m! n!)) c_p where q = m + n - p and
+    c_p = [z^p] (1+z)^m (1-z)^n.
+
+    With N = m + n, the Krawtchouk symmetry C(N, p) k_p = C(N, n) c_p for
+    k_p = [z^n] (1+z)^(N-p) (1-z)^p turns the square into the exact
+    fraction c_p k_p / 2^N, rounded once.  Both integer rows come by
+    recurrence: c_p from the n - 1 row times (1 - z), and k_p from
+    (N - p) k_{p+1} = (N - 2n) k_p - p k_{p-1}, k_0 = C(N, n).
+    """
     out = np.zeros((dm + dn - 1, dm, dn))
     for m in range(dm):
         poly = [math.comb(m, i) for i in range(m + 1)]     # (1 + z)^m
         for n in range(dn):
-            den = fact[m] * fact[n] << (m + n)
-            for p, c in enumerate(poly):
-                out[p, m, n] = math.copysign(
-                    math.sqrt(c * c * fact[p] * fact[m + n - p] / den), c)
-            poly = [a - b for a, b in zip(poly + [0], [0] + poly)]  # (1 - z)
+            total = m + n
+            ks, before = [math.comb(total, n)], 0
+            for p in range(total):
+                ks.append(((total - 2 * n) * ks[p] - p * before) // (total - p))
+                before = ks[p]
+            scale = 1 << total
+            out[:total + 1, m, n] = [
+                math.copysign(math.sqrt(c * k / scale), c)
+                for c, k in zip(poly, ks)]
+            poly = [a - b for a, b in zip(poly + [0], [0] + poly)]   # (1 - z)
     return out
 
 

@@ -135,11 +135,12 @@ class TomographyProblem:
         index = {key: i for i, key in enumerate(first)}
         self.stacks = []
         # |e^{i theta (m - n)}| = 1 and the diagonal is 1, so a stack
-        # misses completeness by as much as every phase built on it
+        # misses completeness by as much as every phase built on it;
+        # written so that a NaN miss fails too
         for h in first.values():
             stack = _overlap_stack(h.edges, self.n_max)
             miss = np.abs(stack.sum(axis=0) - np.eye(self.n_max + 1)).max()
-            if miss > self.policy.povm_completeness_tol:
+            if not miss <= self.policy.povm_completeness_tol:
                 raise ValueError(
                     f"POVM for phase {h.theta} deviates from completeness "
                     f"by {miss:.3e}"

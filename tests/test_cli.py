@@ -519,16 +519,17 @@ def fresh_interpreter_env():
                 filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def test_import_skips_scipy_integrate():
-    # sampling and tomography use closed forms; no quadrature routine is
-    # needed, and importing scipy.integrate would cost time and memory
+def test_import_loads_no_scipy():
+    # the package needs numpy alone; importing scipy.special would cost
+    # most of a cold start's time and memory
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, scissorlab; print('scipy.integrate' in sys.modules)"],
+         "import sys, scissorlab, scissorlab.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env=fresh_interpreter_env(),
         timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point_smoke(tmp_path):

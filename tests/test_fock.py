@@ -117,6 +117,16 @@ def test_density_rejects_non_finite_entries(m):
         DensityOperator(np.array(m, dtype=complex), (2,))
 
 
+@pytest.mark.parametrize("amp", [
+    math.nan, math.inf, complex(0.0, math.nan), complex(0.0, -math.inf),
+], ids=["nan-real", "inf-real", "nan-imaginary", "inf-imaginary"])
+def test_vector_rejects_non_finite_amplitudes(amp):
+    # normalized() would otherwise return an all-NaN vector: its zero-norm
+    # guard is false for NaN
+    with pytest.raises(ValueError, match="amplitude entry is not finite"):
+        FockVector(np.array([amp, 1.0]), (2,))
+
+
 def test_no_path_to_validate_with_nan():
     with pytest.raises(ValueError, match="entry is not finite"):
         FockVector(np.array([math.nan, 1.0]), (2,)).to_density()

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import erf, ndtr
+from scipy.special import erf, eval_hermite, gammaln, ndtr
 
 from scissorlab import (
     DensityOperator,
@@ -62,6 +62,40 @@ def test_wavefunctions_orthonormal():
     psi = wavefunctions(fine, 8)
     gram = np.trapezoid(psi[:, :, None] * psi[:, None, :], fine, axis=0)
     np.testing.assert_allclose(gram, np.eye(9), atol=1e-7)
+
+
+def closed_form_wavefunctions(x, n_max):
+    """psi_n = (2 pi)^{-1/4} (2^n n!)^{-1/2} H_n(x / sqrt 2) e^{-x^2/4}
+    through scipy's Hermite values; overflows to NaN past n ~ 170 at
+    |x| = 10, so it is an oracle for the lower orders only."""
+    out = np.empty((x.size, n_max + 1))
+    for n in range(n_max + 1):
+        log_norm = (-0.25 * math.log(2.0 * math.pi)
+                    - 0.5 * (n * math.log(2.0) + gammaln(n + 1)))
+        out[:, n] = (math.exp(log_norm) * eval_hermite(n, x / math.sqrt(2.0))
+                     * np.exp(-0.25 * x * x))
+    return out
+
+
+def test_wavefunctions_match_closed_form():
+    # the recurrence and the closed form round differently; measured
+    # worst gap 1.6e-14 (|psi| <= 0.64), bound set at ~6x that
+    x = np.linspace(-10.0, 10.0, 4001)
+    np.testing.assert_allclose(wavefunctions(x, 150),
+                               closed_form_wavefunctions(x, 150),
+                               rtol=0, atol=1e-13)
+
+
+def test_wavefunctions_orthonormal_at_high_order():
+    # psi_300 turns at |x| = 2 sqrt(300.5) ~ 34.7; [-48, 48] holds all of
+    # it, and h = 0.02 resolves the fastest product oscillation (period
+    # ~0.18) so the trapezoid sum is exact but for rounding: measured
+    # 1.6e-13 over 4801 points, bound 1e-12
+    fine = np.linspace(-48.0, 48.0, 4801)
+    psi = wavefunctions(fine, 300)
+    assert np.isfinite(psi).all()
+    gram = psi.T @ psi * (fine[1] - fine[0])
+    np.testing.assert_allclose(gram, np.eye(301), rtol=0, atol=1e-12)
 
 
 def test_quadrature_operator_elements():

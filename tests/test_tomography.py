@@ -27,6 +27,7 @@ from scissorlab import (
     wavefunctions,
     write_density_json,
 )
+from scissorlab import tomography
 
 
 def test_histogram_validation():
@@ -134,6 +135,29 @@ def test_problem_requires_two_phases():
     with pytest.raises(ValueError):
         TomographyProblem([h])
     TomographyProblem([h, QuadratureHistogram(1.0, edges, np.full(10, 5))])
+
+
+def test_problem_at_high_cutoff_is_finite_and_complete():
+    # Hermite values times factorial norms overflowed here into NaN
+    # stacks, which the completeness check let through
+    edges = np.linspace(-6.0, 6.0, 101)
+    hists = [QuadratureHistogram(t, edges, np.full(100, 5)) for t in (0.0, 1.0)]
+    problem = TomographyProblem(hists, n_max=300)
+    (stack,) = problem.stacks
+    assert np.isfinite(stack).all()
+    miss = np.abs(stack.sum(axis=0) - np.eye(301)).max()
+    assert miss <= problem.policy.povm_completeness_tol
+
+
+def test_problem_rejects_non_finite_povm(monkeypatch):
+    def nan_stack(edges, n_max):
+        return np.full((edges.size + 1, n_max + 1, n_max + 1), np.nan)
+
+    monkeypatch.setattr(tomography, "_overlap_stack", nan_stack)
+    edges = np.linspace(-6, 6, 11)
+    hists = [QuadratureHistogram(t, edges, np.full(10, 5)) for t in (0.0, 1.0)]
+    with pytest.raises(ValueError, match="completeness"):
+        TomographyProblem(hists, n_max=4)
 
 
 def make_problem_from_probabilities(rho, phases, n_max, scale=1e9):
