@@ -73,7 +73,7 @@ from .optics import (
     apply_phase,
 )
 from .tomography import (
-    QuadratureHistogram,
+    QuadratureHistograms,
     ReconstructionResult,
     TomographyProblem,
     bin_samples,

@@ -29,6 +29,12 @@ from .optics import LossChannel, apply_loss
 #: for any state representable at the package's default truncations
 _SAMPLING_GRID = np.linspace(-10.0, 10.0, 4001)
 
+_PSI0_PEAK = (2.0 * math.pi) ** -0.25
+_TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+#: psi_0 = e * tiny here: a normal double, one e-fold inside the underflow
+_X_NORMAL = 2.0 * math.sqrt(math.log(_PSI0_PEAK / _TINY) - 1.0)
+
 #: rows per write in write_samples_csv: one whole-file template would add
 #: its own size to the peak memory of a 200k-draw batch
 _CSV_CHUNK_ROWS = 8192
@@ -52,6 +58,14 @@ class QuadratureSamples:
     def __post_init__(self):
         if self.theta.ndim != 1 or self.theta.shape != self.x.shape:
             raise ValueError("theta and x must be 1-D arrays of equal length")
+        # a NaN draw would fall out of every histogram bin without a trace;
+        # min and max propagate NaN, so the check allocates no mask
+        for name in ("theta", "x"):
+            values = getattr(self, name)
+            if values.size and not np.isfinite([values.min(),
+                                                values.max()]).all():
+                bad = np.flatnonzero(~np.isfinite(values))[0]
+                raise ValueError(f"sample {bad} has a non-finite {name}")
 
     def __len__(self) -> int:
         return self.x.size
@@ -64,16 +78,41 @@ def wavefunctions(x, n_max: int) -> np.ndarray:
     psi_1 = x psi_0, psi_{n+1} = (x psi_n - sqrt(n) psi_{n-1}) / sqrt(n+1)
     (Lvovsky & Raymer, RMP 81, 299 (2009)).  It forms no Hermite value
     or factorial, only terms of the size of psi, so no order overflows.
+
+    Where psi_0 is below the smallest normal double (|x| > ~53.2) the
+    recurrence returns 0 or a subnormal at every order.  That is kept
+    only if the truth there is negligible: below eps, the absolute
+    rounding of the O(1) values the recurrence returns elsewhere.  Past
+    its turning point 2 sqrt(n + 1/2), |psi_n| falls monotonically
+    (psi'' = (x^2/4 - n - 1/2) psi has the sign of psi), so it is enough
+    that _X_NORMAL lies past the turning point of order n_max and that
+    every order is below eps there, where psi_0 is still normal and the
+    recurrence exact to rounding.  Otherwise ValueError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((x.size, n_max + 1))
-    out[:, 0] = (2.0 * math.pi) ** -0.25 * np.exp(-0.25 * x * x)
+    out[:, 0] = _PSI0_PEAK * np.exp(-0.25 * x * x)
+    if x.size and out[:, 0].min() < _TINY:
+        _require_negligible_beyond_normal(n_max)
     if n_max >= 1:
         out[:, 1] = x * out[:, 0]
     for n in range(1, n_max):
         out[:, n + 1] = ((x * out[:, n] - math.sqrt(n) * out[:, n - 1])
                          / math.sqrt(n + 1))
     return out
+
+
+def _require_negligible_beyond_normal(n_max: int) -> None:
+    """ValueError unless every psi_n, n <= n_max, is below eps at and
+    beyond _X_NORMAL (see ``wavefunctions``)."""
+    edge = wavefunctions(_X_NORMAL, n_max)[0]
+    turning = 2.0 * math.sqrt(n_max + 0.5)
+    if not (_X_NORMAL >= turning and np.abs(edge).max() <= _EPS):
+        raise ValueError(
+            f"psi_0 underflows beyond |x| = {_X_NORMAL:.1f}, where order "
+            f"{n_max} (turning point {turning:.1f}) is not negligible "
+            f"(|psi| up to {np.abs(edge).max():.2g}); narrow the x range "
+            f"or lower the cutoff")
 
 
 def _require_density(rho: State) -> DensityOperator:

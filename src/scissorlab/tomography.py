@@ -1,8 +1,10 @@
 """Iterative maximum-likelihood homodyne tomography.
 
-Binned quadrature samples at several phases define projector-like POVM
-elements Pi_j = integral over the bin of |x;theta><x;theta| dx.  The
-reconstruction iterates
+Quadrature samples binned at K phases on one set of edges give a (K, P + 2)
+count table (``QuadratureHistograms``).  Each cell is a projector-like POVM
+element Pi_j = integral over the bin of |x;theta><x;theta| dx, and every
+phase's elements are the one real overlap stack S of the edges rotated by
+e^{i theta (m - n)}.  The reconstruction iterates
 
     R(rho) = sum_j (f_j / Tr(Pi_j rho)) Pi_j,     rho <- R rho R / Tr(...)
 
@@ -24,51 +26,49 @@ from .numerics import DEFAULT_POLICY, NumericalPolicy
 
 
 @dataclass(frozen=True)
-class QuadratureHistogram:
-    """Counts of one phase's samples on strictly increasing bin edges.
+class QuadratureHistograms:
+    """Counts of samples at K phases on P bins of one edge array.
 
-    Samples outside [edges[0], edges[-1]] land in the underflow/overflow
-    slots so that no event is ever dropped.
+    ``counts[k]`` is phase ``thetas[k]``'s row: underflow (below
+    edges[0]), the P bins, overflow (above edges[-1]), so that no event is
+    ever dropped.  All three arrays are read-only copies.
     """
 
-    theta: float
+    thetas: np.ndarray
     edges: np.ndarray
     counts: np.ndarray
-    underflow: int = 0
-    overflow: int = 0
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must be a strictly increasing 1-D array")
-        if counts.shape != (edges.size - 1,):
-            raise ValueError("counts length must be len(edges) - 1")
-        if counts.min(initial=0) < 0 or self.underflow < 0 or self.overflow < 0:
+        thetas = np.array(self.thetas, dtype=float)
+        edges = np.array(self.edges, dtype=float)
+        counts = np.array(self.counts, dtype=np.int64)
+        if thetas.ndim != 1 or not np.isfinite(thetas).all():
+            raise ValueError("thetas must be a finite 1-D array")
+        if edges.ndim != 1 or edges.size < 2 \
+                or not np.isfinite(edges).all() or np.any(np.diff(edges) <= 0):
+            raise ValueError("edges must be a finite, strictly increasing "
+                             "1-D array")
+        if counts.shape != (thetas.size, edges.size + 1):
+            raise ValueError(f"counts must have shape (len(thetas), "
+                             f"len(edges) + 1), got {counts.shape}")
+        if counts.min(initial=0) < 0:
             raise ValueError("counts cannot be negative")
-        edges.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum()) + self.underflow + self.overflow
-
-    @property
-    def has_out_of_range(self) -> bool:
-        return (self.underflow + self.overflow) > 0
+        for name, value in (("thetas", thetas), ("edges", edges),
+                            ("counts", counts)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 def bin_samples(samples: QuadratureSamples, phases, bin_count: int = 100,
                 value_range: tuple[float, float] = (-6.0, 6.0)
-                ) -> list[QuadratureHistogram]:
+                ) -> QuadratureHistograms:
     """Histogram samples per phase on a shared uniform grid.
 
     Every sample's phase must appear in ``phases`` (exact match: samples
     produced by this package reuse the list's float values verbatim), and
-    no phase twice.  Total counts including under/overflow equal the
-    sample count.
+    no phase twice.  Row k of the table counts the samples at phases[k];
+    its sum is their number.  As in ``np.histogram`` the top edge is
+    inclusive, so only values below ``lo`` or above ``hi`` go out of range.
     """
     phases = [float(t) for t in phases]
     if len(set(phases)) < len(phases):
@@ -83,15 +83,13 @@ def bin_samples(samples: QuadratureSamples, phases, bin_count: int = 100,
     if unknown.size:
         raise ValueError(f"sample phase {float(unknown[0])} not in the phase list")
     edges = np.linspace(lo, hi, bin_count + 1)
-    out = []
-    for theta in phases:
+    counts = np.empty((len(phases), bin_count + 2), dtype=np.int64)
+    for k, theta in enumerate(phases):
         vals = samples.x[samples.theta == theta]
-        counts, _ = np.histogram(vals, bins=edges)
-        under = int((vals < lo).sum())
-        over = int((vals > hi).sum())
-        # np.histogram treats the top edge as inclusive; values above go out
-        out.append(QuadratureHistogram(theta, edges, counts, under, over))
-    return out
+        counts[k, 1:-1], _ = np.histogram(vals, bins=edges)
+        counts[k, 0] = np.count_nonzero(vals < lo)
+        counts[k, -1] = np.count_nonzero(vals > hi)
+    return QuadratureHistograms(phases, edges, counts)
 
 
 def phase_povm_elements(theta: float, edges: np.ndarray, n_max: int
@@ -103,63 +101,47 @@ def phase_povm_elements(theta: float, edges: np.ndarray, n_max: int
 
 @dataclass
 class TomographyProblem:
-    """Histograms plus their POVM for a chosen reconstruction cutoff.
+    """A count table plus its POVM for a chosen reconstruction cutoff.
 
-    The POVM is held as one real, phase-free overlap stack per distinct
-    edge array (``stacks``) and each histogram's index into it
-    (``stack_of``); histogram h's element j is e^{i theta_h (m - n)}
-    stacks[stack_of[h]][j].  ``counts`` runs over the histograms in order,
-    underflow, bins, overflow each.
+    The POVM is one real, phase-free overlap stack ``stack`` on the
+    table's edges; phase k's element j is e^{i thetas[k] (m - n)}
+    stack[j].  ``counts`` is the table flattened phase-major: underflow,
+    bins, overflow of each phase in turn.
     """
 
-    histograms: list[QuadratureHistogram]
+    histograms: QuadratureHistograms
     n_max: int = 10
     policy: NumericalPolicy = DEFAULT_POLICY
-    stacks: list[np.ndarray] = field(init=False, repr=False)
-    stack_of: np.ndarray = field(init=False, repr=False)
+    stack: np.ndarray = field(init=False, repr=False)
     counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("reconstruction n_max must be >= 1")
-        thetas = {h.theta for h in self.histograms}
-        if len(thetas) < 2:
+        if np.unique(self.histograms.thetas).size < 2:
             raise ValueError(
                 "tomography needs at least two distinct phases to be "
                 "informationally complete"
             )
-        keys = [h.edges.tobytes() for h in self.histograms]
-        first = {}
-        for h, key in zip(self.histograms, keys):
-            first.setdefault(key, h)
-        index = {key: i for i, key in enumerate(first)}
-        self.stacks = []
-        # |e^{i theta (m - n)}| = 1 and the diagonal is 1, so a stack
-        # misses completeness by as much as every phase built on it;
-        # written so that a NaN miss fails too
-        for h in first.values():
-            stack = _overlap_stack(h.edges, self.n_max)
-            miss = np.abs(stack.sum(axis=0) - np.eye(self.n_max + 1)).max()
-            if not miss <= self.policy.povm_completeness_tol:
-                raise ValueError(
-                    f"POVM for phase {h.theta} deviates from completeness "
-                    f"by {miss:.3e}"
-                )
-            self.stacks.append(stack)
-        self.stack_of = np.array([index[key] for key in keys], dtype=int)
-        self.counts = np.concatenate([
-            np.concatenate([[h.underflow], h.counts, [h.overflow]])
-            for h in self.histograms
-        ]).astype(float)
+        self.stack = _overlap_stack(self.histograms.edges, self.n_max)
+        # |e^{i theta (m - n)}| = 1 and the diagonal is 1, so every phase
+        # misses completeness by as much as the stack; written so that a
+        # NaN miss fails too
+        miss = np.abs(self.stack.sum(axis=0) - np.eye(self.n_max + 1)).max()
+        if not miss <= self.policy.povm_completeness_tol:
+            raise ValueError(
+                f"POVM on these bin edges deviates from completeness by "
+                f"{miss:.3e}"
+            )
+        self.counts = self.histograms.counts.reshape(-1).astype(float)
 
     @property
     def elements(self) -> np.ndarray:
         """Every element Pi_j as one (J, d, d) complex stack, in the
         order of ``counts``; built on each access."""
-        return np.concatenate([
-            self.stacks[s] * _phase_factors(h.theta, self.n_max)
-            for s, h in zip(self.stack_of, self.histograms)
-        ])
+        d = self.n_max + 1
+        phi = _phase_factors(self.histograms.thetas, self.n_max)
+        return (phi[:, None] * self.stack).reshape(-1, d, d)
 
     @property
     def total_counts(self) -> float:
@@ -192,30 +174,22 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
     log-likelihood trace, and convergence diagnostics.  Every iterate is
     checked Hermitian, positive, and unit trace against the policy.
 
-    Each step works on the real overlap stacks: with Phi_theta the phase
-    factors and S the stack flattened to (P, d^2), the probabilities of
-    every phase on one stack are Re(Phi_theta o rho^T) @ S^T, and
-    R = sum_theta Phi_theta o (w_theta @ S) with w = f / p (0 on empty
-    bins).
+    Each step works on the real overlap stack: with Phi (K, d^2) the
+    phase factors and S the stack flattened to (P + 2, d^2), the (K, P + 2)
+    table of probabilities is p = Re(Phi o rho^T) @ S^T, and
+    R = sum_theta Phi_theta o (w_theta @ S) with w = f / p.
     """
     policy = problem.policy
     total = problem.total_counts
     if total <= 0:
         raise ValueError("cannot reconstruct from empty histograms")
     d = problem.n_max + 1
-    thetas = np.array([h.theta for h in problem.histograms])
-    sizes = [problem.stacks[s].shape[0] for s in problem.stack_of]
-    per_hist = np.split(problem.counts, np.cumsum(sizes)[:-1])
-    # one block per stack: S (P, d^2), Phi (K, d^2), counts (K, P)
-    blocks = []
-    for s, stack in enumerate(problem.stacks):
-        members = np.flatnonzero(problem.stack_of == s)
-        counts = np.stack([per_hist[h] for h in members])
-        blocks.append((
-            stack.reshape(-1, d * d),
-            _phase_factors(thetas[members], problem.n_max).reshape(-1, d * d),
-            counts, counts / total, counts > 0,
-        ))
+    thetas = problem.histograms.thetas
+    s_flat = problem.stack.reshape(-1, d * d)
+    phi = _phase_factors(thetas, problem.n_max).reshape(-1, d * d)
+    counts = problem.counts.reshape(thetas.size, -1)
+    freq = counts / total
+    occupied = counts > 0
     rho = np.eye(d, dtype=complex) / d
     floor = policy.probability_floor
     loglik = []
@@ -223,24 +197,14 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
     floored = 0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        rho_t = rho.T.reshape(-1)
-        probs = []
-        n_floored = 0
-        loglik_sum = 0.0
-        for s_flat, phi, counts, _, occupied in blocks:
-            p = (phi * rho_t).real @ s_flat.T
-            n_floored += np.count_nonzero((p < floor) & occupied)
-            p = np.maximum(p, floor)
-            loglik_sum += float(counts.ravel() @ np.log(p).ravel())
-            probs.append(p)
-        floored = max(floored, n_floored)
-        loglik.append(loglik_sum / total)
+        p = (phi * rho.T.reshape(-1)).real @ s_flat.T
+        floored = max(floored, np.count_nonzero((p < floor) & occupied))
+        p = np.maximum(p, floor)
+        loglik.append(float(counts.ravel() @ np.log(p).ravel()) / total)
         if len(loglik) > 1 and loglik[-1] - loglik[-2] < tol:
             converged = True
             break
-        r_op = sum((phi * ((freq / p) @ s_flat)).sum(axis=0)
-                   for p, (s_flat, phi, _, freq, _) in zip(probs, blocks))
-        r_op = r_op.reshape(d, d)
+        r_op = (phi * ((freq / p) @ s_flat)).sum(axis=0).reshape(d, d)
         rho = r_op @ rho @ r_op
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real

@@ -501,6 +501,17 @@ def test_tomo_verb_roundtrip(tmp_path):
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-8)
 
 
+def test_tomo_rejects_non_finite_draw(tmp_path, capsys):
+    samples_path = tmp_path / "samples.csv"
+    samples_path.write_text("theta,x\n0,0.5\n1,-0.25\n0,nan\n1,0.75\n0,1\n")
+    out = tmp_path / "recon.json"
+    assert main(["tomo", "--samples", str(samples_path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite x" in err
+    assert not out.exists()
+
+
 @pytest.mark.skipif(shutil.which("scissorlab") is None,
                     reason="console script not on PATH")
 def test_console_script_smoke(tmp_path):

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import trapezoid
 from scipy.special import erf, eval_hermite, gammaln, ndtr
 
 from scissorlab import (
@@ -60,7 +61,7 @@ def test_ground_wavefunction():
 def test_wavefunctions_orthonormal():
     fine = np.linspace(-10.0, 10.0, 20001)
     psi = wavefunctions(fine, 8)
-    gram = np.trapezoid(psi[:, :, None] * psi[:, None, :], fine, axis=0)
+    gram = trapezoid(psi[:, :, None] * psi[:, None, :], fine, axis=0)
     np.testing.assert_allclose(gram, np.eye(9), atol=1e-7)
 
 
@@ -98,6 +99,24 @@ def test_wavefunctions_orthonormal_at_high_order():
     np.testing.assert_allclose(gram, np.eye(301), rtol=0, atol=1e-12)
 
 
+def test_wavefunctions_refuse_underflow_where_order_is_not_negligible():
+    # psi_0 underflows past |x| ~ 53.2, yet psi_1200 reaches out to its
+    # turning point 2 sqrt(1200.5) ~ 69.3; zeros there cost 42% of its norm
+    with pytest.raises(ValueError, match="not negligible"):
+        wavefunctions(np.linspace(-70.0, 70.0, 141), 1200)
+
+
+def test_wavefunctions_past_underflow_at_negligible_order():
+    # psi_500 turns at ~44.7 and is below 1e-30 where psi_0 underflows, so
+    # the zeros the recurrence returns there are right; h = 0.02 resolves
+    # the fastest product oscillation (period ~0.14): measured 1.6e-13
+    fine = np.linspace(-60.0, 60.0, 6001)
+    psi = wavefunctions(fine, 500)
+    assert not psi[np.abs(fine) > 55.0].any()
+    gram = psi.T @ psi * (fine[1] - fine[0])
+    np.testing.assert_allclose(gram, np.eye(501), rtol=0, atol=1e-12)
+
+
 def test_quadrature_operator_elements():
     x = quadrature_operator(0.0, 5)
     for n in range(4):
@@ -115,8 +134,8 @@ def test_vacuum_pdf_gaussian():
     expect = np.exp(-GRID ** 2 / 2.0) / math.sqrt(2 * math.pi)
     np.testing.assert_allclose(pdf, expect, atol=1e-12)
     # unit mass (erf oracle: the [-8, 8] window loses < 1e-14)
-    assert np.trapezoid(pdf, GRID) == pytest.approx(erf(8 / math.sqrt(2)),
-                                                abs=1e-9)
+    assert trapezoid(pdf, GRID) == pytest.approx(erf(8 / math.sqrt(2)),
+                                             abs=1e-9)
 
 
 def test_single_photon_pdf():
@@ -162,7 +181,7 @@ def test_pdf_normalized_and_nonnegative():
         for rho in states:
             pdf = quadrature_pdf(rho, theta, DENSE)
             assert pdf.min() >= -1e-12
-            assert np.trapezoid(pdf, DENSE) == pytest.approx(1.0, abs=1e-8)
+            assert trapezoid(pdf, DENSE) == pytest.approx(1.0, abs=1e-8)
 
 
 def padded_operator_moments(rho, theta):
@@ -211,8 +230,8 @@ def test_moments_match_pdf_integrals():
         rho = random_density(8, seed=seed)
         mean, var = quadrature_moments(rho, theta)
         pdf = quadrature_pdf(rho, theta, DENSE)
-        m1 = np.trapezoid(DENSE * pdf, DENSE)
-        m2 = np.trapezoid((DENSE - m1) ** 2 * pdf, DENSE)
+        m1 = trapezoid(DENSE * pdf, DENSE)
+        m2 = trapezoid((DENSE - m1) ** 2 * pdf, DENSE)
         assert m1 == pytest.approx(mean, abs=1e-6)
         assert m2 == pytest.approx(var, abs=1e-6)
 
@@ -242,6 +261,16 @@ def test_sampling_round_robin_phases():
     assert len(samples) == 9
     with pytest.raises(ValueError, match="equal length"):
         QuadratureSamples(samples.theta, samples.x[:-1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", ["theta", "x"])
+def test_samples_reject_non_finite_draws(column, bad):
+    # a NaN x used to fall out of every histogram bin without a trace
+    arrays = {"theta": np.zeros(5), "x": np.linspace(-1.0, 1.0, 5)}
+    arrays[column][3] = bad
+    with pytest.raises(ValueError, match=f"sample 3 has a non-finite {column}"):
+        QuadratureSamples(**arrays)
 
 
 def test_vacuum_samples_pass_chi_squared():
@@ -284,7 +313,7 @@ def test_sample_moments_match_state():
     n = 200000
     values = sample_homodyne(rho, [0.0], n, seed=12).x
     pdf = quadrature_pdf(rho, 0.0, DENSE)
-    mu4 = np.trapezoid((DENSE - mean_true) ** 4 * pdf, DENSE)
+    mu4 = trapezoid((DENSE - mean_true) ** 4 * pdf, DENSE)
     se_mean = math.sqrt(var_true / n)
     se_var = math.sqrt((mu4 - var_true ** 2) / n)
     assert values.mean() == pytest.approx(mean_true, abs=5 * se_mean)

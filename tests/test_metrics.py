@@ -74,6 +74,17 @@ def test_wigner_coherent_matches_displaced_gaussian():
     np.testing.assert_allclose(grid.values, expect, atol=1e-8)
 
 
+def test_wigner_on_a_wide_window():
+    # extent 40 evaluates psi_0..psi_4 out to sqrt2 * 40 ~ 56.6, past where
+    # psi_0 underflows; every order is negligible there
+    rho = DensityOperator(np.diag([0.5, 0.3, 0.2]).astype(complex), (3,))
+    axes = phase_space_axes(extent=40.0, points=201)
+    grid = wigner(rho, x=axes, p=axes)
+    np.testing.assert_allclose(grid.values,
+                               genlaguerre_wigner(rho, axes, axes),
+                               rtol=0, atol=1e-13)
+
+
 def genlaguerre_wigner(rho, x, p):
     """W = sum_{m >= n} of the |m><n| kernels, one eval_genlaguerre call
     per kernel, accumulated over the lower triangle."""

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import trapezoid
 from scipy.special import erf, ndtr
 
 from scissorlab import (
     DensityOperator,
     LossChannel,
-    QuadratureHistogram,
+    QuadratureHistograms,
     QuadratureSamples,
     TomographyProblem,
     apply_loss,
@@ -32,13 +33,31 @@ from scissorlab import tomography
 
 def test_histogram_validation():
     edges = np.linspace(-6, 6, 11)
-    QuadratureHistogram(0.0, edges, np.zeros(10, dtype=int))
+    QuadratureHistograms([0.0], edges, np.zeros((1, 12), dtype=int))
     with pytest.raises(ValueError):
-        QuadratureHistogram(0.0, edges[::-1], np.zeros(10, dtype=int))
+        QuadratureHistograms([0.0], edges[::-1], np.zeros((1, 12), dtype=int))
     with pytest.raises(ValueError):
-        QuadratureHistogram(0.0, edges, np.zeros(9, dtype=int))
+        QuadratureHistograms([0.0], edges, np.zeros((1, 11), dtype=int))
     with pytest.raises(ValueError):
-        QuadratureHistogram(0.0, edges, np.full(10, -1))
+        QuadratureHistograms([0.0], edges, np.full((1, 12), -1))
+    with pytest.raises(ValueError):
+        QuadratureHistograms([0.0, 1.0], edges, np.zeros((1, 12), dtype=int))
+    with pytest.raises(ValueError):
+        QuadratureHistograms([np.nan], edges, np.zeros((1, 12), dtype=int))
+    with pytest.raises(ValueError):
+        QuadratureHistograms([0.0], np.append(edges, np.inf),
+                             np.zeros((1, 13), dtype=int))
+
+
+def test_histograms_are_read_only_copies():
+    edges = np.linspace(-6, 6, 11)
+    counts = np.zeros((1, 12), dtype=np.int64)
+    hists = QuadratureHistograms([0.0], edges, counts)
+    counts[0, 0] = 7
+    edges[0] = -7.0
+    assert hists.counts[0, 0] == 0 and hists.edges[0] == -6.0
+    with pytest.raises(ValueError):
+        hists.counts[0, 0] = 1
 
 
 def test_bin_samples_conserves_counts():
@@ -46,9 +65,25 @@ def test_bin_samples_conserves_counts():
     phases = default_phase_grid(4)
     samples = sample_homodyne(rho, phases, 2000, seed=2)
     hists = bin_samples(samples, phases, bin_count=40, value_range=(-2, 2))
-    assert len(hists) == 4
-    assert sum(h.total for h in hists) == 2000
-    assert any(h.has_out_of_range for h in hists)  # +-2 clips real mass
+    assert hists.counts.shape == (4, 42)
+    assert hists.counts.sum() == 2000
+    # every row holds exactly its own phase's draws
+    for theta, row in zip(hists.thetas, hists.counts):
+        assert row.sum() == np.count_nonzero(samples.theta == theta)
+    assert (hists.counts[:, [0, -1]] > 0).any()  # +-2 clips real mass
+
+
+def test_bin_samples_boundaries():
+    # np.histogram semantics: lo opens the first bin, hi closes the last
+    # (inclusive), and only values beyond them go out of range
+    theta = np.array([0.0] * 5 + [1.0] * 4)
+    x = np.array([-1.0, 1.0, -1.5, 1.5, 0.25,
+                  1.0, 1.0, -1.0, -1.0000001])
+    hists = bin_samples(QuadratureSamples(theta, x), [0.0, 1.0],
+                        bin_count=4, value_range=(-1.0, 1.0))
+    np.testing.assert_array_equal(hists.edges, [-1.0, -0.5, 0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(hists.counts, [[1, 1, 0, 1, 1, 1],
+                                                 [1, 1, 0, 0, 2, 0]])
 
 
 def test_bin_samples_rejects_unknown_phase():
@@ -59,7 +94,7 @@ def test_bin_samples_rejects_unknown_phase():
 
 
 def test_bin_samples_rejects_repeated_phase():
-    # each phase-0 draw would land in both phase-0 histograms
+    # each phase-0 draw would land in both phase-0 rows
     rho = ideal_output(0.3, 2.0).state
     samples = sample_homodyne(rho, [0.0, 1.0], 10, seed=0)
     with pytest.raises(ValueError, match="repeated phase"):
@@ -72,7 +107,7 @@ def test_bin_povm_against_dense_quadrature():
     theta, lo, hi, n_max = 0.7, -0.4, 0.25, 6
     x = np.linspace(lo, hi, 20001)
     psi = wavefunctions(x, n_max)
-    overlap = np.trapezoid(psi[:, :, None] * psi[:, None, :], x, axis=0)
+    overlap = trapezoid(psi[:, :, None] * psi[:, None, :], x, axis=0)
     m = np.arange(n_max + 1)
     oracle = overlap * np.exp(1j * theta * (m[:, None] - m[None, :]))
     ours = phase_povm_elements(theta, [lo, hi], n_max)[1]
@@ -131,19 +166,23 @@ def test_phase_povm_completeness():
 
 def test_problem_requires_two_phases():
     edges = np.linspace(-6, 6, 11)
-    h = QuadratureHistogram(0.0, edges, np.full(10, 5))
     with pytest.raises(ValueError):
-        TomographyProblem([h])
-    TomographyProblem([h, QuadratureHistogram(1.0, edges, np.full(10, 5))])
+        TomographyProblem(QuadratureHistograms([0.0], edges,
+                                               np.full((1, 12), 5)))
+    with pytest.raises(ValueError):
+        TomographyProblem(QuadratureHistograms([0.0, 0.0], edges,
+                                               np.full((2, 12), 5)))
+    TomographyProblem(QuadratureHistograms([0.0, 1.0], edges,
+                                           np.full((2, 12), 5)))
 
 
 def test_problem_at_high_cutoff_is_finite_and_complete():
     # Hermite values times factorial norms overflowed here into NaN
     # stacks, which the completeness check let through
     edges = np.linspace(-6.0, 6.0, 101)
-    hists = [QuadratureHistogram(t, edges, np.full(100, 5)) for t in (0.0, 1.0)]
+    hists = QuadratureHistograms([0.0, 1.0], edges, np.full((2, 102), 5))
     problem = TomographyProblem(hists, n_max=300)
-    (stack,) = problem.stacks
+    stack = problem.stack
     assert np.isfinite(stack).all()
     miss = np.abs(stack.sum(axis=0) - np.eye(301)).max()
     assert miss <= problem.policy.povm_completeness_tol
@@ -155,23 +194,22 @@ def test_problem_rejects_non_finite_povm(monkeypatch):
 
     monkeypatch.setattr(tomography, "_overlap_stack", nan_stack)
     edges = np.linspace(-6, 6, 11)
-    hists = [QuadratureHistogram(t, edges, np.full(10, 5)) for t in (0.0, 1.0)]
+    hists = QuadratureHistograms([0.0, 1.0], edges, np.full((2, 12), 5))
     with pytest.raises(ValueError, match="completeness"):
         TomographyProblem(hists, n_max=4)
 
 
 def make_problem_from_probabilities(rho, phases, n_max, scale=1e9):
-    """Histograms whose counts are the rounded expected values."""
+    """A count table whose entries are the rounded expected values."""
     edges = np.linspace(-6.0, 6.0, 101)
-    hists = []
-    for theta in phases:
-        block = phase_povm_elements(theta, edges, rho.matrix.shape[0] - 1)
-        probs = np.einsum("jmn,nm->j", block, rho.matrix).real
-        hists.append(QuadratureHistogram(
-            theta, edges, np.round(probs[1:-1] * scale).astype(np.int64),
-            underflow=int(round(probs[0] * scale)),
-            overflow=int(round(probs[-1] * scale))))
-    return TomographyProblem(hists, n_max=n_max)
+    probs = [np.einsum("jmn,nm->j",
+                       phase_povm_elements(theta, edges,
+                                           rho.matrix.shape[0] - 1),
+                       rho.matrix).real
+             for theta in phases]
+    counts = np.round(np.array(probs) * scale).astype(np.int64)
+    return TomographyProblem(QuadratureHistograms(phases, edges, counts),
+                             n_max=n_max)
 
 
 def full_rank_truth():
@@ -244,30 +282,6 @@ def test_maxlik_matches_einsum_iteration():
     np.testing.assert_allclose(result.rho.matrix, rho, rtol=0, atol=1e-12)
 
 
-def test_maxlik_matches_einsum_on_two_edge_arrays():
-    # histograms alternate between two bin grids, so the problem holds two
-    # overlap stacks whose phases interleave in the counts order
-    truth = apply_loss(ideal_output(0.3, 2.0).state, LossChannel(0.68))
-    phases = default_phase_grid(6)
-    samples = sample_homodyne(truth, phases, 20000, seed=12)
-    hists = []
-    for i, theta in enumerate(phases):
-        mine = samples.theta == theta
-        grid = (60, (-6.0, 6.0)) if i % 2 else (35, (-4.5, 5.0))
-        hists += bin_samples(QuadratureSamples(samples.theta[mine],
-                                               samples.x[mine]),
-                             [theta], bin_count=grid[0], value_range=grid[1])
-    problem = TomographyProblem(hists, n_max=8)
-    assert len(problem.stacks) == 2
-    assert problem.elements.shape[0] == problem.counts.size == 3 * 62 + 3 * 37
-    result = maxlik_reconstruct(problem, max_iter=3000, tol=1e-10)
-    rho, loglik = einsum_maxlik_oracle(problem, 3000, 1e-10)
-    assert result.converged
-    assert result.iterations == len(loglik)
-    np.testing.assert_allclose(result.loglik, loglik, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(result.rho.matrix, rho, rtol=0, atol=1e-12)
-
-
 def test_reconstruction_sharpens_with_more_data():
     # median fidelity over five fixed datasets climbs along the whole
     # N schedule (weakest step has ~5e-4 of margin with these seeds)
@@ -303,13 +317,14 @@ def test_binned_vacuum_counts_pass_chi_squared():
     # cells are pooled outward until every expectation reaches 5 counts
     n = 100000
     samples = sample_homodyne(vacuum_state(4).to_density(), [0.0], n, seed=13)
-    hist = bin_samples(samples, [0.0], bin_count=100, value_range=(-5, 5))[0]
+    hists = bin_samples(samples, [0.0], bin_count=100, value_range=(-5, 5))
     root2 = math.sqrt(2.0)
-    edges = hist.edges
+    edges = hists.edges
     mass = 0.5 * (erf(edges[1:] / root2) - erf(edges[:-1] / root2))
-    counts = hist.counts.astype(float)
-    counts[0] += hist.underflow
-    counts[-1] += hist.overflow
+    row = hists.counts[0]
+    counts = row[1:-1].astype(float)
+    counts[0] += row[0]
+    counts[-1] += row[-1]
     mass[0] += 0.5 * (erf(edges[0] / root2) + 1.0)
     mass[-1] += 0.5 * (1.0 - erf(edges[-1] / root2))
     expected = n * mass
