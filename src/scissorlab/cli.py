@@ -48,6 +48,7 @@ from .metrics import (
 from .numerics import DEFAULT_POLICY, TruncationError
 from .tomography import (
     TomographyProblem,
+    _check_reconstruction_size,
     bin_samples,
     maxlik_reconstruct,
     read_density_json,
@@ -215,6 +216,7 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
         values["amplifier.gain"] = None
     sections = _nest(values)
     amp, sweep = sections["amplifier"], sections["sweep"]
+    tomo = sections["tomography"]
     # set once simulate's working space at this cutoff is known to fit the cap
     fits = False
     if not any(key.startswith("amplifier.") for key in bad):
@@ -260,11 +262,15 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
             problems.append("sweep.phases: must give at least two distinct "
                             "angles at stage sampled (tomography cannot "
                             "reconstruct from one)")
-        if "tomography.bin_count" not in bad \
-                and sections["tomography"]["bin_count"] < 2:
+        if "tomography.bin_count" not in bad and tomo["bin_count"] < 2:
             problems.append("tomography.bin_count: must be at least 2 at "
                             "stage sampled (one bin carries no phase "
                             "information)")
+    if not {"tomography.bin_count", "tomography.n_max"} & bad:
+        try:
+            _check_reconstruction_size(tomo["bin_count"], tomo["n_max"])
+        except ValueError as exc:
+            problems.append(f"tomography.n_max: {exc}")
     # the circuit starts from |alpha> at the amplifier's cutoff
     n_max = amp["n_max"]
     if fits:
@@ -280,7 +286,7 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
     # the sweep section's keys are RunConfig's remaining fields
     sweep.update(alphas=tuple(map(float, alphas)), phases=phases,
                  eta_hd=float(sweep["eta_hd"]))
-    return RunConfig(amplifier=amp, tomography=sections["tomography"],
+    return RunConfig(amplifier=amp, tomography=tomo,
                      wigner=sections["wigner"], **sweep)
 
 
@@ -501,11 +507,12 @@ def _cmd_wigner(args) -> int:
 def _cmd_tomo(args) -> int:
     cfg = _load_config_or_fail(args.config) if args.config else None
     tomo = cfg.tomography if cfg else default_config_dict()["tomography"]
+    n_max = args.n_max if args.n_max is not None else tomo["n_max"]
+    _check_reconstruction_size(tomo["bin_count"], n_max)
     samples = read_samples_csv(args.samples)
     phases = np.unique(samples.theta)
     hists = bin_samples(samples, phases, bin_count=tomo["bin_count"],
                         value_range=tuple(tomo["bin_range"]))
-    n_max = args.n_max if args.n_max is not None else tomo["n_max"]
     problem = TomographyProblem(hists, n_max=n_max)
     result = maxlik_reconstruct(problem, max_iter=tomo["max_iter"],
                                 tol=tomo["tol"])

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvtext import _CSV_CHUNK_ROWS, _csv_heads, _csv_rows
 from .fock import DensityOperator, FockVector, State
 from .numerics import DEFAULT_POLICY, NumericalPolicy, TruncationError
 from .optics import LossChannel, apply_loss
@@ -34,10 +35,6 @@ _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 #: psi_0 = e * tiny here: a normal double, one e-fold inside the underflow
 _X_NORMAL = 2.0 * math.sqrt(math.log(_PSI0_PEAK / _TINY) - 1.0)
-
-#: rows per write in write_samples_csv: one whole-file template would add
-#: its own size to the peak memory of a 200k-draw batch
-_CSV_CHUNK_ROWS = 8192
 
 
 def default_phase_grid(count: int = 12) -> np.ndarray:
@@ -284,21 +281,24 @@ def sample_homodyne(rho: State, phases, n_samples: int,
 def write_samples_csv(samples: QuadratureSamples, path) -> None:
     """Persist samples as CSV with header ``theta,x``, every value as %.17g.
 
-    Each distinct phase is formatted once into a row template; rows go
-    out in chunks of _CSV_CHUNK_ROWS, one ``%`` and one write per chunk,
-    so no whole-file string is ever held.
+    Each distinct phase is formatted once; rows go out in chunks of
+    _CSV_CHUNK_ROWS, one write per chunk, so no whole-file string is
+    ever held.
     """
-    # distinct on the bit pattern: np.unique on floats merges -0.0 into 0.0
-    theta = np.asarray(samples.theta, dtype=float)
-    bits, row_of = np.unique(theta.view(np.uint64), return_inverse=True)
-    heads = [f"{t:.17g},%.17g\n" for t in bits.view(float).tolist()]
-    templates = np.array(heads, dtype=object)[row_of]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("theta,x\n")
+    # distinct on the bit pattern: np.unique on floats merges -0.0 into 0.0;
+    # a sort and a search cost a quarter of np.unique's inverse here
+    bits = np.asarray(samples.theta, dtype=float).view(np.uint64)
+    ordered = np.sort(bits)
+    distinct = np.concatenate([ordered[:1],
+                               ordered[1:][ordered[1:] != ordered[:-1]]])
+    row_of = np.searchsorted(distinct, bits)
+    heads = _csv_heads(distinct.view(float))
+    with open(path, "wb") as fh:
+        fh.write(b"theta,x\n")
         for start in range(0, len(samples), _CSV_CHUNK_ROWS):
             stop = start + _CSV_CHUNK_ROWS
-            fh.write("".join(templates[start:stop])
-                     % tuple(samples.x[start:stop].tolist()))
+            fh.write(_csv_rows(np.take(heads, row_of[start:stop], axis=0),
+                               samples.x[start:stop]))
 
 
 def read_samples_csv(path) -> QuadratureSamples:

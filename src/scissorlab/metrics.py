@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .csvtext import _CSV_CHUNK_ROWS, _csv_heads, _csv_rows
 from .fock import FockVector, State
 from .measurement import quadrature_moments, wavefunctions
 from .optics import _balanced_coefficients
@@ -111,24 +112,30 @@ def wigner(rho: State, x=None, p=None) -> WignerGrid:
 
 
 @lru_cache(maxsize=4)
-def _wigner_row_template(x_bytes: bytes, p_bytes: bytes) -> str:
-    """Rows ``x,p,%.17g`` (x outer loop) for the float64 axes whose raw
-    bytes are given; keyed on the bytes, so -0.0 and 0.0 stay distinct."""
-    heads = [f"{xv:.17g}" for xv in np.frombuffer(x_bytes).tolist()]
-    tails = [f",{pv:.17g},%.17g\n" for pv in np.frombuffer(p_bytes).tolist()]
-    return "".join([head + tail for head in heads for tail in tails])
+def _wigner_heads(x_bytes: bytes, p_bytes: bytes) -> np.ndarray:
+    """Read-only row heads ``x,p,`` as NUL-padded text words (x outer
+    loop) for the float64 axes whose raw bytes are given; keyed on the
+    bytes, so -0.0 and 0.0 stay distinct."""
+    x, p = (_csv_heads(np.frombuffer(axis)) for axis in (x_bytes, p_bytes))
+    heads = np.concatenate([np.repeat(x, len(p), axis=0),
+                            np.tile(p, (len(x), 1))], axis=1)
+    heads.setflags(write=False)
+    return heads
 
 
 def write_wigner_csv(grid: WignerGrid, path) -> None:
     """Persist the grid as CSV rows ``x,p,w`` (x outer loop), every value
-    as %.17g.  The axes are formatted into a row template once per
-    distinct (x, p) pair (a small cache, since a sweep writes every
-    alpha on the same axes), and the values go out through it in one
-    write."""
-    template = _wigner_row_template(grid.x.tobytes(), grid.p.tobytes())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,p,w\n")
-        fh.write(template % tuple(grid.values.ravel().tolist()))
+    as %.17g.  The ``x,p,`` heads are formatted once per distinct (x, p)
+    axis pair (a small cache, since a sweep writes every alpha on the
+    same axes); rows go out in chunks of _CSV_CHUNK_ROWS, one write per
+    chunk."""
+    heads = _wigner_heads(grid.x.tobytes(), grid.p.tobytes())
+    values = grid.values.ravel()
+    with open(path, "wb") as fh:
+        fh.write(b"x,p,w\n")
+        for start in range(0, values.size, _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            fh.write(_csv_rows(heads[start:stop], values[start:stop]))
 
 
 # ---------------------------------------------------------------------------

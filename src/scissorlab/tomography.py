@@ -22,7 +22,7 @@ import numpy as np
 
 from .fock import DensityOperator
 from .measurement import QuadratureSamples, _overlap_stack, _phase_factors
-from .numerics import DEFAULT_POLICY, NumericalPolicy
+from .numerics import DEFAULT_POLICY, CapacityError, NumericalPolicy
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,19 @@ def phase_povm_elements(theta: float, edges: np.ndarray, n_max: int
     """All elements of one phase, Pi[k, m, n] = e^{i (m - n) theta}
     S[k, m, n]: underflow (from -inf), the bins, overflow (to +inf)."""
     return _overlap_stack(edges, n_max) * _phase_factors(theta, n_max)
+
+
+def _check_reconstruction_size(bin_count: int, n_max: int) -> None:
+    """Raise CapacityError if a reconstruction on bin_count bins at this
+    cutoff exceeds the default cap: its overlap stack, like the arrays
+    that build it, has (bin_count + 2)(n_max + 1)^2 entries."""
+    size = (bin_count + 2) * (n_max + 1) ** 2
+    cap = DEFAULT_POLICY.dimension_cap
+    if size > cap:
+        raise CapacityError(
+            f"n_max = {n_max} on {bin_count} bins needs a tomography working "
+            f"size of {size}, above the cap {cap}"
+        )
 
 
 @dataclass

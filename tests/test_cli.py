@@ -225,6 +225,34 @@ def test_cutoff_at_the_capacity_accepted(tmp_path, n_max, overlap):
     assert cfg.amplifier["n_max"] == n_max
 
 
+@pytest.mark.parametrize("n_max, accepted", [(98, True), (99, False)])
+def test_reconstruction_cutoff_capped(tmp_path, capsys, n_max, accepted):
+    # the overlap stack has (bin_count + 2)(n_max + 1)^2 entries: on 100
+    # bins 98 fits the cap, 99 does not
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"tomography.n_max": n_max,
+                                     "sweep.output_dir": str(out_dir)})
+    message = ("  - tomography.n_max: n_max = 99 on 100 bins needs a "
+               "tomography working size of 1020000, above the cap 1000000")
+    assert main(["check", "--config", str(path)]) == (0 if accepted else 1)
+    assert (message in capsys.readouterr().out) != accepted
+    if not accepted:
+        assert main(["run", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_tomo_cutoff_capped_before_reading(tmp_path, capsys):
+    # the samples file does not exist: the cap must fail first
+    out = tmp_path / "recon.json"
+    assert main(["tomo", "--samples", str(tmp_path / "missing.csv"),
+                 "--out", str(out), "--n-max", "1000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: n_max = 1000 on 100 bins needs a tomography working size of "
+        "102204102, above the cap 1000000\n")
+    assert not out.exists()
+
+
 def test_negative_seed_override_rejected(tmp_path, capsys):
     # --seed bypasses the config file, so it must meet the same rule
     path = small_sampled_config(tmp_path)
@@ -568,3 +596,10 @@ def test_module_entry_point_smoke(tmp_path):
         "summary.csv",
     ]
     assert len(read_samples_csv(out / "alpha_0.2500" / "samples.csv")) == 2000
+    # the forked child and the parent formatted in a fresh interpreter:
+    # every field must be the %.17g text of the double it parses to
+    for name in ("samples.csv", "wigner.csv"):
+        body = (out / "alpha_0.2500" / name).read_text().partition("\n")[2]
+        assert body == "".join(
+            ",".join("%.17g" % float(field) for field in line.split(","))
+            + "\n" for line in body.splitlines())

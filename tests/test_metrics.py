@@ -29,7 +29,7 @@ from scissorlab import (
     write_metrics_json,
     write_wigner_csv,
 )
-from scissorlab.metrics import _wigner_map, _wigner_row_template
+from scissorlab.metrics import _wigner_heads, _wigner_map
 from scissorlab.optics import _balanced_coefficients, _bs_matrix
 
 TWO_PI = 2.0 * math.pi
@@ -191,28 +191,30 @@ def test_wigner_csv_layout(tmp_path):
     assert path.read_text() == reference_wigner_csv(odd)
 
 
-def test_wigner_csv_template_cache(tmp_path):
-    # alternate three axis pairs so each write either builds a template or
-    # reuses one built for other axes two writes earlier; every file must
-    # match the uncached row-at-a-time text byte for byte
+def test_wigner_csv_head_cache(tmp_path):
+    # alternate three axis pairs so each write either formats its heads or
+    # reuses ones formatted for other axes two writes earlier; every file
+    # must match the uncached row-at-a-time text byte for byte
     fine = phase_space_axes(6.0, 201)
     coarse = phase_space_axes(4.0, 41)
     axes = [(coarse, coarse), (fine, fine), (coarse, coarse + 0.05)]
     states = [ideal_output(a, 2.0).state for a in (0.1, 0.25)]
-    _wigner_row_template.cache_clear()
+    _wigner_heads.cache_clear()
     path = tmp_path / "wigner.csv"
     for k in range(9):
         x, p = axes[k % 3]
         grid = wigner(states[k % 2], x, p)
         write_wigner_csv(grid, path)
         assert path.read_bytes() == reference_wigner_csv(grid).encode()
-    info = _wigner_row_template.cache_info()
+    info = _wigner_heads.cache_info()
     assert (info.misses, info.hits) == (3, 6)
     # -0.0 == 0.0, but the two print differently, so they are two keys
     for zero in (0.0, -0.0, 0.0):
         grid = wigner(states[0], coarse, np.array([zero, 0.5]))
         write_wigner_csv(grid, path)
         assert path.read_bytes() == reference_wigner_csv(grid).encode()
+    info = _wigner_heads.cache_info()
+    assert (info.misses, info.hits) == (5, 7)
 
 
 def test_effective_gain_closed_form():
