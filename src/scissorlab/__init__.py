@@ -61,12 +61,7 @@ from .metrics import (
     write_metrics_json,
     write_wigner_csv,
 )
-from .numerics import (
-    DEFAULT_POLICY,
-    CapacityError,
-    NumericalPolicy,
-    TruncationError,
-)
+from .numerics import CapacityError, TruncationError
 from .optics import (
     LossChannel,
     apply_loss,

@@ -30,7 +30,7 @@ not depend on alpha, so the circuit is one fixed completely positive map
 from the signal, held on 0..n_max photons (n_max is the input cutoff
 only), to T, which like R and the companion modes holds at most two: the
 heralded state has three levels at every cutoff.  ``simulate`` builds the
-map once per circuit setting (gain, source, mu, veto, n_max, policy),
+map once per circuit setting (gain, source, mu, veto, n_max),
 caches it, and then costs one small contraction per alpha.  For an ideal
 source at unit efficiency with the veto, the map is Ralph & Lund's g^n
 truncated at one photon (arXiv:0809.0326): |n> -> (r / sqrt 2) g^n |n>
@@ -47,12 +47,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import DensityOperator, FockVector, coherent_state
-from .numerics import (
-    DEFAULT_POLICY,
-    CapacityError,
-    NumericalPolicy,
-    TruncationError,
-)
+from .numerics import (CONDITIONING_FLOOR, DIMENSION_CAP, CapacityError,
+                       TruncationError)
 from .optics import _balanced_coefficients, _bs_matrix, apply_phase
 
 #: companion/ancilla modes never hold more than two photons
@@ -235,8 +231,8 @@ def _resource_components(r: float,
     return comps
 
 
-def build_resource(r: float, source: SourceModel = IDEAL_SOURCE,
-                   policy: NumericalPolicy = DEFAULT_POLICY) -> DensityOperator:
+def build_resource(r: float,
+                   source: SourceModel = IDEAL_SOURCE) -> DensityOperator:
     """Entangled ancilla resource behind the amplifier.
 
     Returns the state over modes (T, R) for a fully mode-matched source, or
@@ -252,7 +248,7 @@ def build_resource(r: float, source: SourceModel = IDEAL_SOURCE,
     for weight, amps in _resource_components(r, source):
         amps = amps.reshape(-1) if with_companion else amps[:, 0]
         mat += weight * np.outer(amps, amps.conj())
-    return DensityOperator(mat, dims).validate(policy)
+    return DensityOperator(mat, dims).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +273,7 @@ def ideal_output(alpha: complex, g: float,
     return HeraldedOutput(vec.to_density(), p, branch)
 
 
-def _check_working_size(n_max: int, source: SourceModel,
-                        policy: NumericalPolicy) -> None:
+def _check_working_size(n_max: int, source: SourceModel) -> None:
     """Raise CapacityError if the circuit's working size exceeds the cap.
 
     The size is that of the joint space (S, R, T), with S and R holding up
@@ -289,16 +284,16 @@ def _check_working_size(n_max: int, source: SourceModel,
     c = _ANCILLA_DIM if source.mode_overlap < 1.0 else 1
     d_sig = n_max + _ANCILLA_DIM
     size = d_sig * _ANCILLA_DIM * d_sig * c ** 3
-    if size > policy.dimension_cap:
+    if size > DIMENSION_CAP:
         raise CapacityError(
             f"n_max = {n_max} needs a circuit working size of {size}, above "
-            f"the cap {policy.dimension_cap}"
+            f"the cap {DIMENSION_CAP}"
         )
 
 
 @lru_cache(maxsize=64)
 def _heralding_map(r: float, source: SourceModel, mu: float, veto: bool,
-                   n_max: int, policy: NumericalPolicy) -> np.ndarray:
+                   n_max: int) -> np.ndarray:
     """The D1-heralded circuit as one map from the signal to T.
 
     Returns the read-only tensor L[t, t', n, n'] for which the unnormalised
@@ -315,7 +310,6 @@ def _heralding_map(r: float, source: SourceModel, mu: float, veto: bool,
     w sums the detector weights over those outputs.  G is built one sector N
     at a time, and the resource, reduced over Tc, is contracted into it.
     """
-    _check_working_size(n_max, source, policy)
     c = _ANCILLA_DIM if source.mode_overlap < 1.0 else 1
     coeffs = _balanced_coefficients(n_max + 1, _ANCILLA_DIM)
     top = n_max + _ANCILLA_DIM     # S and R each hold up to n_max + 2 photons
@@ -345,8 +339,7 @@ def _heralding_map(r: float, source: SourceModel, mu: float, veto: bool,
     return heralding
 
 
-def simulate(config: AmplifierConfig,
-             policy: NumericalPolicy = DEFAULT_POLICY) -> HeraldedOutput:
+def simulate(config: AmplifierConfig) -> HeraldedOutput:
     """Run the full heralded circuit and condition on the D1 herald.
 
     Applies the circuit's heralding map -- input (x) resource, signal and R
@@ -362,18 +355,20 @@ def simulate(config: AmplifierConfig,
     conditioning floor, and CapacityError if the joint space would exceed
     the dimension cap.
     """
+    # checked ahead of the cache, so that a cached map obeys the cap too
+    _check_working_size(config.n_max, config.source)
     heralding = _heralding_map(config.r, config.source, config.detector_mu,
-                               config.use_d2_veto, config.n_max, policy)
-    amps = coherent_state(config.alpha, config.n_max, policy).amplitudes
+                               config.use_d2_veto, config.n_max)
+    amps = coherent_state(config.alpha, config.n_max).amplitudes
     rho_t = np.tensordot(heralding, np.outer(amps, amps.conj()), axes=2)
     p_success = float(np.trace(rho_t).real)
-    if p_success < policy.conditioning_floor:
+    if p_success < CONDITIONING_FLOOR:
         raise TruncationError(
             f"herald probability {p_success:.3e} below conditioning floor"
         )
     rho_t = rho_t / p_success
     out = DensityOperator(0.5 * (rho_t + rho_t.conj().T), (_ANCILLA_DIM,))
-    out.validate(policy)
+    out.validate()
     branch = "d1"
     if config.accept_both_heralds:
         # the partner herald (single photon on D2, none on D1) occurs with
@@ -393,8 +388,7 @@ class PhaseCovarianceReport:
         return max(self.deviations)
 
 
-def phase_covariance_check(config: AmplifierConfig, thetas,
-                           policy: NumericalPolicy = DEFAULT_POLICY
+def phase_covariance_check(config: AmplifierConfig, thetas
                            ) -> PhaseCovarianceReport:
     """Verify simulate(alpha e^{i theta}) equals the rotated simulate(alpha).
 
@@ -404,11 +398,11 @@ def phase_covariance_check(config: AmplifierConfig, thetas,
     """
     from .fock import trace_distance
 
-    base = simulate(config, policy)
+    base = simulate(config)
     devs = []
     for theta in thetas:
         rotated_cfg = replace(config, alpha=config.alpha * cmath.exp(1j * theta))
-        direct = simulate(rotated_cfg, policy)
+        direct = simulate(rotated_cfg)
         reference = apply_phase(base.state, theta, mode=0)
         devs.append(trace_distance(direct.state, reference))
     return PhaseCovarianceReport(tuple(float(t) for t in thetas),

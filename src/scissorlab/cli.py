@@ -45,8 +45,9 @@ from .metrics import (
     write_metrics_json,
     write_wigner_csv,
 )
-from .numerics import DEFAULT_POLICY, TruncationError
+from .numerics import TruncationError
 from .tomography import (
+    ReconstructionResult,
     TomographyProblem,
     _check_reconstruction_size,
     bin_samples,
@@ -228,7 +229,7 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
                             **{k: v for k, v in amp.items() if k != "source"})
             if sweep["stage"] in ("circuit", "sampled"):
                 where = "amplifier.n_max"
-                _check_working_size(amp["n_max"], source, DEFAULT_POLICY)
+                _check_working_size(amp["n_max"], source)
                 fits = True
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
@@ -335,6 +336,24 @@ def _stage_output(cfg: RunConfig, alpha: float, stage: str) -> HeraldedOutput:
     return simulate(amp_cfg)
 
 
+def _reconstruct(samples, phases, tomo: dict, n_max: int,
+                 path) -> ReconstructionResult:
+    """Bin the samples at these phases as the tomography section says,
+    reconstruct at cutoff n_max and write the result's rho JSON to path."""
+    hists = bin_samples(samples, phases, bin_count=tomo["bin_count"],
+                        value_range=tuple(tomo["bin_range"]))
+    result = maxlik_reconstruct(TomographyProblem(hists, n_max=n_max),
+                                max_iter=tomo["max_iter"], tol=tomo["tol"])
+    write_density_json(result.rho, path)
+    return result
+
+
+def _write_wigner(state, cfg: RunConfig, path) -> None:
+    """Write the state's Wigner grid on the config's axes as CSV."""
+    axes = phase_space_axes(cfg.wigner["extent"], cfg.wigner["points"])
+    write_wigner_csv(wigner(state, axes, axes), path)
+
+
 @contextmanager
 def _samples_written_in_child(samples, path: Path):
     """Write samples to path in a forked child while the with-body runs.
@@ -389,15 +408,9 @@ def _run_single(cfg: RunConfig, alpha: float, out_dir: Path) -> tuple[dict, list
             children.enter_context(
                 _samples_written_in_child(samples, sample_path))
             written.append(sample_path)
-            hists = bin_samples(samples, cfg.phases,
-                                bin_count=cfg.tomography["bin_count"],
-                                value_range=tuple(cfg.tomography["bin_range"]))
-            problem = TomographyProblem(hists, n_max=cfg.tomography["n_max"])
-            recon = maxlik_reconstruct(problem,
-                                       max_iter=cfg.tomography["max_iter"],
-                                       tol=cfg.tomography["tol"])
             rho_path = alpha_dir / "rho.json"
-            write_density_json(recon.rho, rho_path)
+            recon = _reconstruct(samples, cfg.phases, cfg.tomography,
+                                 cfg.tomography["n_max"], rho_path)
             written.append(rho_path)
             state_for_metrics = recon.rho
             eta_for_metrics = cfg.eta_hd
@@ -409,10 +422,8 @@ def _run_single(cfg: RunConfig, alpha: float, out_dir: Path) -> tuple[dict, list
         write_metrics_json(report, metrics_path)
         written.append(metrics_path)
 
-        axes = phase_space_axes(cfg.wigner["extent"], cfg.wigner["points"])
-        grid = wigner(state_for_metrics, axes, axes)
         wigner_path = alpha_dir / "wigner.csv"
-        write_wigner_csv(grid, wigner_path)
+        _write_wigner(state_for_metrics, cfg, wigner_path)
         written.append(wigner_path)
 
     row = {
@@ -497,9 +508,7 @@ def _cmd_wigner(args) -> int:
         if args.alpha is None:
             raise SystemExit("wigner needs --alpha (or --rho FILE)")
         state = _stage_output(cfg, args.alpha, args.stage or cfg.stage).state
-    axes = phase_space_axes(cfg.wigner["extent"], cfg.wigner["points"])
-    grid = wigner(state, axes, axes)
-    write_wigner_csv(grid, args.out)
+    _write_wigner(state, cfg, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -510,13 +519,8 @@ def _cmd_tomo(args) -> int:
     n_max = args.n_max if args.n_max is not None else tomo["n_max"]
     _check_reconstruction_size(tomo["bin_count"], n_max)
     samples = read_samples_csv(args.samples)
-    phases = np.unique(samples.theta)
-    hists = bin_samples(samples, phases, bin_count=tomo["bin_count"],
-                        value_range=tuple(tomo["bin_range"]))
-    problem = TomographyProblem(hists, n_max=n_max)
-    result = maxlik_reconstruct(problem, max_iter=tomo["max_iter"],
-                                tol=tomo["tol"])
-    write_density_json(result.rho, args.out)
+    result = _reconstruct(samples, np.unique(samples.theta), tomo, n_max,
+                          args.out)
     status = "converged" if result.converged else "hit iteration cap"
     print(f"wrote {args.out} ({status} after {result.iterations} iterations)")
     return 0

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_POLICY, NumericalPolicy, TruncationError
+from .numerics import (HERMITICITY_TOL, POSITIVITY_TOL, TRUNCATION_TOL,
+                       UNIT_TRACE_TOL, TruncationError)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -86,10 +87,8 @@ class FockVector:
 class DensityOperator:
     """Mixed state on one or more truncated modes.
 
-    The matrix must be finite and Hermitian; trace and positivity are
-    checked on demand via :meth:`validate` (they are O(d^3) and some
-    intermediates are deliberately sub-normalized, e.g. heralded branches
-    before conditioning).
+    The matrix must be finite and Hermitian; positivity and unit trace
+    are checked on demand via :meth:`validate`, since they cost O(d^3).
     """
 
     matrix: np.ndarray
@@ -105,7 +104,7 @@ class DensityOperator:
         if not np.isfinite(mat).all():
             raise ValueError("density matrix entry is not finite")
         herm = np.abs(mat - mat.conj().T).max()
-        if herm > DEFAULT_POLICY.hermiticity_tol:
+        if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (max asymmetry {herm:.3e})")
         object.__setattr__(self, "matrix", _frozen(mat))
         object.__setattr__(self, "mode_dims", dims)
@@ -136,21 +135,18 @@ class DensityOperator:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
-    def validate(self, policy: NumericalPolicy = DEFAULT_POLICY,
-                 unit_trace: bool = True) -> "DensityOperator":
-        """Check Hermiticity, positivity, and (optionally) unit trace.
+    def validate(self) -> "DensityOperator":
+        """Check positivity and unit trace (Hermiticity holds on
+        construction).
 
         Returns self so calls can be chained; raises ValueError on failure.
         """
         lo = self.eigenvalues().min()
-        if lo < -policy.positivity_tol:
+        if lo < -POSITIVITY_TOL:
             raise ValueError(f"operator has negative eigenvalue {lo:.3e}")
         tr = self.trace()
-        if unit_trace:
-            if abs(tr - 1.0) > policy.unit_trace_tol:
-                raise ValueError(f"operator trace {tr} is not 1")
-        elif not (0.0 < tr <= 1.0 + policy.trace_tol):
-            raise ValueError(f"operator trace {tr} outside (0, 1]")
+        if abs(tr - 1.0) > UNIT_TRACE_TOL:
+            raise ValueError(f"operator trace {tr} is not 1")
         return self
 
 
@@ -172,26 +168,21 @@ def vacuum_state(n_max: int) -> FockVector:
     return fock_state(0, n_max)
 
 
-def coherent_state(alpha: complex, n_max: int,
-                   policy: NumericalPolicy = DEFAULT_POLICY,
-                   truncation_tol: float | None = None) -> FockVector:
+def coherent_state(alpha: complex, n_max: int) -> FockVector:
     """Truncated coherent state, renormalized on the kept amplitudes.
 
     Parameters
     ----------
     alpha : complex displacement amplitude.
     n_max : photon-number cutoff (>= 1).
-    truncation_tol : maximum acceptable weight beyond the cutoff before
-        renormalization; defaults to ``policy.truncation_tol``.
 
     Raises
     ------
     TruncationError
-        If the discarded Poisson tail exceeds the tolerance.
+        If the discarded Poisson tail exceeds ``TRUNCATION_TOL``.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    tol = policy.truncation_tol if truncation_tol is None else truncation_tol
     n = np.arange(n_max + 1)
     # c_n = e^{-|a|^2/2} a^n / sqrt(n!), evaluated stably through logs
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
@@ -201,19 +192,18 @@ def coherent_state(alpha: complex, n_max: int,
     amps = mag * phase
     kept = float(np.vdot(amps, amps).real)
     deficit = 1.0 - kept
-    if deficit > tol:
+    if deficit > TRUNCATION_TOL:
         raise TruncationError(
             f"coherent state |alpha|={abs(alpha):.4g} loses {deficit:.3e} "
-            f"probability at n_max={n_max} (tolerance {tol:.1e})"
+            f"probability at n_max={n_max} (tolerance {TRUNCATION_TOL:.1e})"
         )
     return FockVector(amps / math.sqrt(kept), (n_max + 1,))
 
 
-def resize_mode(state: State, mode: int, new_dim: int,
-                policy: NumericalPolicy = DEFAULT_POLICY) -> State:
+def resize_mode(state: State, mode: int, new_dim: int) -> State:
     """Pad (with zero amplitudes) or truncate one mode's dimension.
 
-    Truncation that would discard more than ``policy.truncation_tol`` of
+    Truncation that would discard more than ``TRUNCATION_TOL`` of
     norm/trace raises TruncationError.
     """
     dims = state.mode_dims
@@ -236,7 +226,7 @@ def resize_mode(state: State, mode: int, new_dim: int,
             sl[mode] = slice(0, new_dim)
             kept = t[tuple(sl)]
             lost = state.norm_sq() - float(np.vdot(kept, kept).real)
-            if lost > policy.truncation_tol:
+            if lost > TRUNCATION_TOL:
                 raise TruncationError(
                     f"truncating mode {mode} to dim {new_dim} discards {lost:.3e}"
                 )
@@ -255,7 +245,7 @@ def resize_mode(state: State, mode: int, new_dim: int,
         lost = state.trace() - float(
             np.trace(kept.reshape(math.prod(new_dims), -1)).real
         )
-        if lost > policy.truncation_tol:
+        if lost > TRUNCATION_TOL:
             raise TruncationError(
                 f"truncating mode {mode} to dim {new_dim} discards {lost:.3e}"
             )
@@ -293,18 +283,17 @@ def number_distribution(state: State) -> np.ndarray:
     return out
 
 
-def _sqrt_psd(mat: np.ndarray, policy: NumericalPolicy) -> np.ndarray:
+def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD matrix via eigendecomposition."""
     herm = 0.5 * (mat + mat.conj().T)
     vals, vecs = np.linalg.eigh(herm)
-    if vals.min() < -policy.positivity_tol:
+    if vals.min() < -POSITIVITY_TOL:
         raise ValueError(f"matrix is not positive semidefinite (min eig {vals.min():.3e})")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def fidelity(rho: DensityOperator, sigma: DensityOperator,
-             policy: NumericalPolicy = DEFAULT_POLICY) -> float:
+def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
     Inputs are normalized by their traces first.  For pure states this
@@ -314,8 +303,8 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator,
         raise ValueError(f"mode_dims differ: {rho.mode_dims} vs {sigma.mode_dims}")
     a = rho.matrix / rho.trace()
     b = sigma.matrix / sigma.trace()
-    sa = _sqrt_psd(a, policy)
-    inner = _sqrt_psd(sa @ b @ sa, policy)
+    sa = _sqrt_psd(a)
+    inner = _sqrt_psd(sa @ b @ sa)
     f = float(np.trace(inner).real) ** 2
     return min(max(f, 0.0), 1.0)
 

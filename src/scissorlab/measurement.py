@@ -23,7 +23,7 @@ import numpy as np
 
 from .csvtext import _CSV_CHUNK_ROWS, _csv_heads, _csv_rows
 from .fock import DensityOperator, FockVector, State
-from .numerics import DEFAULT_POLICY, NumericalPolicy, TruncationError
+from .numerics import TRUNCATION_TOL, UNIT_TRACE_TOL, TruncationError
 from .optics import LossChannel, apply_loss
 
 #: sampling grid for inverse-CDF draws: fixed, dense, and generous enough
@@ -120,6 +120,12 @@ def _require_density(rho: State) -> DensityOperator:
     return rho
 
 
+def _require_normalized(rho: DensityOperator) -> DensityOperator:
+    if abs(rho.trace() - 1.0) > UNIT_TRACE_TOL:
+        raise ValueError(f"state must be normalized, trace is {rho.trace()}")
+    return rho
+
+
 def quadrature_operator(theta: float, dim: int) -> np.ndarray:
     """Matrix of X_theta on a dim-dimensional truncated mode (an oracle for
     ``quadrature_moments``, which needs no operator)."""
@@ -128,12 +134,9 @@ def quadrature_operator(theta: float, dim: int) -> np.ndarray:
             + np.diag(off * np.exp(1j * theta), -1))
 
 
-def quadrature_pdf(rho: State, theta: float, x,
-                   policy: NumericalPolicy = DEFAULT_POLICY):
+def quadrature_pdf(rho: State, theta: float, x):
     """p(x | theta) = <x;theta| rho |x;theta> for a normalized state."""
-    rho = _require_density(rho)
-    if abs(rho.trace() - 1.0) > policy.unit_trace_tol:
-        raise ValueError(f"state must be normalized, trace is {rho.trace()}")
+    rho = _require_normalized(_require_density(rho))
     scalar = np.isscalar(x)
     psi = wavefunctions(x, rho.n_max)
     v = psi * np.exp(1j * theta * np.arange(rho.n_max + 1))
@@ -224,9 +227,7 @@ def _phase_factors(theta, n_max: int) -> np.ndarray:
 
 
 def sample_homodyne(rho: State, phases, n_samples: int,
-                    eta_hd: float = 1.0, seed=None,
-                    policy: NumericalPolicy = DEFAULT_POLICY
-                    ) -> QuadratureSamples:
+                    eta_hd: float = 1.0, seed=None) -> QuadratureSamples:
     """Draw quadrature samples across the phase list, round-robin.
 
     Parameters
@@ -243,7 +244,7 @@ def sample_homodyne(rho: State, phases, n_samples: int,
     [-10, 10] grid: the running sum of the grid cells' closed-form masses
     Re(Phi_theta o rho^T) @ S^T (S from _overlap_stack), drawn by linear
     interpolation.  The two open cells beyond the grid hold the exact
-    off-grid mass; TruncationError if it exceeds ``policy.truncation_tol``.
+    off-grid mass; TruncationError if it exceeds ``TRUNCATION_TOL``.
     """
     phases = [float(t) for t in phases]
     if not phases:
@@ -255,15 +256,14 @@ def sample_homodyne(rho: State, phases, n_samples: int,
         if not 0.0 < eta_hd <= 1.0:
             raise ValueError(f"eta_hd must lie in (0, 1], got {eta_hd}")
         rho = apply_loss(rho, LossChannel(eta_hd))
-    if abs(rho.trace() - 1.0) > policy.unit_trace_tol:
-        raise ValueError(f"state must be normalized, trace is {rho.trace()}")
+    _require_normalized(rho)
     k, d = len(phases), rho.dim
     phi_rho = (_phase_factors(np.array(phases), d - 1) * rho.matrix.T).real
     masses = phi_rho.reshape(k, d * d) \
         @ _overlap_stack(_SAMPLING_GRID, d - 1).reshape(-1, d * d).T
     off = masses[:, 0] + masses[:, -1]
     worst = int(np.argmax(off))
-    if not off[worst] <= policy.truncation_tol:
+    if not off[worst] <= TRUNCATION_TOL:
         raise TruncationError(f"{off[worst]:.3g} of the mass at theta="
                               f"{phases[worst]:g} lies off the sampling grid")
     tables = np.zeros((k, _SAMPLING_GRID.size))

@@ -1,11 +1,27 @@
-"""Centralized numerical policy: tolerances, caps, and error types.
+"""The package's tolerances, caps, and error types.
 
-Every module reads its tolerances from a :class:`NumericalPolicy` so the
-whole pipeline can be tightened or relaxed in one place.  The defaults are
-chosen for dense double-precision linear algebra on truncated Fock spaces.
+One fixed set of checks guards every result: Hermiticity, positivity,
+unit trace, truncation leakage, POVM completeness and the herald floor.
+Each module reads these constants directly.  The values suit dense
+double-precision linear algebra on truncated Fock spaces; all are
+absolute.
 """
 
-from dataclasses import dataclass
+HERMITICITY_TOL = 1e-12
+#: eigenvalues of physical operators may dip this far below zero
+POSITIVITY_TOL = 1e-10
+#: acceptable norm/trace deficit introduced by basis truncation
+TRUNCATION_TOL = 1e-8
+#: "input must be normalized" preconditions, meant to catch user error
+#: rather than float jitter
+UNIT_TRACE_TOL = 1e-8
+POVM_COMPLETENESS_TOL = 1e-12
+#: heralding probabilities below this are treated as numerically zero
+CONDITIONING_FLOOR = 1e-15
+#: clamp for model bin probabilities inside likelihood evaluations
+PROBABILITY_FLOOR = 1e-300
+#: largest working size (entries) of a circuit or a reconstruction
+DIMENSION_CAP = 10**6
 
 
 class TruncationError(ValueError):
@@ -13,28 +29,4 @@ class TruncationError(ValueError):
 
 
 class CapacityError(ValueError):
-    """A composite Hilbert-space dimension exceeds the configured cap."""
-
-
-@dataclass(frozen=True)
-class NumericalPolicy:
-    """Shared tolerance bundle.  All values are absolute unless noted."""
-
-    hermiticity_tol: float = 1e-12
-    # eigenvalues of physical operators may dip this far below zero
-    positivity_tol: float = 1e-10
-    # acceptable norm/trace deficit introduced by basis truncation
-    truncation_tol: float = 1e-8
-    trace_tol: float = 1e-12
-    # looser tolerance for "input must be normalized" preconditions,
-    # meant to catch user error rather than float jitter
-    unit_trace_tol: float = 1e-8
-    povm_completeness_tol: float = 1e-12
-    # heralding probabilities below this are treated as numerically zero
-    conditioning_floor: float = 1e-15
-    # clamp for model bin probabilities inside likelihood evaluations
-    probability_floor: float = 1e-300
-    dimension_cap: int = 10**6
-
-
-DEFAULT_POLICY = NumericalPolicy()
+    """A composite Hilbert-space dimension exceeds the cap."""

@@ -22,7 +22,8 @@ import numpy as np
 
 from .fock import DensityOperator
 from .measurement import QuadratureSamples, _overlap_stack, _phase_factors
-from .numerics import DEFAULT_POLICY, CapacityError, NumericalPolicy
+from .numerics import (DIMENSION_CAP, POSITIVITY_TOL, POVM_COMPLETENESS_TOL,
+                       PROBABILITY_FLOOR, CapacityError)
 
 
 @dataclass(frozen=True)
@@ -101,14 +102,13 @@ def phase_povm_elements(theta: float, edges: np.ndarray, n_max: int
 
 def _check_reconstruction_size(bin_count: int, n_max: int) -> None:
     """Raise CapacityError if a reconstruction on bin_count bins at this
-    cutoff exceeds the default cap: its overlap stack, like the arrays
-    that build it, has (bin_count + 2)(n_max + 1)^2 entries."""
+    cutoff exceeds the cap: its overlap stack, like the arrays that build
+    it, has (bin_count + 2)(n_max + 1)^2 entries."""
     size = (bin_count + 2) * (n_max + 1) ** 2
-    cap = DEFAULT_POLICY.dimension_cap
-    if size > cap:
+    if size > DIMENSION_CAP:
         raise CapacityError(
             f"n_max = {n_max} on {bin_count} bins needs a tomography working "
-            f"size of {size}, above the cap {cap}"
+            f"size of {size}, above the cap {DIMENSION_CAP}"
         )
 
 
@@ -124,7 +124,6 @@ class TomographyProblem:
 
     histograms: QuadratureHistograms
     n_max: int = 10
-    policy: NumericalPolicy = DEFAULT_POLICY
     stack: np.ndarray = field(init=False, repr=False)
     counts: np.ndarray = field(init=False, repr=False)
 
@@ -141,7 +140,7 @@ class TomographyProblem:
         # misses completeness by as much as the stack; written so that a
         # NaN miss fails too
         miss = np.abs(self.stack.sum(axis=0) - np.eye(self.n_max + 1)).max()
-        if not miss <= self.policy.povm_completeness_tol:
+        if not miss <= POVM_COMPLETENESS_TOL:
             raise ValueError(
                 f"POVM on these bin edges deviates from completeness by "
                 f"{miss:.3e}"
@@ -185,14 +184,13 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
     -------
     ReconstructionResult with the normalized reconstruction, the
     log-likelihood trace, and convergence diagnostics.  Every iterate is
-    checked Hermitian, positive, and unit trace against the policy.
+    checked positive, and the result Hermitian, positive and of unit trace.
 
     Each step works on the real overlap stack: with Phi (K, d^2) the
     phase factors and S the stack flattened to (P + 2, d^2), the (K, P + 2)
     table of probabilities is p = Re(Phi o rho^T) @ S^T, and
     R = sum_theta Phi_theta o (w_theta @ S) with w = f / p.
     """
-    policy = problem.policy
     total = problem.total_counts
     if total <= 0:
         raise ValueError("cannot reconstruct from empty histograms")
@@ -204,15 +202,15 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
     freq = counts / total
     occupied = counts > 0
     rho = np.eye(d, dtype=complex) / d
-    floor = policy.probability_floor
     loglik = []
     converged = False
     floored = 0
     iterations = 0
     for iterations in range(1, max_iter + 1):
         p = (phi * rho.T.reshape(-1)).real @ s_flat.T
-        floored = max(floored, np.count_nonzero((p < floor) & occupied))
-        p = np.maximum(p, floor)
+        floored = max(floored,
+                      np.count_nonzero((p < PROBABILITY_FLOOR) & occupied))
+        p = np.maximum(p, PROBABILITY_FLOOR)
         loglik.append(float(counts.ravel() @ np.log(p).ravel()) / total)
         if len(loglik) > 1 and loglik[-1] - loglik[-2] < tol:
             converged = True
@@ -222,11 +220,11 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real
         low = np.linalg.eigvalsh(rho).min()
-        if low < -policy.positivity_tol:
+        if low < -POSITIVITY_TOL:
             raise ValueError(
                 f"reconstruction iterate lost positivity (min eig {low:.3e})"
             )
-    result_rho = DensityOperator(rho, (d,)).validate(policy)
+    result_rho = DensityOperator(rho, (d,)).validate()
     return ReconstructionResult(result_rho, np.asarray(loglik), iterations,
                                 converged, floored)
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from scissorlab import (
-    DEFAULT_POLICY,
     AmplifierConfig,
     EXPERIMENT_PRESET,
     EXPERIMENT_PRESET_MU,
@@ -194,7 +193,6 @@ def test_criterion_7_information_bound(_report):
 
 
 def test_criterion_8_physicality_suite(_report):
-    policy = DEFAULT_POLICY
     states = [
         vacuum_state(10).to_density(),
         build_resource(1.0 / math.sqrt(5.0)),
@@ -215,7 +213,7 @@ def test_criterion_8_physicality_suite(_report):
     ]
     n_checked = 0
     for rho in states:
-        rho.validate(policy, unit_trace=True)
+        rho.validate()
         n_checked += 1
 
     completeness_err = 0.0

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from scissorlab import (
-    DEFAULT_POLICY,
     AmplifierConfig,
     EXPERIMENT_PRESET,
     EXPERIMENT_PRESET_MU,
     IDEAL_SOURCE,
     CapacityError,
-    NumericalPolicy,
     SourceModel,
     TruncationError,
     build_resource,
@@ -71,7 +69,7 @@ def test_ideal_resource_weights():
 
 def test_resource_with_imperfect_source_is_physical():
     rho = build_resource(0.5, EXPERIMENT_PRESET)
-    rho.validate(DEFAULT_POLICY)
+    rho.validate()
     # four modes once the companion pair is present
     assert len(rho.mode_dims) == 4
 
@@ -88,7 +86,7 @@ def test_resource_photon_sector_weights():
     source = SourceModel(weight_vacuum=0.1, weight_two_photon=0.05,
                          mode_overlap=0.95)
     rho = build_resource(1.0 / math.sqrt(5.0), source)
-    rho.validate(DEFAULT_POLICY)
+    rho.validate()
     dims = rho.mode_dims
     diag = np.diag(rho.matrix).real.reshape(dims)
     sector = np.zeros(3)
@@ -183,7 +181,7 @@ def test_unit_gain_circuit():
 def test_inefficient_detector_shrinks_success():
     full = simulate(ideal_config(0.2))
     dim = simulate(ideal_config(0.2, detector_mu=0.5))
-    dim.state.validate(DEFAULT_POLICY)
+    dim.state.validate()
     assert dim.success_probability < full.success_probability
     # at weak drive the herald scales almost linearly with mu
     assert dim.success_probability == pytest.approx(
@@ -211,8 +209,7 @@ def test_outcome_partition_closes(monkeypatch):
                 monkeypatch.setattr(amplifier, "single_photon_weights", d1)
                 monkeypatch.setattr(amplifier, "no_click_weights", d2)
                 total = total + _heralding_map.__wrapped__(
-                    gain_to_reflectivity(2.0), source, mu, True, n_max,
-                    DEFAULT_POLICY)
+                    gain_to_reflectivity(2.0), source, mu, True, n_max)
         np.testing.assert_allclose(np.trace(total, axis1=0, axis2=1),
                                    np.eye(n_max + 1), atol=1e-12)
 
@@ -222,7 +219,7 @@ def test_ideal_map_is_truncated_noiseless_amplifier():
     # circuit applies (r/sqrt 2) g^n to |n> for n <= 1 and nothing above
     g = 2.0
     r = gain_to_reflectivity(g)
-    heralding = _heralding_map(r, IDEAL_SOURCE, 1.0, True, 12, DEFAULT_POLICY)
+    heralding = _heralding_map(r, IDEAL_SOURCE, 1.0, True, 12)
     expect = np.zeros((3, 3, 13, 13))
     for n in (0, 1):
         for m in (0, 1):
@@ -262,7 +259,7 @@ def dense_heralding_map(r, source, mu, veto, n_max):
     IDEAL_SOURCE, SourceModel(0.05, 0.03, 0.9)], ids=["ideal", "companion"])
 def test_sector_map_matches_dense_gram(source, veto):
     r, n_max = gain_to_reflectivity(2.0), 20
-    heralding = _heralding_map(r, source, 0.3, veto, n_max, DEFAULT_POLICY)
+    heralding = _heralding_map(r, source, 0.3, veto, n_max)
     np.testing.assert_allclose(
         heralding, dense_heralding_map(r, source, 0.3, veto, n_max),
         rtol=0, atol=1e-14)
@@ -285,7 +282,7 @@ def test_heralding_map_is_built_once_per_setting():
     info = _heralding_map.cache_info()
     assert (info.misses, info.hits) == (1, 4)
     heralding = _heralding_map(cfg.r, cfg.source, cfg.detector_mu,
-                               cfg.use_d2_veto, cfg.n_max, DEFAULT_POLICY)
+                               cfg.use_d2_veto, cfg.n_max)
     assert not heralding.flags.writeable
     with pytest.raises(ValueError):
         heralding[0, 0, 0, 0] = 1.0
@@ -295,11 +292,14 @@ def test_heralding_map_is_built_once_per_setting():
     (IDEAL_SOURCE, 15 * 3 * 15),
     (EXPERIMENT_PRESET, 15 * 3 * 15 * 27),
 ], ids=["ideal", "companion"])
-def test_dimension_cap_bounds_the_working_size(source, size):
+def test_dimension_cap_bounds_the_working_size(source, size, monkeypatch):
     cfg = ideal_config(0.2, source=source)
-    simulate(cfg, NumericalPolicy(dimension_cap=size))
+    monkeypatch.setattr(amplifier, "DIMENSION_CAP", size)
+    simulate(cfg)
+    # the map is cached now, and the cap still holds
+    monkeypatch.setattr(amplifier, "DIMENSION_CAP", size - 1)
     with pytest.raises(CapacityError):
-        simulate(cfg, NumericalPolicy(dimension_cap=size - 1))
+        simulate(cfg)
 
 
 #: simulate's populated 3x3 block and herald probability at g = 2, from the
@@ -377,7 +377,7 @@ def test_truncation_robustness():
 def test_two_photon_contamination_degrades_output():
     dirty = SourceModel(weight_vacuum=0.0, weight_two_photon=0.2)
     out = simulate(ideal_config(0.2, source=dirty))
-    out.state.validate(DEFAULT_POLICY)
+    out.state.validate()
     ref = ideal_output(0.2, 2.0)
     assert fidelity(out.state, ref.state) < 0.999
     # two-photon events push population above the scissors subspace
@@ -397,7 +397,7 @@ def test_companion_mode_path_is_physical():
     out = simulate(ideal_config(0.3, source=src, detector_mu=0.4,
                                 accept_both_heralds=True,
                                 use_d2_veto=False))
-    out.state.validate(DEFAULT_POLICY)
+    out.state.validate()
     assert 0.0 < out.success_probability < 1.0
 
 

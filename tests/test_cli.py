@@ -199,7 +199,7 @@ def test_alpha_beyond_the_cutoff_rejected(tmp_path, capsys, stage):
 ], ids=["575", "2000", "companion-109"])
 def test_cutoff_beyond_the_capacity_rejected(tmp_path, capsys, stage, n_max,
                                              overlap, size):
-    # simulate refuses a working size above NumericalPolicy.dimension_cap,
+    # simulate refuses a working size above numerics.DIMENSION_CAP,
     # so check must refuse that cutoff too, and run before writing anything
     out_dir = tmp_path / "out"
     path = write_config(tmp_path, **{"amplifier.n_max": n_max,

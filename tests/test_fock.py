@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from scissorlab import (
-    DEFAULT_POLICY,
     DensityOperator,
     FockVector,
     TruncationError,
@@ -140,14 +139,13 @@ def test_validate_catches_negative_eigenvalue():
     m = np.diag([1.2, -0.2]).astype(complex)
     rho = DensityOperator(m, (2,))
     with pytest.raises(ValueError):
-        rho.validate(DEFAULT_POLICY)
+        rho.validate()
 
 
 def test_validate_catches_bad_trace():
     rho = DensityOperator(np.diag([0.4, 0.4]).astype(complex), (2,))
     with pytest.raises(ValueError):
-        rho.validate(DEFAULT_POLICY, unit_trace=True)
-    rho.validate(DEFAULT_POLICY, unit_trace=False)
+        rho.validate()
 
 
 def test_fidelity_vacuum_vs_coherent():

@@ -125,3 +125,40 @@ def test_unused_exports_pinned():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert exported_but_unused(sources) == UNUSED_EXPORTS
+
+
+def unread_constants(sources: dict[str, str], module: str) -> list[str]:
+    """Module-level names the module assigns that no other module refers
+    to by a Name or attribute."""
+    defined = []
+    for node in ast.parse(sources[module]).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        defined += [(node.lineno, t.id) for t in targets
+                    if isinstance(t, ast.Name)]
+    used = set().union(*(referenced_names(ast.parse(source))
+                         for name, source in sources.items()
+                         if name != module))
+    return [f"{module} line {line}: {name}" for line, name in defined
+            if name not in used]
+
+
+def test_scanner_flags_only_unread_constants():
+    sources = {
+        "numerics.py": ("TOL = 1e-8\nTRACE_TOL = 1e-12\nCAP: int = 10\n"
+                        "print(TRACE_TOL)\n"),
+        "a.py": "from numerics import TOL, TRACE_TOL\nprint(TOL)\n",
+        "b.py": "import numerics\nnumerics.CAP\n",
+    }
+    assert unread_constants(sources, "numerics.py") == [
+        "numerics.py line 2: TRACE_TOL"]
+
+
+def test_every_numerics_constant_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_constants(sources, "numerics.py") == []

@@ -14,6 +14,7 @@ from scipy.special import erf, eval_hermite, gammaln, ndtr
 
 from scissorlab import (
     DensityOperator,
+    FockVector,
     QuadratureSamples,
     TruncationError,
     coherent_state,
@@ -207,8 +208,10 @@ def test_moments_match_padded_operator_oracle():
         states = [random_density(d, seed=d), random_density(d, seed=50 + d),
                   fock_state(d - 1, d - 1).to_density()]
         if d >= 8:
-            states.append(coherent_state(0.6 - 0.4j, d - 1,
-                                         truncation_tol=1e-2).to_density())
+            # |0.6 - 0.4i> cut to d levels and renormalised; at d = 8 the
+            # cut loses 8.4e-8, beyond what coherent_state accepts
+            amps = coherent_state(0.6 - 0.4j, 30).amplitudes[:d]
+            states.append(FockVector(amps, (d,)).normalized().to_density())
         for rho in states:
             expect = np.array([padded_operator_moments(rho, t)
                                for t in phases])
@@ -392,6 +395,6 @@ def test_off_grid_mass_raises():
     # |alpha = 3.5> puts ~1e-3 of its x-quadrature mass beyond x = 10
     with pytest.raises(TruncationError, match="off the sampling grid"):
         sample_homodyne(coherent_state(3.5, 40), [0.0], 10, seed=0)
-    # ~1e-9 off the grid sits inside the default truncation_tol
+    # ~1e-9 off the grid sits inside TRUNCATION_TOL
     samples = sample_homodyne(coherent_state(2.0, 30), [0.0], 10, seed=0)
     assert len(samples) == 10

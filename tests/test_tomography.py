@@ -29,6 +29,7 @@ from scissorlab import (
     write_density_json,
 )
 from scissorlab import tomography
+from scissorlab.numerics import POVM_COMPLETENESS_TOL, PROBABILITY_FLOOR
 
 
 def test_histogram_validation():
@@ -185,7 +186,7 @@ def test_problem_at_high_cutoff_is_finite_and_complete():
     stack = problem.stack
     assert np.isfinite(stack).all()
     miss = np.abs(stack.sum(axis=0) - np.eye(301)).max()
-    assert miss <= problem.policy.povm_completeness_tol
+    assert miss <= POVM_COMPLETENESS_TOL
 
 
 def test_problem_rejects_non_finite_povm(monkeypatch):
@@ -257,7 +258,7 @@ def einsum_maxlik_oracle(problem, max_iter, tol):
     loglik = []
     for _ in range(max_iter):
         probs = np.einsum("jab,ba->j", pi_occ, rho).real
-        probs = np.maximum(probs, problem.policy.probability_floor)
+        probs = np.maximum(probs, PROBABILITY_FLOOR)
         loglik.append(float(counts @ np.log(probs)) / total)
         if len(loglik) > 1 and loglik[-1] - loglik[-2] < tol:
             break
