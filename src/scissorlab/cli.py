@@ -45,7 +45,7 @@ from .metrics import (
     write_metrics_json,
     write_wigner_csv,
 )
-from .numerics import TruncationError
+from .numerics import DIMENSION_CAP, TruncationError
 from .tomography import (
     ReconstructionResult,
     TomographyProblem,
@@ -78,7 +78,8 @@ def _integer_from(low: int):
 
 def _is_phases(value) -> bool:
     """A phase count, or a non-empty list of distinct finite angles (a
-    repeated angle would have its draws binned twice)."""
+    repeated angle would take two shares of the draws and count twice in
+    the phase-averaged noise)."""
     if isinstance(value, list):
         return (bool(value) and all(map(_is_number, value))
                 and len(set(value)) == len(value))
@@ -272,6 +273,10 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
             _check_reconstruction_size(tomo["bin_count"], tomo["n_max"])
         except ValueError as exc:
             problems.append(f"tomography.n_max: {exc}")
+    points = sections["wigner"]["points"]
+    if "wigner.points" not in bad and points ** 2 > DIMENSION_CAP:
+        problems.append(f"wigner.points: {points} points need a grid of "
+                        f"{points ** 2} values, above the cap {DIMENSION_CAP}")
     # the circuit starts from |alpha> at the amplifier's cutoff
     n_max = amp["n_max"]
     if fits:
@@ -336,11 +341,11 @@ def _stage_output(cfg: RunConfig, alpha: float, stage: str) -> HeraldedOutput:
     return simulate(amp_cfg)
 
 
-def _reconstruct(samples, phases, tomo: dict, n_max: int,
+def _reconstruct(samples, tomo: dict, n_max: int,
                  path) -> ReconstructionResult:
-    """Bin the samples at these phases as the tomography section says,
-    reconstruct at cutoff n_max and write the result's rho JSON to path."""
-    hists = bin_samples(samples, phases, bin_count=tomo["bin_count"],
+    """Bin the samples as the tomography section says, reconstruct at
+    cutoff n_max and write the result's rho JSON to path."""
+    hists = bin_samples(samples, bin_count=tomo["bin_count"],
                         value_range=tuple(tomo["bin_range"]))
     result = maxlik_reconstruct(TomographyProblem(hists, n_max=n_max),
                                 max_iter=tomo["max_iter"], tol=tomo["tol"])
@@ -409,7 +414,7 @@ def _run_single(cfg: RunConfig, alpha: float, out_dir: Path) -> tuple[dict, list
                 _samples_written_in_child(samples, sample_path))
             written.append(sample_path)
             rho_path = alpha_dir / "rho.json"
-            recon = _reconstruct(samples, cfg.phases, cfg.tomography,
+            recon = _reconstruct(samples, cfg.tomography,
                                  cfg.tomography["n_max"], rho_path)
             written.append(rho_path)
             state_for_metrics = recon.rho
@@ -518,8 +523,7 @@ def _cmd_tomo(args) -> int:
     tomo = cfg.tomography if cfg else default_config_dict()["tomography"]
     n_max = args.n_max if args.n_max is not None else tomo["n_max"]
     _check_reconstruction_size(tomo["bin_count"], n_max)
-    samples = read_samples_csv(args.samples)
-    result = _reconstruct(samples, np.unique(samples.theta), tomo, n_max,
+    result = _reconstruct(read_samples_csv(args.samples), tomo, n_max,
                           args.out)
     status = "converged" if result.converged else "hit iteration cap"
     print(f"wrote {args.out} ({status} after {result.iterations} iterations)")

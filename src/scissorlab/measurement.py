@@ -46,26 +46,36 @@ def default_phase_grid(count: int = 12) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureSamples:
-    """A batch of homodyne draws: draw i read quadrature x[i] at phase
-    theta[i]; two float arrays of equal length."""
+    """A batch of homodyne draws: the K phases, stored once, and per draw
+    an integer phase_index and a float x.  Draw i read quadrature x[i] at
+    phase phases[phase_index[i]]."""
 
-    theta: np.ndarray
+    phases: np.ndarray
+    phase_index: np.ndarray
     x: np.ndarray
 
     def __post_init__(self):
-        if self.theta.ndim != 1 or self.theta.shape != self.x.shape:
-            raise ValueError("theta and x must be 1-D arrays of equal length")
-        # a NaN draw would fall out of every histogram bin without a trace;
-        # min and max propagate NaN, so the check allocates no mask
-        for name in ("theta", "x"):
-            values = getattr(self, name)
-            if values.size and not np.isfinite([values.min(),
-                                                values.max()]).all():
-                bad = np.flatnonzero(~np.isfinite(values))[0]
-                raise ValueError(f"sample {bad} has a non-finite {name}")
+        index, k = self.phase_index, self.phases.size
+        if self.phases.ndim != 1 or self.x.ndim != 1 \
+                or index.shape != self.x.shape or index.dtype.kind not in "iu":
+            raise ValueError("phases and x must be 1-D arrays and phase_index "
+                             "an integer array of equal length to x")
+        if index.size and not 0 <= index.min() <= index.max() < k:
+            raise ValueError(f"phase_index spans {index.min()}..{index.max()},"
+                             f" outside the {k} phases")
+        # a NaN draw would fall out of every histogram bin without a trace
+        _require_finite(self.phases, "phase {} is not finite")
+        _require_finite(self.x, "sample {} has a non-finite x")
 
     def __len__(self) -> int:
         return self.x.size
+
+
+def _require_finite(values: np.ndarray, message: str) -> None:
+    """ValueError, message formatted with the first NaN or infinite entry's
+    index; min and max propagate NaN, so a finite array allocates no mask."""
+    if values.size and not np.isfinite([values.min(), values.max()]).all():
+        raise ValueError(message.format(np.flatnonzero(~np.isfinite(values))[0]))
 
 
 def wavefunctions(x, n_max: int) -> np.ndarray:
@@ -246,8 +256,8 @@ def sample_homodyne(rho: State, phases, n_samples: int,
     interpolation.  The two open cells beyond the grid hold the exact
     off-grid mass; TruncationError if it exceeds ``TRUNCATION_TOL``.
     """
-    phases = [float(t) for t in phases]
-    if not phases:
+    phases = np.array([float(t) for t in phases])
+    if not phases.size:
         raise ValueError("need at least one phase")
     if n_samples < 0:
         raise ValueError("n_samples cannot be negative")
@@ -257,8 +267,8 @@ def sample_homodyne(rho: State, phases, n_samples: int,
             raise ValueError(f"eta_hd must lie in (0, 1], got {eta_hd}")
         rho = apply_loss(rho, LossChannel(eta_hd))
     _require_normalized(rho)
-    k, d = len(phases), rho.dim
-    phi_rho = (_phase_factors(np.array(phases), d - 1) * rho.matrix.T).real
+    k, d = phases.size, rho.dim
+    phi_rho = (_phase_factors(phases, d - 1) * rho.matrix.T).real
     masses = phi_rho.reshape(k, d * d) \
         @ _overlap_stack(_SAMPLING_GRID, d - 1).reshape(-1, d * d).T
     off = masses[:, 0] + masses[:, -1]
@@ -274,35 +284,28 @@ def sample_homodyne(rho: State, phases, n_samples: int,
     values = np.empty(n_samples)
     for idx, table in enumerate(tables):
         values[idx::k] = np.interp(u[idx::k], table, _SAMPLING_GRID)
-    return QuadratureSamples(np.array(phases)[np.arange(n_samples) % k],
-                             values)
+    return QuadratureSamples(phases, np.arange(n_samples) % k, values)
 
 
 def write_samples_csv(samples: QuadratureSamples, path) -> None:
     """Persist samples as CSV with header ``theta,x``, every value as %.17g.
 
-    Each distinct phase is formatted once; rows go out in chunks of
-    _CSV_CHUNK_ROWS, one write per chunk, so no whole-file string is
-    ever held.
+    Each phase is formatted once and a row takes its draw's head by
+    index; rows go out in chunks of _CSV_CHUNK_ROWS, one write per chunk,
+    so no whole-file string is ever held.
     """
-    # distinct on the bit pattern: np.unique on floats merges -0.0 into 0.0;
-    # a sort and a search cost a quarter of np.unique's inverse here
-    bits = np.asarray(samples.theta, dtype=float).view(np.uint64)
-    ordered = np.sort(bits)
-    distinct = np.concatenate([ordered[:1],
-                               ordered[1:][ordered[1:] != ordered[:-1]]])
-    row_of = np.searchsorted(distinct, bits)
-    heads = _csv_heads(distinct.view(float))
+    heads = _csv_heads(samples.phases)
     with open(path, "wb") as fh:
         fh.write(b"theta,x\n")
         for start in range(0, len(samples), _CSV_CHUNK_ROWS):
             stop = start + _CSV_CHUNK_ROWS
-            fh.write(_csv_rows(np.take(heads, row_of[start:stop], axis=0),
+            fh.write(_csv_rows(heads[samples.phase_index[start:stop]],
                                samples.x[start:stop]))
 
 
 def read_samples_csv(path) -> QuadratureSamples:
-    """Read a ``theta,x`` CSV; a header-only file is an empty batch."""
+    """Read a ``theta,x`` CSV; a header-only file is an empty batch.  The
+    phases are the distinct thetas, increasing (0 and -0 are one phase)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "theta,x":
@@ -311,4 +314,7 @@ def read_samples_csv(path) -> QuadratureSamples:
             warnings.simplefilter("ignore", UserWarning)  # warns on no rows
             rows = np.loadtxt(fh, delimiter=",", ndmin=1,
                               dtype=[("theta", float), ("x", float)])
-    return QuadratureSamples(rows["theta"], rows["x"])
+    # checked here, where a bad row still has its sample number
+    _require_finite(rows["theta"], "sample {} has a non-finite theta")
+    phases, index = np.unique(rows["theta"], return_inverse=True)
+    return QuadratureSamples(phases, index, rows["x"])

@@ -159,9 +159,10 @@ def effective_gain(rho_out: State, alpha_in: complex,
 
 
 def equivalent_input_noise(rho_out: State, g_eff: float, theta,
-                           eta_hd: float = 1.0, input_variance: float = 1.0):
+                           eta_hd: float = 1.0):
     """N_eq = Var(X_out, theta) / g_eff^2 - Var(X_in), for a phase or an
-    array of phases (a float or an array of the same shape).
+    array of phases (a float or an array of the same shape), with
+    Var(X_in) = 1, the coherent input's vacuum variance.
 
     A state measured behind homodyne efficiency eta_hd has its variance
     pulled toward the vacuum; the inverse map
@@ -175,20 +176,18 @@ def equivalent_input_noise(rho_out: State, g_eff: float, theta,
         raise ValueError(f"eta_hd must lie in (0, 1], got {eta_hd}")
     _, var_measured = quadrature_moments(rho_out, theta)
     var_out = 1.0 + (var_measured - 1.0) / eta_hd
-    return var_out / (g_eff * g_eff) - input_variance
+    return var_out / (g_eff * g_eff) - 1.0
 
 
 def ein_statistics(rho_out: State, g_eff: float, phases,
-                   eta_hd: float = 1.0,
-                   input_variance: float = 1.0) -> tuple[float, float, float]:
+                   eta_hd: float = 1.0) -> tuple[float, float, float]:
     """(min, average, max) equivalent input noise across the phase list,
     from one ``equivalent_input_noise`` call over the whole phase array
     (so from one set of the state's ladder moments)."""
     phases = np.array([float(t) for t in phases])
     if not phases.size:
         raise ValueError("need at least one phase")
-    vals = equivalent_input_noise(rho_out, g_eff, phases, eta_hd,
-                                  input_variance)
+    vals = equivalent_input_noise(rho_out, g_eff, phases, eta_hd)
     return float(vals.min()), float(vals.mean()), float(vals.max())
 
 

@@ -60,37 +60,29 @@ class QuadratureHistograms:
             object.__setattr__(self, name, value)
 
 
-def bin_samples(samples: QuadratureSamples, phases, bin_count: int = 100,
+def bin_samples(samples: QuadratureSamples, bin_count: int = 100,
                 value_range: tuple[float, float] = (-6.0, 6.0)
                 ) -> QuadratureHistograms:
     """Histogram samples per phase on a shared uniform grid.
 
-    Every sample's phase must appear in ``phases`` (exact match: samples
-    produced by this package reuse the list's float values verbatim), and
-    no phase twice.  Row k of the table counts the samples at phases[k];
-    its sum is their number.  As in ``np.histogram`` the top edge is
-    inclusive, so only values below ``lo`` or above ``hi`` go out of range.
+    Row k of the table counts the draws whose phase index is k, those
+    read at samples.phases[k]; its sum is their number.  As in
+    ``np.histogram`` the top edge is inclusive, so only values below
+    ``lo`` or above ``hi`` go out of range.
     """
-    phases = [float(t) for t in phases]
-    if len(set(phases)) < len(phases):
-        raise ValueError(f"repeated phase in {phases}: its samples would be "
-                         f"counted twice")
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
     lo, hi = value_range
     if not lo < hi:
         raise ValueError(f"empty value range {value_range}")
-    unknown = samples.theta[~np.isin(samples.theta, phases)]
-    if unknown.size:
-        raise ValueError(f"sample phase {float(unknown[0])} not in the phase list")
     edges = np.linspace(lo, hi, bin_count + 1)
-    counts = np.empty((len(phases), bin_count + 2), dtype=np.int64)
-    for k, theta in enumerate(phases):
-        vals = samples.x[samples.theta == theta]
-        counts[k, 1:-1], _ = np.histogram(vals, bins=edges)
-        counts[k, 0] = np.count_nonzero(vals < lo)
-        counts[k, -1] = np.count_nonzero(vals > hi)
-    return QuadratureHistograms(phases, edges, counts)
+    counts = np.empty((samples.phases.size, bin_count + 2), dtype=np.int64)
+    for k, row in enumerate(counts):
+        vals = samples.x[samples.phase_index == k]
+        row[1:-1], _ = np.histogram(vals, bins=edges)
+        row[0] = np.count_nonzero(vals < lo)
+        row[-1] = np.count_nonzero(vals > hi)
+    return QuadratureHistograms(samples.phases, edges, counts)
 
 
 def phase_povm_elements(theta: float, edges: np.ndarray, n_max: int
@@ -118,8 +110,8 @@ class TomographyProblem:
 
     The POVM is one real, phase-free overlap stack ``stack`` on the
     table's edges; phase k's element j is e^{i thetas[k] (m - n)}
-    stack[j].  ``counts`` is the table flattened phase-major: underflow,
-    bins, overflow of each phase in turn.
+    stack[j], with count ``counts[k, j]``: ``counts`` is the histograms'
+    own read-only table.  CapacityError if the stack would exceed the cap.
     """
 
     histograms: QuadratureHistograms
@@ -130,6 +122,7 @@ class TomographyProblem:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("reconstruction n_max must be >= 1")
+        _check_reconstruction_size(self.histograms.edges.size - 1, self.n_max)
         if np.unique(self.histograms.thetas).size < 2:
             raise ValueError(
                 "tomography needs at least two distinct phases to be "
@@ -145,19 +138,15 @@ class TomographyProblem:
                 f"POVM on these bin edges deviates from completeness by "
                 f"{miss:.3e}"
             )
-        self.counts = self.histograms.counts.reshape(-1).astype(float)
+        self.counts = self.histograms.counts
 
     @property
     def elements(self) -> np.ndarray:
         """Every element Pi_j as one (J, d, d) complex stack, in the
-        order of ``counts``; built on each access."""
+        row-major order of ``counts``; built on each access."""
         d = self.n_max + 1
         phi = _phase_factors(self.histograms.thetas, self.n_max)
         return (phi[:, None] * self.stack).reshape(-1, d, d)
-
-    @property
-    def total_counts(self) -> float:
-        return float(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -191,14 +180,13 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
     table of probabilities is p = Re(Phi o rho^T) @ S^T, and
     R = sum_theta Phi_theta o (w_theta @ S) with w = f / p.
     """
-    total = problem.total_counts
+    counts = problem.counts
+    total = int(counts.sum())
     if total <= 0:
         raise ValueError("cannot reconstruct from empty histograms")
     d = problem.n_max + 1
-    thetas = problem.histograms.thetas
     s_flat = problem.stack.reshape(-1, d * d)
-    phi = _phase_factors(thetas, problem.n_max).reshape(-1, d * d)
-    counts = problem.counts.reshape(thetas.size, -1)
+    phi = _phase_factors(problem.histograms.thetas, d - 1).reshape(-1, d * d)
     freq = counts / total
     occupied = counts > 0
     rho = np.eye(d, dtype=complex) / d

@@ -123,7 +123,7 @@ def test_criterion_4_tomography_closure(_report):
     degraded = apply_loss(truth, LossChannel(eta))
     phases = default_phase_grid(12)
     samples = sample_homodyne(truth, phases, 200_000, eta_hd=eta, seed=7)
-    problem = TomographyProblem(bin_samples(samples, phases), n_max=10)
+    problem = TomographyProblem(bin_samples(samples), n_max=10)
     result = maxlik_reconstruct(problem)
     from scissorlab import resize_mode
     fid = fidelity(result.rho, resize_mode(degraded, 0, 11))
@@ -145,7 +145,7 @@ def test_criterion_5_likelihood_monotonicity(_report):
         truth = ideal_output(alpha, 2.0).state
         phases = default_phase_grid(12)
         samples = sample_homodyne(truth, phases, n, eta_hd=0.68, seed=seed)
-        problem = TomographyProblem(bin_samples(samples, phases), n_max=10)
+        problem = TomographyProblem(bin_samples(samples), n_max=10)
         result = maxlik_reconstruct(problem)
         gains = np.diff(result.loglik)
         if gains.size:

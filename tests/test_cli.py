@@ -122,7 +122,8 @@ def test_colliding_alphas_flagged(tmp_path, alphas, clash):
     ("sweep", []),
     ("tomography", "x"),
     ("amplifier.source", 5),
-    # a repeated angle would have its samples binned twice
+    # a repeated angle would take two shares of the draws and count twice
+    # in the phase-averaged noise
     ("sweep.phases", [0.0, 0.0, 1.0]),
 ])
 def test_non_finite_and_boolean_values_flagged(tmp_path, capsys, monkeypatch,
@@ -251,6 +252,25 @@ def test_tomo_cutoff_capped_before_reading(tmp_path, capsys):
         "error: n_max = 1000 on 100 bins needs a tomography working size of "
         "102204102, above the cap 1000000\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("points, accepted", [(1000, True), (1001, False)])
+def test_wigner_points_capped(tmp_path, capsys, points, accepted):
+    # a grid of points^2 values: 1000 fits the cap, 1001 does not
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"wigner.points": points,
+                                     "sweep.output_dir": str(out_dir)})
+    message = ("  - wigner.points: 1001 points need a grid of 1002001 "
+               "values, above the cap 1000000")
+    assert main(["check", "--config", str(path)]) == (0 if accepted else 1)
+    assert (message in capsys.readouterr().out) != accepted
+    if not accepted:
+        assert main(["run", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert main(["wigner", "--config", str(path), "--alpha", "0.1",
+                     "--out", str(out_dir / "w.csv")]) == 1
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_negative_seed_override_rejected(tmp_path, capsys):
@@ -537,6 +557,12 @@ def test_tomo_rejects_non_finite_draw(tmp_path, capsys):
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "non-finite x" in err
+    assert not out.exists()
+    samples_path.write_text("theta,x\n0,0.5\n1,-0.25\nnan,1\n1,0.75\n")
+    assert main(["tomo", "--samples", str(samples_path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: sample 2 has a non-finite theta\n"
     assert not out.exists()
 
 

@@ -5,7 +5,8 @@ compared with ``default_sweep.json``: every metric behind a
 ``summary.csv`` row, and at stage sampled the MaxLik iteration counts,
 the ``rho.json`` entries and each phase's draw mean and variance.  Every
 ``samples.csv`` and ``wigner.csv`` written must also parse back, bit for
-bit, to the arrays the run held in memory.
+bit, to the arrays the run held in memory, and ``tomo`` on the alpha 0.25
+``samples.csv`` must write that run's ``rho.json`` byte for byte.
 
 A change that alters the arithmetic on purpose regenerates the fixture
 and records its largest deviation in CHANGES.md:
@@ -108,9 +109,12 @@ def run_default(stage: str, out_dir: Path) -> dict:
         if stage == "sampled":
             draws = calls["sample_homodyne"][k]
             back = read_csv(alpha_dir / "samples.csv", "theta,x")
-            assert_bitwise_equal(back[:, 0], draws.theta, "samples.csv theta")
+            assert_bitwise_equal(draws.phases, cfg.phases, "phase list")
+            assert_bitwise_equal(back[:, 0], draws.phases[draws.phase_index],
+                                 "samples.csv theta")
             assert_bitwise_equal(back[:, 1], draws.x, "samples.csv x")
-            at = [draws.x[draws.theta == theta] for theta in cfg.phases]
+            at = [draws.x[draws.phase_index == j]
+                  for j in range(draws.phases.size)]
             rho = json.loads((alpha_dir / "rho.json").read_text())
             entry.update(
                 maxlik_iterations=calls["maxlik_reconstruct"][k].iterations,
@@ -146,6 +150,14 @@ def test_default_sweep_matches_fixture(tmp_path):
             np.testing.assert_allclose(got[alpha]["draw_var"],
                                        entry["draw_var"], rtol=0,
                                        atol=DRAW_VAR_ATOL, err_msg=where)
+    # tomo replays a run's samples into the run's own rho.json
+    sampled = tmp_path / "sampled"
+    alpha_dir = sampled / "alpha_0.2500"
+    replay = tmp_path / "replay_rho.json"
+    assert cli.main(["tomo", "--samples", str(alpha_dir / "samples.csv"),
+                     "--config", str(sampled / "config.json"),
+                     "--out", str(replay)]) == 0
+    assert replay.read_bytes() == (alpha_dir / "rho.json").read_bytes()
 
 
 def regenerate(work: Path) -> None:

@@ -251,7 +251,8 @@ def test_sampling_deterministic():
     phases = default_phase_grid(4)
     a = sample_homodyne(rho, phases, 400, seed=9)
     b = sample_homodyne(rho, phases, 400, seed=9)
-    assert a.theta.tolist() == b.theta.tolist()
+    assert a.phases.tolist() == b.phases.tolist()
+    assert a.phase_index.tolist() == b.phase_index.tolist()
     assert a.x.tolist() == b.x.tolist()
     c = sample_homodyne(rho, phases, 400, seed=10)
     assert a.x.tolist() != c.x.tolist()
@@ -260,20 +261,40 @@ def test_sampling_deterministic():
 def test_sampling_round_robin_phases():
     phases = default_phase_grid(3)
     samples = sample_homodyne(vacuum_state(6).to_density(), phases, 9, seed=0)
-    assert samples.theta.tolist() == list(phases) * 3
+    # the phase list is stored once, and each draw holds its index
+    assert samples.phases.tolist() == list(phases)
+    assert samples.phase_index.tolist() == [0, 1, 2] * 3
     assert len(samples) == 9
+
+
+def test_samples_reject_inconsistent_batches():
+    phases, x = np.array([0.0, 1.0]), np.array([0.5, -0.5, 1.5])
+    QuadratureSamples(phases, np.array([0, 1, 1]), x)
     with pytest.raises(ValueError, match="equal length"):
-        QuadratureSamples(samples.theta, samples.x[:-1])
+        QuadratureSamples(phases, np.array([0, 1]), x)
+    with pytest.raises(ValueError, match="integer array"):
+        QuadratureSamples(phases, np.array([0.0, 1.0, 1.0]), x)
+    with pytest.raises(ValueError, match=r"spans 0\.\.2, outside the 2"):
+        QuadratureSamples(phases, np.array([0, 1, 2]), x)
+    with pytest.raises(ValueError, match=r"spans -1\.\.1, outside the 2"):
+        QuadratureSamples(phases, np.array([0, -1, 1]), x)
+    with pytest.raises(ValueError, match=r"spans 0\.\.0, outside the 0"):
+        QuadratureSamples(np.empty(0), np.array([0, 0, 0]), x)
+    with pytest.raises(ValueError, match="1-D"):
+        QuadratureSamples(phases.reshape(2, 1), np.array([0, 1, 1]), x)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("column", ["theta", "x"])
 def test_samples_reject_non_finite_draws(column, bad):
-    # a NaN x used to fall out of every histogram bin without a trace
-    arrays = {"theta": np.zeros(5), "x": np.linspace(-1.0, 1.0, 5)}
-    arrays[column][3] = bad
-    with pytest.raises(ValueError, match=f"sample 3 has a non-finite {column}"):
-        QuadratureSamples(**arrays)
+    # a NaN x used to fall out of every histogram bin without a trace;
+    # the "theta" case puts the bad value in the phase list
+    arrays = {"phases": np.linspace(0.0, 2.0, 5), "x": np.linspace(-1.0, 1.0, 5)}
+    arrays["phases" if column == "theta" else "x"][3] = bad
+    message = {"theta": "phase 3 is not finite",
+               "x": "sample 3 has a non-finite x"}[column]
+    with pytest.raises(ValueError, match=message):
+        QuadratureSamples(arrays["phases"], np.arange(5), arrays["x"])
 
 
 def test_vacuum_samples_pass_chi_squared():
@@ -337,7 +358,8 @@ def reference_samples_csv(samples):
     """The file text written one row at a time."""
     return "theta,x\n" + "".join(
         f"{t:.17g},{x:.17g}\n"
-        for t, x in zip(samples.theta.tolist(), samples.x.tolist()))
+        for t, x in zip(samples.phases[samples.phase_index].tolist(),
+                        samples.x.tolist()))
 
 
 def test_samples_csv_roundtrip(tmp_path):
@@ -348,25 +370,50 @@ def test_samples_csv_roundtrip(tmp_path):
     back = read_samples_csv(path)
     assert len(back) == 123
     # %.17g keeps doubles exactly
-    assert back.theta.tolist() == samples.theta.tolist()
+    assert back.phases.tolist() == samples.phases.tolist()
+    assert back.phase_index.tolist() == samples.phase_index.tolist()
     assert back.x.tolist() == samples.x.tolist()
     assert path.read_text() == reference_samples_csv(samples)
     rng = np.random.default_rng(3)
     long = 2 * _CSV_CHUNK_ROWS + 37      # more than one chunk, not a multiple
     batches = [
         # unsorted phases, not round-robin
-        QuadratureSamples(np.array([2.5, 0.1, 2.5, 1e-300, 0.1, 0.1]),
+        QuadratureSamples(np.array([2.5, 0.1, 1e-300]),
+                          np.array([0, 1, 0, 2, 1, 1]),
                           np.array([1.0, -2.0, 3.25, 0.1, -0.0, 5e-324])),
         # 0.0 and -0.0 are distinct phases in the text
-        QuadratureSamples(np.array([0.0, -0.0, -0.0, 0.0]),
+        QuadratureSamples(np.array([0.0, -0.0]), np.array([0, 1, 1, 0]),
                           np.array([0.5, -0.5, 1.5, -1.5])),
-        QuadratureSamples(rng.choice([0.3, -0.0, 1.7, 0.0], long),
-                          rng.normal(size=long)),
-        QuadratureSamples(np.empty(0), np.empty(0)),
+        QuadratureSamples(np.array([0.3, -0.0, 1.7, 0.0]),
+                          rng.integers(4, size=long), rng.normal(size=long)),
+        QuadratureSamples(np.array([0.0]), np.empty(0, dtype=int),
+                          np.empty(0)),
     ]
     for batch in batches:
         write_samples_csv(batch, path)
         assert path.read_text() == reference_samples_csv(batch)
+    # a -0.0 phase prints as -0 on every row that uses it
+    write_samples_csv(batches[1], path)
+    assert path.read_text() == "theta,x\n0,0.5\n-0,-0.5\n-0,1.5\n0,-1.5\n"
+
+
+def test_read_samples_csv_indexes_increasing_phases(tmp_path):
+    theta = np.array([2.5, 0.1, 2.5, 1e-300, 0.1, -1.0, -0.0, 0.1])
+    path = tmp_path / "samples.csv"
+    path.write_text("theta,x\n" + "".join(f"{t:.17g},{k}\n"
+                                          for k, t in enumerate(theta)))
+    back = read_samples_csv(path)
+    assert back.phases.tolist() == [-1.0, -0.0, 1e-300, 0.1, 2.5]
+    assert np.all(np.diff(back.phases) > 0)
+    # the index rebuilds the theta column bit for bit, -0 included
+    rebuilt = back.phases[back.phase_index]
+    assert np.array_equal(rebuilt.view(np.uint64), theta.view(np.uint64))
+    assert back.x.tolist() == list(range(theta.size))
+    # 0 and -0 compare equal, so a file holding both reads back as one phase
+    path.write_text("theta,x\n0,1\n-0,2\n1,3\n-0,4\n")
+    back = read_samples_csv(path)
+    assert back.phases.tolist() == [0.0, 1.0]
+    assert back.phase_index.tolist() == [0, 0, 1, 0]
 
 
 def test_read_samples_csv_rejects_malformed_files(tmp_path):
@@ -380,6 +427,11 @@ def test_read_samples_csv_rejects_malformed_files(tmp_path):
     path.write_text("theta,x\n0,1.5,2.5\n0,1.5,2.5\n")
     with pytest.raises(ValueError):
         read_samples_csv(path)
+    # theta is checked before the phases are deduplicated, so the message
+    # still names the row
+    path.write_text("theta,x\n0,0.5\n1,-0.25\ninf,1\n0,2\n")
+    with pytest.raises(ValueError, match="sample 2 has a non-finite theta"):
+        read_samples_csv(path)
 
 
 def test_header_only_csv_is_an_empty_batch(tmp_path):
@@ -388,7 +440,7 @@ def test_header_only_csv_is_an_empty_batch(tmp_path):
     assert path.read_text() == "theta,x\n"
     back = read_samples_csv(path)
     assert len(back) == 0
-    assert back.theta.shape == back.x.shape == (0,)
+    assert back.phases.shape == back.phase_index.shape == back.x.shape == (0,)
 
 
 def test_off_grid_mass_raises():

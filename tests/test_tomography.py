@@ -29,7 +29,8 @@ from scissorlab import (
     write_density_json,
 )
 from scissorlab import tomography
-from scissorlab.numerics import POVM_COMPLETENESS_TOL, PROBABILITY_FLOOR
+from scissorlab.numerics import (POVM_COMPLETENESS_TOL, PROBABILITY_FLOOR,
+                                 CapacityError)
 
 
 def test_histogram_validation():
@@ -65,41 +66,27 @@ def test_bin_samples_conserves_counts():
     rho = ideal_output(0.5, 2.0).state
     phases = default_phase_grid(4)
     samples = sample_homodyne(rho, phases, 2000, seed=2)
-    hists = bin_samples(samples, phases, bin_count=40, value_range=(-2, 2))
+    hists = bin_samples(samples, bin_count=40, value_range=(-2, 2))
     assert hists.counts.shape == (4, 42)
     assert hists.counts.sum() == 2000
+    np.testing.assert_array_equal(hists.thetas, phases)
     # every row holds exactly its own phase's draws
-    for theta, row in zip(hists.thetas, hists.counts):
-        assert row.sum() == np.count_nonzero(samples.theta == theta)
+    for k, row in enumerate(hists.counts):
+        assert row.sum() == np.count_nonzero(samples.phase_index == k)
     assert (hists.counts[:, [0, -1]] > 0).any()  # +-2 clips real mass
 
 
 def test_bin_samples_boundaries():
     # np.histogram semantics: lo opens the first bin, hi closes the last
     # (inclusive), and only values beyond them go out of range
-    theta = np.array([0.0] * 5 + [1.0] * 4)
+    index = np.array([0] * 5 + [1] * 4)
     x = np.array([-1.0, 1.0, -1.5, 1.5, 0.25,
                   1.0, 1.0, -1.0, -1.0000001])
-    hists = bin_samples(QuadratureSamples(theta, x), [0.0, 1.0],
+    hists = bin_samples(QuadratureSamples(np.array([0.0, 1.0]), index, x),
                         bin_count=4, value_range=(-1.0, 1.0))
     np.testing.assert_array_equal(hists.edges, [-1.0, -0.5, 0.0, 0.5, 1.0])
     np.testing.assert_array_equal(hists.counts, [[1, 1, 0, 1, 1, 1],
                                                  [1, 1, 0, 0, 2, 0]])
-
-
-def test_bin_samples_rejects_unknown_phase():
-    rho = ideal_output(0.3, 2.0).state
-    samples = sample_homodyne(rho, [0.0, 0.5], 10, seed=0)
-    with pytest.raises(ValueError):
-        bin_samples(samples, [0.0], bin_count=10)
-
-
-def test_bin_samples_rejects_repeated_phase():
-    # each phase-0 draw would land in both phase-0 rows
-    rho = ideal_output(0.3, 2.0).state
-    samples = sample_homodyne(rho, [0.0, 1.0], 10, seed=0)
-    with pytest.raises(ValueError, match="repeated phase"):
-        bin_samples(samples, [0.0, 0.0, 1.0], bin_count=10)
 
 
 def test_bin_povm_against_dense_quadrature():
@@ -179,14 +166,21 @@ def test_problem_requires_two_phases():
 
 def test_problem_at_high_cutoff_is_finite_and_complete():
     # Hermite values times factorial norms overflowed here into NaN
-    # stacks, which the completeness check let through
-    edges = np.linspace(-6.0, 6.0, 101)
-    hists = QuadratureHistograms([0.0, 1.0], edges, np.full((2, 102), 5))
+    # stacks, which the completeness check let through; 8 bins keep the
+    # stack, 10 x 301^2 = 906010 entries, within the cap
+    edges = np.linspace(-6.0, 6.0, 9)
+    hists = QuadratureHistograms([0.0, 1.0], edges, np.full((2, 10), 5))
     problem = TomographyProblem(hists, n_max=300)
     stack = problem.stack
     assert np.isfinite(stack).all()
     miss = np.abs(stack.sum(axis=0) - np.eye(301)).max()
     assert miss <= POVM_COMPLETENESS_TOL
+    # the problem checks its own size: 100 bins at this cutoff would
+    # need 102 x 301^2 = 9241302 entries
+    edges = np.linspace(-6.0, 6.0, 101)
+    hists = QuadratureHistograms([0.0, 1.0], edges, np.full((2, 102), 5))
+    with pytest.raises(CapacityError, match="9241302"):
+        TomographyProblem(hists, n_max=300)
 
 
 def test_problem_rejects_non_finite_povm(monkeypatch):
@@ -240,7 +234,7 @@ def test_loglik_never_decreases():
     truth = ideal_output(0.4, 2.0).state
     phases = default_phase_grid(6)
     samples = sample_homodyne(truth, phases, 30000, eta_hd=0.68, seed=8)
-    problem = TomographyProblem(bin_samples(samples, phases), n_max=10)
+    problem = TomographyProblem(bin_samples(samples), n_max=10)
     result = maxlik_reconstruct(problem)
     gains = np.diff(result.loglik)
     assert gains.min() > -1e-10
@@ -249,10 +243,10 @@ def test_loglik_never_decreases():
 
 def einsum_maxlik_oracle(problem, max_iter, tol):
     """The R rho R climb written out over the (J, d, d) element stack."""
-    occupied = problem.counts > 0
+    occupied = problem.counts.ravel() > 0
     pi_occ = problem.elements[occupied]
-    counts = problem.counts[occupied]
-    total = problem.total_counts
+    counts = problem.counts.ravel()[occupied]
+    total = problem.counts.sum()
     d = problem.n_max + 1
     rho = np.eye(d, dtype=complex) / d
     loglik = []
@@ -273,7 +267,7 @@ def test_maxlik_matches_einsum_iteration():
     truth = apply_loss(ideal_output(0.3, 2.0).state, LossChannel(0.68))
     phases = default_phase_grid(6)
     samples = sample_homodyne(truth, phases, 20000, seed=11)
-    problem = TomographyProblem(bin_samples(samples, phases, bin_count=60),
+    problem = TomographyProblem(bin_samples(samples, bin_count=60),
                                 n_max=8)
     result = maxlik_reconstruct(problem, max_iter=3000, tol=1e-10)
     rho, loglik = einsum_maxlik_oracle(problem, 3000, 1e-10)
@@ -294,7 +288,7 @@ def test_reconstruction_sharpens_with_more_data():
         fids = []
         for seed in (3, 4, 5, 6, 7):
             samples = sample_homodyne(truth, phases, n, seed=seed)
-            problem = TomographyProblem(bin_samples(samples, phases),
+            problem = TomographyProblem(bin_samples(samples),
                                         n_max=10)
             rho = maxlik_reconstruct(problem).rho
             fids.append(fidelity(rho, target))
@@ -307,7 +301,7 @@ def test_vacuum_reconstruction_stays_empty():
     phases = default_phase_grid(12)
     samples = sample_homodyne(vacuum_state(8).to_density(), phases, 100000,
                               seed=21)
-    problem = TomographyProblem(bin_samples(samples, phases), n_max=6)
+    problem = TomographyProblem(bin_samples(samples), n_max=6)
     result = maxlik_reconstruct(problem)
     occupations = np.diag(result.rho.matrix).real
     assert float(occupations[1:] @ np.arange(1, 7)) < 0.01
@@ -318,7 +312,7 @@ def test_binned_vacuum_counts_pass_chi_squared():
     # cells are pooled outward until every expectation reaches 5 counts
     n = 100000
     samples = sample_homodyne(vacuum_state(4).to_density(), [0.0], n, seed=13)
-    hists = bin_samples(samples, [0.0], bin_count=100, value_range=(-5, 5))
+    hists = bin_samples(samples, bin_count=100, value_range=(-5, 5))
     root2 = math.sqrt(2.0)
     edges = hists.edges
     mass = 0.5 * (erf(edges[1:] / root2) - erf(edges[:-1] / root2))
