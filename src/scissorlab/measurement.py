@@ -15,6 +15,7 @@ numpy alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -236,6 +237,17 @@ def _phase_factors(theta, n_max: int) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(theta, n[:, None] - n[None, :]))
 
 
+@functools.lru_cache(maxsize=1)
+def _sampling_stack(n_max: int) -> np.ndarray:
+    """_overlap_stack of the sampling grid flattened to (4002, d^2) and
+    read-only, kept for the last cutoff only: a sweep samples every
+    alpha at one cutoff, and one entry bounds the memory at any cutoff."""
+    d = n_max + 1
+    stack = _overlap_stack(_SAMPLING_GRID, n_max).reshape(-1, d * d)
+    stack.setflags(write=False)
+    return stack
+
+
 def sample_homodyne(rho: State, phases, n_samples: int,
                     eta_hd: float = 1.0, seed=None) -> QuadratureSamples:
     """Draw quadrature samples across the phase list, round-robin.
@@ -252,9 +264,10 @@ def sample_homodyne(rho: State, phases, n_samples: int,
 
     Each phase's table is the exact CDF at the points of the fixed
     [-10, 10] grid: the running sum of the grid cells' closed-form masses
-    Re(Phi_theta o rho^T) @ S^T (S from _overlap_stack), drawn by linear
-    interpolation.  The two open cells beyond the grid hold the exact
-    off-grid mass; TruncationError if it exceeds ``TRUNCATION_TOL``.
+    Re(Phi_theta o rho^T) @ S^T (S from _overlap_stack, built once per
+    cutoff), drawn by linear interpolation.  The two open cells beyond the
+    grid hold the exact off-grid mass; TruncationError if it exceeds
+    ``TRUNCATION_TOL``.
     """
     phases = np.array([float(t) for t in phases])
     if not phases.size:
@@ -269,8 +282,7 @@ def sample_homodyne(rho: State, phases, n_samples: int,
     _require_normalized(rho)
     k, d = phases.size, rho.dim
     phi_rho = (_phase_factors(phases, d - 1) * rho.matrix.T).real
-    masses = phi_rho.reshape(k, d * d) \
-        @ _overlap_stack(_SAMPLING_GRID, d - 1).reshape(-1, d * d).T
+    masses = phi_rho.reshape(k, d * d) @ _sampling_stack(d - 1).T
     off = masses[:, 0] + masses[:, -1]
     worst = int(np.argmax(off))
     if not off[worst] <= TRUNCATION_TOL:

@@ -172,22 +172,43 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
     Returns
     -------
     ReconstructionResult with the normalized reconstruction, the
-    log-likelihood trace, and convergence diagnostics.  Every iterate is
-    checked positive, and the result Hermitian, positive and of unit trace.
+    log-likelihood trace, and convergence diagnostics.  Every iterate must
+    have a finite, positive trace before it is normalized and must pass a
+    Cholesky test of rho + POSITIVITY_TOL I (no eigenvalue below
+    -POSITIVITY_TOL); either failure raises ValueError naming the
+    iteration.  The result is Hermitian, positive and of unit trace.
 
-    Each step works on the real overlap stack: with Phi (K, d^2) the
-    phase factors and S the stack flattened to (P + 2, d^2), the (K, P + 2)
-    table of probabilities is p = Re(Phi o rho^T) @ S^T, and
-    R = sum_theta Phi_theta o (w_theta @ S) with w = f / p.
+    Each step works on the packed upper triangle m <= n of the real,
+    symmetric overlap stack, S_u (P + 2, d(d + 1)/2).  The (m, n) and
+    (n, m) terms of Tr(Pi rho) = sum Pi_mn rho_nm are conjugates, so with
+    Phi_u = e^{i theta (m - n)} and a weight of 1 on the diagonal and 2
+    off it the (K, P + 2) table of probabilities is
+    p = Re(weight conj(Phi_u) o rho_u) @ S_u^T, that is weight
+    (cos theta(m - n) Re rho_mn + sin theta(m - n) Im rho_mn).
+    With w = f / p, R is the Hermitian matrix whose upper triangle is
+    sum_theta Phi_u,theta o (w_theta @ S_u).
     """
     counts = problem.counts
     total = int(counts.sum())
     if total <= 0:
         raise ValueError("cannot reconstruct from empty histograms")
     d = problem.n_max + 1
-    s_flat = problem.stack.reshape(-1, d * d)
-    phi = _phase_factors(problem.histograms.thetas, d - 1).reshape(-1, d * d)
+    m, n = np.triu_indices(d)
+    size = m.size
+    upper = m * d + n
+    s_u = problem.stack[:, m, n]
+    s_u_t = np.ascontiguousarray(s_u.T)
+    phase = np.exp(1j * np.multiply.outer(problem.histograms.thetas, m - n))
+    # each off-diagonal entry also stands for its (n, m) twin
+    fold = np.where(m == n, 1.0, 2.0) * phase.conj()
+    # R from [H_u, conj H_u]: entry (m, n) is H_u's, (n, m) its conjugate
+    # (the diagonal, written last, takes H_u's own entry)
+    unpack = np.empty(d * d, dtype=np.intp)
+    unpack[n * d + m] = np.arange(size) + size
+    unpack[upper] = np.arange(size)
+    shift = POSITIVITY_TOL * np.eye(d)
     freq = counts / total
+    count_weights = counts.ravel().astype(float)   # cast once, not per step
     occupied = counts > 0
     rho = np.eye(d, dtype=complex) / d
     loglik = []
@@ -195,23 +216,32 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
     floored = 0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        p = (phi * rho.T.reshape(-1)).real @ s_flat.T
-        floored = max(floored,
-                      np.count_nonzero((p < PROBABILITY_FLOOR) & occupied))
-        p = np.maximum(p, PROBABILITY_FLOOR)
-        loglik.append(float(counts.ravel() @ np.log(p).ravel()) / total)
+        p = (fold * rho.ravel()[upper]).real @ s_u_t
+        if p.min() < PROBABILITY_FLOOR:
+            floored = max(floored, np.count_nonzero(
+                (p < PROBABILITY_FLOOR) & occupied))
+            np.maximum(p, PROBABILITY_FLOOR, out=p)
+        loglik.append(float(count_weights @ np.log(p).ravel()) / total)
         if len(loglik) > 1 and loglik[-1] - loglik[-2] < tol:
             converged = True
             break
-        r_op = (phi * ((freq / p) @ s_flat)).sum(axis=0).reshape(d, d)
+        h_u = (phase * ((freq / p) @ s_u)).sum(axis=0)
+        r_op = np.concatenate((h_u, h_u.conj()))[unpack].reshape(d, d)
         rho = r_op @ rho @ r_op
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.trace(rho).real
-        low = np.linalg.eigvalsh(rho).min()
-        if low < -POSITIVITY_TOL:
+        rho += rho.conj().T   # twice the Hermitian part: the 2 cancels below
+        trace = rho.trace().real
+        if not 0.0 < trace < np.inf:
+            raise ValueError(f"reconstruction iterate {iterations} has "
+                             f"trace {trace:.3e}")
+        rho /= trace
+        try:
+            np.linalg.cholesky(rho + shift)
+        except np.linalg.LinAlgError:
+            low = np.linalg.eigvalsh(rho).min()
             raise ValueError(
-                f"reconstruction iterate lost positivity (min eig {low:.3e})"
-            )
+                f"reconstruction iterate {iterations} lost positivity "
+                f"(min eig {low:.3e})"
+            ) from None
     result_rho = DensityOperator(rho, (d,)).validate()
     return ReconstructionResult(result_rho, np.asarray(loglik), iterations,
                                 converged, floored)

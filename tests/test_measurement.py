@@ -30,7 +30,8 @@ from scissorlab import (
     wavefunctions,
     write_samples_csv,
 )
-from scissorlab.measurement import _CSV_CHUNK_ROWS, _SAMPLING_GRID
+from scissorlab.measurement import (_CSV_CHUNK_ROWS, _SAMPLING_GRID,
+                                    _overlap_stack, _sampling_stack)
 
 GRID = np.linspace(-8.0, 8.0, 1601)
 DENSE = np.linspace(-12.0, 12.0, 24001)
@@ -329,6 +330,16 @@ def test_draws_invert_exact_cdf():
         np.testing.assert_allclose(
             samples.x[k::3], np.interp(u[k::3], table, _SAMPLING_GRID),
             rtol=0, atol=1e-9)
+
+
+def test_sampling_stack_is_one_read_only_entry():
+    stack = _sampling_stack(4)
+    assert _sampling_stack(4) is stack
+    assert not stack.flags.writeable
+    np.testing.assert_array_equal(
+        stack, _overlap_stack(_SAMPLING_GRID, 4).reshape(-1, 25))
+    _sampling_stack(2)
+    assert _sampling_stack.cache_info().currsize == 1
 
 
 def test_sample_moments_match_state():

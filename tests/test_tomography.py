@@ -1,6 +1,7 @@
 """Binned-homodyne POVMs and the iterative likelihood climb."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -265,16 +266,66 @@ def einsum_maxlik_oracle(problem, max_iter, tol):
 
 def test_maxlik_matches_einsum_iteration():
     truth = apply_loss(ideal_output(0.3, 2.0).state, LossChannel(0.68))
-    phases = default_phase_grid(6)
-    samples = sample_homodyne(truth, phases, 20000, seed=11)
-    problem = TomographyProblem(bin_samples(samples, bin_count=60),
-                                n_max=8)
-    result = maxlik_reconstruct(problem, max_iter=3000, tol=1e-10)
-    rho, loglik = einsum_maxlik_oracle(problem, 3000, 1e-10)
+    for phases, bin_count, n_max in [
+            (default_phase_grid(6), 60, 8),
+            (default_phase_grid(6), 60, 1),            # the smallest triangle
+            (np.array([-0.4, 0.3, 2.9, 1.1]), 45, 6),  # irregular, unsorted
+    ]:
+        samples = sample_homodyne(truth, phases, 20000, seed=11)
+        problem = TomographyProblem(bin_samples(samples, bin_count=bin_count),
+                                    n_max=n_max)
+        result = maxlik_reconstruct(problem, max_iter=3000, tol=1e-10)
+        rho, loglik = einsum_maxlik_oracle(problem, 3000, 1e-10)
+        assert result.converged
+        assert result.iterations == len(loglik)
+        np.testing.assert_allclose(result.loglik, loglik, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.rho.matrix, rho, rtol=0, atol=1e-12)
+
+
+def test_maxlik_floors_an_underflowing_bin_like_the_oracle():
+    # one draw in [40, 45], where every model probability at n_max 2
+    # underflows below PROBABILITY_FLOOR; the rest is vacuum-like
+    edges = np.concatenate((np.linspace(-6.0, 6.0, 13), [40.0, 45.0]))
+    phases = [0.0, 1.0, 2.0]
+    inner = np.diff(ndtr(edges[:13]))
+    counts = np.zeros((3, edges.size + 1), dtype=np.int64)
+    counts[:, 1:13] = np.round(inner * 1000)
+    counts[0, 14] = 1
+    problem = TomographyProblem(QuadratureHistograms(phases, edges, counts),
+                                n_max=2)
+    result = maxlik_reconstruct(problem)
+    rho, loglik = einsum_maxlik_oracle(problem, 2000, 1e-10)
+    assert result.floored_bins == 1
     assert result.converged
+    result.rho.validate()
     assert result.iterations == len(loglik)
     np.testing.assert_allclose(result.loglik, loglik, rtol=0, atol=1e-12)
     np.testing.assert_allclose(result.rho.matrix, rho, rtol=0, atol=1e-12)
+
+
+def test_maxlik_stops_at_a_non_finite_iterate():
+    hists = QuadratureHistograms([0.0, 1.0], np.linspace(-6, 6, 11),
+                                 np.full((2, 12), 5))
+    problem = TomographyProblem(hists, n_max=4)
+    problem.stack = np.full_like(problem.stack, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="iterate 1 has trace nan"):
+            maxlik_reconstruct(problem)
+
+
+def test_maxlik_positivity_test_compares_min_eig_with_tolerance(monkeypatch):
+    # the first iterate passes with the threshold -POSITIVITY_TOL just
+    # below its smallest eigenvalue and fails with it just above
+    problem = make_problem_from_probabilities(full_rank_truth(),
+                                              default_phase_grid(6), n_max=6)
+    rho, _ = einsum_maxlik_oracle(problem, 1, 1e-10)
+    low = np.linalg.eigvalsh(rho).min()
+    monkeypatch.setattr(tomography, "POSITIVITY_TOL", 1e-9 - low)
+    maxlik_reconstruct(problem, max_iter=1)
+    monkeypatch.setattr(tomography, "POSITIVITY_TOL", -1e-9 - low)
+    with pytest.raises(ValueError, match="lost positivity"):
+        maxlik_reconstruct(problem, max_iter=1)
 
 
 def test_reconstruction_sharpens_with_more_data():
