@@ -344,11 +344,17 @@ def _stage_output(cfg: RunConfig, alpha: float, stage: str) -> HeraldedOutput:
 def _reconstruct(samples, tomo: dict, n_max: int,
                  path) -> ReconstructionResult:
     """Bin the samples as the tomography section says, reconstruct at
-    cutoff n_max and write the result's rho JSON to path."""
+    cutoff n_max and write the result's rho JSON to path; ValueError,
+    before anything is written, if the fit did not converge."""
     hists = bin_samples(samples, bin_count=tomo["bin_count"],
                         value_range=tuple(tomo["bin_range"]))
     result = maxlik_reconstruct(TomographyProblem(hists, n_max=n_max),
                                 max_iter=tomo["max_iter"], tol=tomo["tol"])
+    if not result.converged:
+        raise ValueError(
+            f"maximum-likelihood fit did not converge: certified gap "
+            f"{result.gap:.3e} per count after {result.iterations} "
+            f"iterations, above tomography.tol = {tomo['tol']:g}")
     write_density_json(result.rho, path)
     return result
 
@@ -525,8 +531,8 @@ def _cmd_tomo(args) -> int:
     _check_reconstruction_size(tomo["bin_count"], n_max)
     result = _reconstruct(read_samples_csv(args.samples), tomo, n_max,
                           args.out)
-    status = "converged" if result.converged else "hit iteration cap"
-    print(f"wrote {args.out} ({status} after {result.iterations} iterations)")
+    print(f"wrote {args.out} (converged after {result.iterations} "
+          f"iterations, certified gap {result.gap:.3e} per count)")
     return 0
 
 

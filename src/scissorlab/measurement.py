@@ -30,6 +30,8 @@ from .optics import LossChannel, apply_loss
 #: sampling grid for inverse-CDF draws: fixed, dense, and generous enough
 #: for any state representable at the package's default truncations
 _SAMPLING_GRID = np.linspace(-10.0, 10.0, 4001)
+#: buckets of the guide table that starts each inverse-CDF lookup
+_GUIDE_BUCKETS = 8192
 
 _PSI0_PEAK = (2.0 * math.pi) ** -0.25
 _TINY = np.finfo(float).tiny
@@ -248,6 +250,34 @@ def _sampling_stack(n_max: int) -> np.ndarray:
     return stack
 
 
+def _inverse_cdf(u: np.ndarray, table: np.ndarray, grid: np.ndarray
+                 ) -> np.ndarray:
+    """np.interp(u, table, grid), bit for bit, for draws u in [0, 1) on a
+    non-decreasing table that runs from 0 to 1.
+
+    np.interp takes the last j with table[j] <= u and returns grid[j]
+    where u equals table[j], else slope[j] (u - table[j]) + grid[j].  A
+    guide table of B = _GUIDE_BUCKETS equal buckets of [0, 1) gives that
+    j directly for a draw whose bucket holds no table point; only the
+    draws in the other buckets need a binary search.  The last j at or
+    below each bucket edge b / B counts the points with ceil(B t) <= b,
+    exact since B is a power of two.
+    """
+    buckets = _GUIDE_BUCKETS
+    ranks = np.ceil(table * buckets).astype(np.intp)
+    cuts = np.cumsum(np.bincount(ranks, minlength=buckets + 1)) - 1
+    guide = np.where(cuts[1:] == cuts[:-1], cuts[:-1], -1)
+    j = guide[(u * buckets).astype(np.intp)]
+    mixed = np.flatnonzero(j < 0)
+    j[mixed] = np.searchsorted(table, u[mixed], "right") - 1
+    rise = np.diff(table)
+    # a flat run's slope is never read: no draw lands at its start
+    slope = np.divide(np.diff(grid), rise, out=np.zeros_like(rise),
+                      where=rise > 0)
+    at, base = table[j], grid[j]
+    return np.where(u == at, base, slope[j] * (u - at) + base)
+
+
 def sample_homodyne(rho: State, phases, n_samples: int,
                     eta_hd: float = 1.0, seed=None) -> QuadratureSamples:
     """Draw quadrature samples across the phase list, round-robin.
@@ -265,9 +295,10 @@ def sample_homodyne(rho: State, phases, n_samples: int,
     Each phase's table is the exact CDF at the points of the fixed
     [-10, 10] grid: the running sum of the grid cells' closed-form masses
     Re(Phi_theta o rho^T) @ S^T (S from _overlap_stack, built once per
-    cutoff), drawn by linear interpolation.  The two open cells beyond the
-    grid hold the exact off-grid mass; TruncationError if it exceeds
-    ``TRUNCATION_TOL``.
+    cutoff), drawn by linear interpolation through a guide table
+    (``_inverse_cdf``, np.interp's values bit for bit).  The two open
+    cells beyond the grid hold the exact off-grid mass; TruncationError
+    if it exceeds ``TRUNCATION_TOL``.
     """
     phases = np.array([float(t) for t in phases])
     if not phases.size:
@@ -295,8 +326,10 @@ def sample_homodyne(rho: State, phases, n_samples: int,
     u = rng.random(n_samples)
     values = np.empty(n_samples)
     for idx, table in enumerate(tables):
-        values[idx::k] = np.interp(u[idx::k], table, _SAMPLING_GRID)
-    return QuadratureSamples(phases, np.arange(n_samples) % k, values)
+        values[idx::k] = _inverse_cdf(u[idx::k], table, _SAMPLING_GRID)
+    rounds = -(-n_samples // k)   # arange(n_samples) % k, without the %
+    return QuadratureSamples(phases, np.tile(np.arange(k), rounds)[:n_samples],
+                             values)
 
 
 def write_samples_csv(samples: QuadratureSamples, path) -> None:

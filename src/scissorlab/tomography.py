@@ -1,28 +1,31 @@
-"""Iterative maximum-likelihood homodyne tomography.
+"""Maximum-likelihood homodyne tomography with a certified stop.
 
 Quadrature samples binned at K phases on one set of edges give a (K, P + 2)
 count table (``QuadratureHistograms``).  Each cell is a projector-like POVM
 element Pi_j = integral over the bin of |x;theta><x;theta| dx, and every
 phase's elements are the one real overlap stack S of the edges rotated by
-e^{i theta (m - n)}.  The reconstruction iterates
+e^{i theta (m - n)}.  With f_j the observed frequencies,
 
-    R(rho) = sum_j (f_j / Tr(Pi_j rho)) Pi_j,     rho <- R rho R / Tr(...)
+    R(rho) = sum_j (f_j / Tr(Pi_j rho)) Pi_j
 
-with f_j the observed frequencies, which monotonically climbs the
-likelihood for this measurement class and converges to the maximum-
-likelihood state on the truncated basis.
+is the gradient of the per-count log-likelihood over rho.  The
+reconstruction climbs the likelihood by quasi-Newton steps on a factor A
+of rho = A A^+ / Tr(A A^+), positive at every iterate, and stops once
+log lambda_max(R), which bounds the per-count distance to the maximum,
+is small enough.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fock import DensityOperator
 from .measurement import QuadratureSamples, _overlap_stack, _phase_factors
-from .numerics import (DIMENSION_CAP, POSITIVITY_TOL, POVM_COMPLETENESS_TOL,
+from .numerics import (DIMENSION_CAP, POVM_COMPLETENESS_TOL,
                        PROBABILITY_FLOOR, CapacityError)
 
 
@@ -156,29 +159,117 @@ class ReconstructionResult:
     iterations: int
     converged: bool
     floored_bins: int           # data bins whose model probability was clamped
+    gap: float                  # certified per-count distance to the maximum
+
+
+#: L-BFGS memory: curvature pairs kept
+_MEMORY = 8
+#: Armijo sufficient-decrease constant
+_ARMIJO = 1e-4
+#: rounding allowance of the decrease test, in units of eps |loglik|
+_ROUNDING = 8 * np.finfo(float).eps
+
+
+class _CurvatureMemory:
+    """The last _MEMORY L-BFGS pairs (s, y), oldest first, with their dot
+    products s_i . y_j kept as Python floats.
+
+    ``direction`` is the two-loop recursion (Nocedal and Wright,
+    Numerical Optimization, 2nd ed., Alg. 7.4) with every pairwise dot
+    product read from the table: five array products per call, whatever
+    the memory, and the recursions themselves on scalars.
+    """
+
+    def __init__(self, size: int):
+        self.s = np.empty((_MEMORY, size))
+        self.y = np.empty((_MEMORY, size))
+        self.sy: list[list[float]] = []
+
+    def clear(self) -> None:
+        self.sy = []
+
+    def push(self, s: np.ndarray, y: np.ndarray) -> None:
+        k = len(self.sy)
+        if k == _MEMORY:
+            self.s[:-1] = self.s[1:]
+            self.y[:-1] = self.y[1:]
+            self.sy = [row[1:] for row in self.sy[1:]]
+            k -= 1
+        self.s[k] = s
+        self.y[k] = y
+        for row, value in zip(self.sy, (self.s[:k] @ y).tolist()):
+            row.append(value)
+        self.sy.append((self.y[:k + 1] @ s).tolist())
+
+    def direction(self, grad: np.ndarray) -> np.ndarray:
+        """-H grad for the inverse-Hessian estimate H that the pairs
+        define from the scaling s^T y / y^T y of the newest pair."""
+        sy = self.sy
+        k = len(sy)
+        if not k:
+            return -grad
+        s, y = self.s[:k], self.y[:k]
+        sg = (s @ grad).tolist()
+        alpha = [0.0] * k
+        for i in reversed(range(k)):
+            acc = sg[i]
+            for j in range(i + 1, k):
+                acc -= sy[i][j] * alpha[j]
+            alpha[i] = acc / sy[i][i]
+        q = grad - np.array(alpha) @ y
+        yq = (y @ q).tolist()
+        gamma = sy[-1][-1] / (y[-1] @ y[-1])
+        diff = [0.0] * k    # alpha_i - beta_i
+        for i in range(k):
+            acc = gamma * yq[i]
+            for j in range(i):
+                acc += sy[j][i] * diff[j]
+            diff[i] = alpha[i] - acc / sy[i][i]
+        return -(gamma * q + np.array(diff) @ s)
 
 
 def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
                        tol: float = 1e-10) -> ReconstructionResult:
-    """Iterate R rho R from the maximally mixed seed until the likelihood
-    gain per count drops below ``tol`` or ``max_iter`` is reached.
+    """Climb the likelihood by L-BFGS on a factor A of rho = A A^+ / Tr(A A^+)
+    from the maximally mixed seed, until the certified per-count distance
+    to the maximum is at most ``tol``.
 
     Parameters
     ----------
     problem : binned data and POVM cache.
-    max_iter : iteration cap; hitting it sets converged=False.
-    tol : stopping threshold on the per-count log-likelihood gain.
+    max_iter : cap on likelihood evaluations; hitting it sets
+        converged=False.
+    tol : stopping threshold on the certified per-count gap.
 
     Returns
     -------
     ReconstructionResult with the normalized reconstruction, the
-    log-likelihood trace, and convergence diagnostics.  Every iterate must
-    have a finite, positive trace before it is normalized and must pass a
-    Cholesky test of rho + POSITIVITY_TOL I (no eigenvalue below
-    -POSITIVITY_TOL); either failure raises ValueError naming the
-    iteration.  The result is Hermitian, positive and of unit trace.
+    log-likelihood of every accepted iterate (the seed is the first),
+    their number, the final gap and convergence diagnostics.  A
+    non-finite log-likelihood or trace raises ValueError naming the
+    iterate.  The result is Hermitian, positive and of unit trace; every
+    iterate is positive by construction.
 
-    Each step works on the packed upper triangle m <= n of the real,
+    With R(rho) = sum_j (f_j / Tr(Pi_j rho)) Pi_j and f_j the observed
+    frequencies, concavity bounds the per-count distance to the maximum
+    by log lambda_max(R) (Glancy, Knill and Girard, NJP 14, 095017, 2012):
+    the fit stops once that gap is at most ``tol``.  The gradient of the
+    per-count log-likelihood over (Re A, Im A) is 2 (R - I) A / Tr(A A^+)
+    (James, Kwiat, Munro and White, PRA 64, 052312, 2001).  The ascent
+    keeps _MEMORY curvature pairs, scales by s^T y / y^T y and halves the
+    step until it gains at least _ARMIJO of the slope, less a rounding
+    allowance of _ROUNDING |loglik|, without which it stalls at the
+    rounding floor.  Most steps skip the eigensolver: |R v| <= lambda_max
+    for R's top eigenvector v when last computed, so a large |R v| already
+    shows the gap is above ``tol``.
+
+    A model probability below PROBABILITY_FLOOR is clamped there, and
+    ``floored_bins`` is the most occupied bins clamped at one accepted
+    iterate.  A clamped bin's term is constant, so it leaves R and the
+    gradient, and the gap becomes log(lambda_max(R) / F), with F the
+    frequency of the unclamped bins: the bound while they stay clamped.
+
+    Each evaluation works on the packed upper triangle m <= n of the real,
     symmetric overlap stack, S_u (P + 2, d(d + 1)/2).  The (m, n) and
     (n, m) terms of Tr(Pi rho) = sum Pi_mn rho_nm are conjugates, so with
     Phi_u = e^{i theta (m - n)} and a weight of 1 on the diagonal and 2
@@ -206,45 +297,97 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
     unpack = np.empty(d * d, dtype=np.intp)
     unpack[n * d + m] = np.arange(size) + size
     unpack[upper] = np.arange(size)
-    shift = POSITIVITY_TOL * np.eye(d)
     freq = counts / total
     count_weights = counts.ravel().astype(float)   # cast once, not per step
     occupied = counts > 0
-    rho = np.eye(d, dtype=complex) / d
-    loglik = []
-    converged = False
-    floored = 0
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        p = (fold * rho.ravel()[upper]).real @ s_u_t
-        if p.min() < PROBABILITY_FLOOR:
-            floored = max(floored, np.count_nonzero(
-                (p < PROBABILITY_FLOOR) & occupied))
-            np.maximum(p, PROBABILITY_FLOOR, out=p)
-        loglik.append(float(count_weights @ np.log(p).ravel()) / total)
-        if len(loglik) > 1 and loglik[-1] - loglik[-2] < tol:
-            converged = True
-            break
-        h_u = (phase * ((freq / p) @ s_u)).sum(axis=0)
-        r_op = np.concatenate((h_u, h_u.conj()))[unpack].reshape(d, d)
-        rho = r_op @ rho @ r_op
-        rho += rho.conj().T   # twice the Hermitian part: the 2 cancels below
-        trace = rho.trace().real
-        if not 0.0 < trace < np.inf:
-            raise ValueError(f"reconstruction iterate {iterations} has "
+
+    def evaluate(x, iterate):
+        """The loglik per count, R, rho, the gradient of -loglik and the
+        clamped bins at A, held as the real view x of its entries."""
+        trace = float(x @ x)
+        if not 0.0 < trace < math.inf:
+            raise ValueError(f"reconstruction iterate {iterate} has "
                              f"trace {trace:.3e}")
+        a = x.view(complex).reshape(d, d)
+        rho = a @ a.conj().T
         rho /= trace
-        try:
-            np.linalg.cholesky(rho + shift)
-        except np.linalg.LinAlgError:
-            low = np.linalg.eigvalsh(rho).min()
-            raise ValueError(
-                f"reconstruction iterate {iterations} lost positivity "
-                f"(min eig {low:.3e})"
-            ) from None
-    result_rho = DensityOperator(rho, (d,)).validate()
-    return ReconstructionResult(result_rho, np.asarray(loglik), iterations,
-                                converged, floored)
+        p = (fold * rho.ravel()[upper]).real @ s_u_t
+        clamped = 0
+        kept = 1.0          # frequency held by the unclamped bins
+        if p.min() < PROBABILITY_FLOOR:
+            low = p < PROBABILITY_FLOOR
+            clamped = np.count_nonzero(low & occupied)
+            kept = freq[~low].sum()
+            if kept == 0.0:
+                raise ValueError(f"reconstruction iterate {iterate} puts "
+                                 f"every count in a bin of probability "
+                                 f"below {PROBABILITY_FLOOR:g}")
+            np.maximum(p, PROBABILITY_FLOOR, out=p)
+        loglik = float(count_weights @ np.log(p).ravel()) / total
+        if not math.isfinite(loglik):
+            raise ValueError(f"reconstruction iterate {iterate} has "
+                             f"log-likelihood {loglik}")
+        weights = freq / p
+        if clamped:
+            weights[low] = 0.0   # a clamped bin's term is constant
+        h_u = (phase * (weights @ s_u)).sum(axis=0)
+        r_op = np.concatenate((h_u, h_u.conj()))[unpack].reshape(d, d)
+        # kept = Tr(R rho), the radial part of R A
+        grad = (kept * a - r_op @ a) * (2.0 / trace)
+        if clamped:
+            r_op /= kept
+        return loglik, r_op, rho, grad.ravel().view(float), clamped
+
+    x = (np.eye(d, dtype=complex) / math.sqrt(d)).ravel().view(float)
+    loglik, r_op, rho, grad, floored = evaluate(x, 1)
+    trace_loglik = [loglik]
+    memory = _CurvatureMemory(x.size)
+    top = np.zeros(d)      # R's top eigenvector when last computed
+    screen = math.exp(2.0 * tol)
+    evaluations = 1
+    while True:
+        # |R v| <= lambda_max for a unit v: a large |R v| proves gap > tol
+        gap = None
+        image = r_op @ top
+        if np.vdot(image, image).real <= screen:
+            values, vectors = np.linalg.eigh(r_op)
+            top = vectors[:, -1]
+            gap = math.log(values[-1])
+            if gap <= tol:
+                break
+        if evaluations >= max_iter:
+            break
+        direction = memory.direction(grad)
+        slope = grad @ direction
+        if not slope < 0.0:   # no descent: restart from steepest descent
+            memory.clear()
+            direction = -grad
+            slope = grad @ direction
+        least = loglik - _ROUNDING * abs(loglik)
+        step = 1.0
+        while evaluations < max_iter:   # else the cap ends the search
+            s = step * direction
+            trial = x + s
+            evaluations += 1
+            new = evaluate(trial, len(trace_loglik) + 1)
+            if new[0] >= least - _ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        y = new[3] - grad
+        if s @ y > 0.0:
+            memory.push(s, y)
+        x = trial
+        loglik, r_op, rho, grad, clamped = new
+        floored = max(floored, clamped)
+        trace_loglik.append(loglik)
+    if gap is None:
+        gap = math.log(np.linalg.eigvalsh(r_op)[-1])
+    result_rho = DensityOperator(0.5 * (rho + rho.conj().T), (d,)).validate()
+    return ReconstructionResult(result_rho, np.asarray(trace_loglik),
+                                len(trace_loglik), gap <= tol, floored,
+                                float(gap))
 
 
 # ---------------------------------------------------------------------------

@@ -537,16 +537,45 @@ def test_wigner_verb_rejects_bad_density_file(tmp_path, capsys, payload,
     assert not out.exists()
 
 
-def test_tomo_verb_roundtrip(tmp_path):
+def test_tomo_verb_roundtrip(tmp_path, capsys):
     cfg = small_sampled_config(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0
     samples_path = tmp_path / "out" / "alpha_0.2500" / "samples.csv"
     out = tmp_path / "recon.json"
+    capsys.readouterr()
     assert main(["tomo", "--samples", str(samples_path),
                  "--config", str(cfg), "--out", str(out), "--n-max", "8"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"wrote {out} (converged after ")
+    assert "certified gap" in printed
     rho = read_density_json(out)
     assert rho.matrix.shape == (9, 9)
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-8)
+
+
+def test_unconverged_fit_is_an_error(tmp_path, capsys):
+    # three likelihood evaluations cannot certify the optimum: run and
+    # tomo both fail before writing rho.json
+    cfg = small_sampled_config(tmp_path, **{"tomography.max_iter": 3})
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: maximum-likelihood fit did not converge: "
+                          "certified gap ")
+    assert err.endswith(" iterations, above tomography.tol = 1e-10\n")
+    alpha_dir = tmp_path / "out" / "alpha_0.2500"
+    assert not (alpha_dir / "rho.json").exists()
+    assert not (tmp_path / "out" / "summary.csv").exists()
+    # tomo fails the same way on a good run's samples
+    (tmp_path / "good").mkdir()
+    good = small_sampled_config(tmp_path / "good")
+    assert main(["run", "--config", str(good)]) == 0
+    samples_path = tmp_path / "good" / "out" / "alpha_0.2500" / "samples.csv"
+    out = tmp_path / "recon.json"
+    capsys.readouterr()
+    assert main(["tomo", "--samples", str(samples_path),
+                 "--config", str(cfg), "--out", str(out)]) == 1
+    assert "did not converge" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tomo_rejects_non_finite_draw(tmp_path, capsys):

@@ -30,7 +30,8 @@ from scissorlab import (
     wavefunctions,
     write_samples_csv,
 )
-from scissorlab.measurement import (_CSV_CHUNK_ROWS, _SAMPLING_GRID,
+from scissorlab.measurement import (_CSV_CHUNK_ROWS, _GUIDE_BUCKETS,
+                                    _SAMPLING_GRID, _inverse_cdf,
                                     _overlap_stack, _sampling_stack)
 
 GRID = np.linspace(-8.0, 8.0, 1601)
@@ -330,6 +331,37 @@ def test_draws_invert_exact_cdf():
         np.testing.assert_allclose(
             samples.x[k::3], np.interp(u[k::3], table, _SAMPLING_GRID),
             rtol=0, atol=1e-9)
+
+
+def awkward_cdf_tables():
+    """Non-decreasing tables from 0 to 1 that stress the guide table."""
+    smooth = ndtr(np.linspace(-10.0, 10.0, 4001) - 0.3)
+    smooth = (smooth - smooth[0]) / (smooth[-1] - smooth[0])
+    flat = np.repeat(np.linspace(0.0, 1.0, 6), [5, 1, 40, 2, 3, 7])
+    step = np.zeros(50)
+    step[20:] = 1.0      # all the mass in one cell
+    # many points in one bucket, then one point spanning most buckets
+    crowded = np.concatenate((np.linspace(0.0, 0.5 / _GUIDE_BUCKETS, 300),
+                              [1.0]))
+    return {"smooth": smooth, "flat runs": flat, "one step": step,
+            "two points": np.array([0.0, 1.0]), "crowded": crowded}
+
+
+@pytest.mark.parametrize("name", sorted(awkward_cdf_tables()))
+def test_inverse_cdf_matches_interp_bit_for_bit(name):
+    table = awkward_cdf_tables()[name]
+    grid = np.linspace(-3.0, 5.0, table.size)
+    u = np.concatenate((
+        np.random.default_rng(3).random(20000),
+        [0.0, 0.5, 1.0 - 2.0 ** -53],
+        np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS,   # every bucket's start
+        table[table < 1.0],                            # the table's points
+        np.nextafter(table[table < 1.0], 1.0),
+    ))
+    u = u[u < 1.0]     # the draws of rng.random
+    got = _inverse_cdf(u, table, grid)
+    want = np.interp(u, table, grid)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_sampling_stack_is_one_read_only_entry():
