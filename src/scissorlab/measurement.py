@@ -190,7 +190,9 @@ def quadrature_moments(rho: State, theta):
 
 def _overlap_stack(edges, n_max: int) -> np.ndarray:
     """Phase-free overlaps S[k, m, n] = integral_k psi_m psi_n dx of the
-    bins (-inf, e_0], ..., [e_last, +inf), exact in psi at the edges.
+    bins (-inf, e_0], ..., [e_last, +inf), exact in psi at the edges, as
+    the packed triangle m <= n of the symmetric S: (E + 1, d(d + 1)/2),
+    columns in np.triu_indices order, column-major, built row by row.
 
     Off the diagonal the primitive is the Wronskian [psi_m' psi_n -
     psi_m psi_n'] / (n - m), psi_n' = (sqrt(n) psi_{n-1} - sqrt(n+1)
@@ -202,6 +204,7 @@ def _overlap_stack(edges, n_max: int) -> np.ndarray:
     of small numbers.  The one bin that crosses 0 gets the identity back.
     """
     edges = np.asarray(edges, dtype=float)
+    _require_finite(edges, "bin edge {} is not finite")
     if edges.ndim != 1 or np.any(np.diff(edges) <= 0):
         raise ValueError("bin edges must be a strictly increasing 1-D array")
     d = n_max + 1
@@ -210,42 +213,83 @@ def _overlap_stack(edges, n_max: int) -> np.ndarray:
     root = np.sqrt(np.arange(d + 1))
     lower = np.pad(psi[:, :-1], ((0, 0), (1, 0)))
     dpsi = 0.5 * (root[:d] * lower - root[1:] * full[:, 1:])
-    n = np.arange(d)
-    gap = n[None, :] - n[:, None] + np.eye(d)   # diagonal replaced below
-    # formed in place: at 4001 edges every (E, d, d) temporary is large
-    prim = dpsi[:, :, None] * psi[:, None, :]
-    prim -= psi[:, :, None] * dpsi[:, None, :]
-    prim /= gap
     below = edges < 0
+    crossing = np.count_nonzero(below)      # the bin that holds 0
     # Phi(-|e|), the smaller tail, which erfc keeps to full relative precision
     root2 = math.sqrt(2.0)
     tail = np.array([0.5 * math.erfc(abs(e) / root2) for e in edges.tolist()])
-    diag = np.empty((edges.size, d))
-    diag[:, 0] = np.where(below, tail, -tail)
-    for k in range(1, d):
-        diag[:, k] = diag[:, k - 1] - psi[:, k] * psi[:, k - 1] / root[k]
-    prim[:, n, n] = diag
-    stack = np.empty((edges.size + 1, d, d))
-    stack[0] = prim[0]
-    np.subtract(prim[1:], prim[:-1], out=stack[1:-1])
-    stack[-1] = 0.0 - prim[-1]
-    stack[np.count_nonzero(below), n, n] += 1.0
+    diag = np.where(below, tail, -tail)
+    # row m of the primitive at -inf, the edges and +inf
+    bordered = np.zeros((edges.size + 2, d))
+    stack = np.empty((edges.size + 1, d * (d + 1) // 2), order="F")
+    rows = np.split(stack, np.cumsum(np.arange(d, 1, -1)), axis=1)
+    for m, row in enumerate(rows):
+        prim = bordered[:, :d - m]
+        np.multiply(dpsi[:, m, None], psi[:, m:], out=prim[1:-1])
+        prim[1:-1] -= psi[:, m, None] * dpsi[:, m:]
+        prim[1:-1, 1:] /= np.arange(1, d - m)
+        if m:
+            diag = diag - psi[:, m] * psi[:, m - 1] / root[m]
+        prim[1:-1, 0] = diag
+        np.subtract(prim[1:], prim[:-1], out=row)
+        row[crossing, 0] += 1.0
     return stack
 
 
-def _phase_factors(theta, n_max: int) -> np.ndarray:
-    """e^{i theta (m - n)}; a phase array gives one (d, d) block per phase."""
-    n = np.arange(n_max + 1)
-    return np.exp(1j * np.multiply.outer(theta, n[:, None] - n[None, :]))
+def _packed_identity(d: int) -> np.ndarray:
+    """The d x d identity, packed as ``_overlap_stack`` packs S."""
+    return np.eye(d)[np.triu_indices(d)]
+
+
+class _ProbabilityMap:
+    """p[k, j] = Tr(Pi_kj rho) for Pi_kj = e^{i theta_k (m - n)} S_j over a
+    phase list, and the adjoint R(w) = sum w_kj Pi_kj, from the packed
+    stack S_u of ``_overlap_stack``.  The (m, n) and (n, m) terms of
+    Tr(Pi rho) are conjugates, so with Phi_u = e^{i theta (m - n)} on the
+    triangle and fold = conj(Phi_u) doubled off the diagonal,
+    p = Re(fold o rho_u) @ S_u^T.  R(w)'s upper triangle is
+    sum_k Phi_u,k o (w_k @ S_u), so Re Tr(R(w) rho) = sum w p.  Both
+    products read S_u column-major, as ``_overlap_stack`` stores it, so
+    S_u^T is read in place; BLAS rounds them differently in C order.
+    """
+
+    def __init__(self, thetas, stack: np.ndarray):
+        self.d = d = (math.isqrt(8 * stack.shape[1] + 1) - 1) // 2
+        m, n = np.triu_indices(d)
+        self.stack = np.asfortranarray(stack)
+        self.upper = m * d + n
+        self.phase = np.exp(1j * np.multiply.outer(thetas, m - n))
+        self.fold = np.where(m == n, 1.0, 2.0) * self.phase.conj()
+        # entry (m, n) of [h_u, conj h_u] is h_u's, (n, m) its conjugate
+        # (the diagonal, written last, takes h_u's own entry)
+        self.unpack = np.empty(d * d, dtype=np.intp)
+        self.unpack[n * d + m] = np.arange(m.size) + m.size
+        self.unpack[self.upper] = np.arange(m.size)
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        """The (K, J) table p for a (d, d) matrix rho."""
+        return (self.fold * rho.ravel()[self.upper]).real @ self.stack.T
+
+    def adjoint(self, weights: np.ndarray) -> np.ndarray:
+        """R(weights) for a (K, J) table, as a (d, d) Hermitian matrix."""
+        return self.unpacked((self.phase * (weights @ self.stack)).sum(0))[0]
+
+    def elements(self) -> np.ndarray:
+        """Every Pi_kj, row-major in (k, j), as one (K J, d, d) stack."""
+        return self.unpacked(self.phase[:, None] * self.stack)
+
+    def unpacked(self, h_u: np.ndarray) -> np.ndarray:
+        """The Hermitian (N, d, d) matrices whose upper triangles h_u packs."""
+        both = np.concatenate((h_u, h_u.conj()), axis=-1)[..., self.unpack]
+        return both.reshape(-1, self.d, self.d)
 
 
 @functools.lru_cache(maxsize=1)
 def _sampling_stack(n_max: int) -> np.ndarray:
-    """_overlap_stack of the sampling grid flattened to (4002, d^2) and
+    """_overlap_stack of the sampling grid, (4002, d(d + 1)/2) and
     read-only, kept for the last cutoff only: a sweep samples every
     alpha at one cutoff, and one entry bounds the memory at any cutoff."""
-    d = n_max + 1
-    stack = _overlap_stack(_SAMPLING_GRID, n_max).reshape(-1, d * d)
+    stack = _overlap_stack(_SAMPLING_GRID, n_max)
     stack.setflags(write=False)
     return stack
 
@@ -294,15 +338,16 @@ def sample_homodyne(rho: State, phases, n_samples: int,
 
     Each phase's table is the exact CDF at the points of the fixed
     [-10, 10] grid: the running sum of the grid cells' closed-form masses
-    Re(Phi_theta o rho^T) @ S^T (S from _overlap_stack, built once per
-    cutoff), drawn by linear interpolation through a guide table
-    (``_inverse_cdf``, np.interp's values bit for bit).  The two open
+    (``_ProbabilityMap.probabilities`` on the grid's packed overlap stack,
+    built once per cutoff), drawn by linear interpolation through a guide
+    table (``_inverse_cdf``, np.interp's values bit for bit).  The two open
     cells beyond the grid hold the exact off-grid mass; TruncationError
     if it exceeds ``TRUNCATION_TOL``.
     """
     phases = np.array([float(t) for t in phases])
     if not phases.size:
         raise ValueError("need at least one phase")
+    _require_finite(phases, "phase {} is not finite")
     if n_samples < 0:
         raise ValueError("n_samples cannot be negative")
     rho = _require_density(rho)
@@ -311,9 +356,9 @@ def sample_homodyne(rho: State, phases, n_samples: int,
             raise ValueError(f"eta_hd must lie in (0, 1], got {eta_hd}")
         rho = apply_loss(rho, LossChannel(eta_hd))
     _require_normalized(rho)
-    k, d = phases.size, rho.dim
-    phi_rho = (_phase_factors(phases, d - 1) * rho.matrix.T).real
-    masses = phi_rho.reshape(k, d * d) @ _sampling_stack(d - 1).T
+    k = phases.size
+    povm = _ProbabilityMap(phases, _sampling_stack(rho.n_max))
+    masses = povm.probabilities(rho.matrix)
     off = masses[:, 0] + masses[:, -1]
     worst = int(np.argmax(off))
     if not off[worst] <= TRUNCATION_TOL:

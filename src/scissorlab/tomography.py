@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import DensityOperator
-from .measurement import QuadratureSamples, _overlap_stack, _phase_factors
+from .measurement import (QuadratureSamples, _overlap_stack,
+                          _packed_identity, _ProbabilityMap)
 from .numerics import (DIMENSION_CAP, POVM_COMPLETENESS_TOL,
                        PROBABILITY_FLOOR, CapacityError)
 
@@ -92,13 +93,13 @@ def phase_povm_elements(theta: float, edges: np.ndarray, n_max: int
                         ) -> np.ndarray:
     """All elements of one phase, Pi[k, m, n] = e^{i (m - n) theta}
     S[k, m, n]: underflow (from -inf), the bins, overflow (to +inf)."""
-    return _overlap_stack(edges, n_max) * _phase_factors(theta, n_max)
+    return _ProbabilityMap([theta], _overlap_stack(edges, n_max)).elements()
 
 
 def _check_reconstruction_size(bin_count: int, n_max: int) -> None:
     """Raise CapacityError if a reconstruction on bin_count bins at this
-    cutoff exceeds the cap: its overlap stack, like the arrays that build
-    it, has (bin_count + 2)(n_max + 1)^2 entries."""
+    cutoff exceeds the cap on (bin_count + 2)(n_max + 1)^2 entries, one
+    phase's full element matrices; its packed stack holds about half."""
     size = (bin_count + 2) * (n_max + 1) ** 2
     if size > DIMENSION_CAP:
         raise CapacityError(
@@ -111,10 +112,11 @@ def _check_reconstruction_size(bin_count: int, n_max: int) -> None:
 class TomographyProblem:
     """A count table plus its POVM for a chosen reconstruction cutoff.
 
-    The POVM is one real, phase-free overlap stack ``stack`` on the
-    table's edges; phase k's element j is e^{i thetas[k] (m - n)}
-    stack[j], with count ``counts[k, j]``: ``counts`` is the histograms'
-    own read-only table.  CapacityError if the stack would exceed the cap.
+    The POVM is one real, phase-free overlap stack S on the table's
+    edges, held packed as ``stack`` (see ``_overlap_stack``); phase k's
+    element j is e^{i thetas[k] (m - n)} S[j], with count
+    ``counts[k, j]``: ``counts`` is the histograms' own read-only table.
+    CapacityError if one phase's full elements would exceed the cap.
     """
 
     histograms: QuadratureHistograms
@@ -135,7 +137,8 @@ class TomographyProblem:
         # |e^{i theta (m - n)}| = 1 and the diagonal is 1, so every phase
         # misses completeness by as much as the stack; written so that a
         # NaN miss fails too
-        miss = np.abs(self.stack.sum(axis=0) - np.eye(self.n_max + 1)).max()
+        miss = np.abs(self.stack.sum(axis=0)
+                      - _packed_identity(self.n_max + 1)).max()
         if not miss <= POVM_COMPLETENESS_TOL:
             raise ValueError(
                 f"POVM on these bin edges deviates from completeness by "
@@ -147,9 +150,7 @@ class TomographyProblem:
     def elements(self) -> np.ndarray:
         """Every element Pi_j as one (J, d, d) complex stack, in the
         row-major order of ``counts``; built on each access."""
-        d = self.n_max + 1
-        phi = _phase_factors(self.histograms.thetas, self.n_max)
-        return (phi[:, None] * self.stack).reshape(-1, d, d)
+        return _ProbabilityMap(self.histograms.thetas, self.stack).elements()
 
 
 @dataclass(frozen=True)
@@ -269,34 +270,14 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
     gradient, and the gap becomes log(lambda_max(R) / F), with F the
     frequency of the unclamped bins: the bound while they stay clamped.
 
-    Each evaluation works on the packed upper triangle m <= n of the real,
-    symmetric overlap stack, S_u (P + 2, d(d + 1)/2).  The (m, n) and
-    (n, m) terms of Tr(Pi rho) = sum Pi_mn rho_nm are conjugates, so with
-    Phi_u = e^{i theta (m - n)} and a weight of 1 on the diagonal and 2
-    off it the (K, P + 2) table of probabilities is
-    p = Re(weight conj(Phi_u) o rho_u) @ S_u^T, that is weight
-    (cos theta(m - n) Re rho_mn + sin theta(m - n) Im rho_mn).
-    With w = f / p, R is the Hermitian matrix whose upper triangle is
-    sum_theta Phi_u,theta o (w_theta @ S_u).
+    p and R(w) come from ``_ProbabilityMap`` on the packed stack.
     """
     counts = problem.counts
     total = int(counts.sum())
     if total <= 0:
         raise ValueError("cannot reconstruct from empty histograms")
     d = problem.n_max + 1
-    m, n = np.triu_indices(d)
-    size = m.size
-    upper = m * d + n
-    s_u = problem.stack[:, m, n]
-    s_u_t = np.ascontiguousarray(s_u.T)
-    phase = np.exp(1j * np.multiply.outer(problem.histograms.thetas, m - n))
-    # each off-diagonal entry also stands for its (n, m) twin
-    fold = np.where(m == n, 1.0, 2.0) * phase.conj()
-    # R from [H_u, conj H_u]: entry (m, n) is H_u's, (n, m) its conjugate
-    # (the diagonal, written last, takes H_u's own entry)
-    unpack = np.empty(d * d, dtype=np.intp)
-    unpack[n * d + m] = np.arange(size) + size
-    unpack[upper] = np.arange(size)
+    povm = _ProbabilityMap(problem.histograms.thetas, problem.stack)
     freq = counts / total
     count_weights = counts.ravel().astype(float)   # cast once, not per step
     occupied = counts > 0
@@ -311,7 +292,7 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
         a = x.view(complex).reshape(d, d)
         rho = a @ a.conj().T
         rho /= trace
-        p = (fold * rho.ravel()[upper]).real @ s_u_t
+        p = povm.probabilities(rho)
         clamped = 0
         kept = 1.0          # frequency held by the unclamped bins
         if p.min() < PROBABILITY_FLOOR:
@@ -330,8 +311,7 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
         weights = freq / p
         if clamped:
             weights[low] = 0.0   # a clamped bin's term is constant
-        h_u = (phase * (weights @ s_u)).sum(axis=0)
-        r_op = np.concatenate((h_u, h_u.conj()))[unpack].reshape(d, d)
+        r_op = povm.adjoint(weights)
         # kept = Tr(R rho), the radial part of R A
         grad = (kept * a - r_op @ a) * (2.0 / trace)
         if clamped:

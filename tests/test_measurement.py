@@ -5,6 +5,7 @@ vacuum variance 1, so a coherent state has mean 2 Re(alpha e^{-i theta}).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from scissorlab import (
     default_phase_grid,
     fock_state,
     ideal_output,
+    phase_povm_elements,
     quadrature_moments,
     quadrature_operator,
     quadrature_pdf,
@@ -32,7 +34,8 @@ from scissorlab import (
 )
 from scissorlab.measurement import (_CSV_CHUNK_ROWS, _GUIDE_BUCKETS,
                                     _SAMPLING_GRID, _inverse_cdf,
-                                    _overlap_stack, _sampling_stack)
+                                    _overlap_stack, _ProbabilityMap,
+                                    _sampling_stack)
 
 GRID = np.linspace(-8.0, 8.0, 1601)
 DENSE = np.linspace(-12.0, 12.0, 24001)
@@ -368,10 +371,75 @@ def test_sampling_stack_is_one_read_only_entry():
     stack = _sampling_stack(4)
     assert _sampling_stack(4) is stack
     assert not stack.flags.writeable
-    np.testing.assert_array_equal(
-        stack, _overlap_stack(_SAMPLING_GRID, 4).reshape(-1, 25))
+    assert stack.shape == (4002, 15)      # the packed triangle, d = 5
+    np.testing.assert_array_equal(stack, _overlap_stack(_SAMPLING_GRID, 4))
     _sampling_stack(2)
     assert _sampling_stack.cache_info().currsize == 1
+
+
+def test_overlap_stack_peak_is_near_its_packed_size():
+    # one full (E, d, d) array is 2d / (d + 1) = 1.95 times the packed
+    # result here, so the bound admits no such temporary beside it
+    tracemalloc.start()
+    try:
+        stack = _overlap_stack(_SAMPLING_GRID, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (4002, 41 * 42 // 2)
+    assert peak <= 2.5 * stack.nbytes
+
+
+@pytest.mark.parametrize("edges", [[0.0, math.nan], [0.0, math.inf],
+                                   [-math.inf, 0.0]])
+def test_overlap_stack_rejects_non_finite_edges(edges):
+    # else a NaN edge gives NaN elements silently, an infinite one NaN
+    # after RuntimeWarnings
+    bad = int(np.flatnonzero(~np.isfinite(edges))[0])
+    with pytest.raises(ValueError, match=f"bin edge {bad} is not finite"):
+        _overlap_stack(edges, 3)
+    with pytest.raises(ValueError, match=f"bin edge {bad} is not finite"):
+        phase_povm_elements(0.0, edges, 3)
+
+
+def test_probability_map_adjoint_and_full_oracle():
+    edges, n_max = np.linspace(-5.0, 5.0, 41), 7
+    phases = [0.0, 0.4, 1.3, 2.9]
+    povm = _ProbabilityMap(phases, _overlap_stack(edges, n_max))
+    rng = np.random.default_rng(5)
+    for seed in range(3):
+        # Re Tr(R(w) rho) = sum w p on any Hermitian rho, positive or not
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        herm = a + a.conj().T
+        w = rng.normal(size=(len(phases), edges.size + 1))
+        r_op = povm.adjoint(w)
+        np.testing.assert_array_equal(r_op, r_op.conj().T)
+        assert np.trace(r_op @ herm).real == pytest.approx(
+            (w * povm.probabilities(herm)).sum(), rel=0, abs=1e-13)
+        # p against the einsum over each phase's full elements
+        rho = random_density(8, seed).matrix
+        p = povm.probabilities(rho)
+        for k, theta in enumerate(phases):
+            oracle = np.einsum("jmn,nm->j",
+                               phase_povm_elements(theta, edges, n_max), rho)
+            np.testing.assert_allclose(p[k], oracle.real, rtol=0, atol=1e-15)
+
+
+def test_sampling_masses_match_full_oracle():
+    # the grid masses sample_homodyne draws from, against Tr(Pi rho)
+    rho, phases = random_density(7, 4).matrix, [0.0, 0.8, 2.3]
+    masses = _ProbabilityMap(phases, _sampling_stack(6)).probabilities(rho)
+    for k, theta in enumerate(phases):
+        oracle = np.einsum("jmn,nm->j",
+                           phase_povm_elements(theta, _SAMPLING_GRID, 6), rho)
+        np.testing.assert_allclose(masses[k], oracle.real, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sampling_rejects_non_finite_phases(bad):
+    # else a NaN phase reaches the mass check as an off-grid TruncationError
+    with pytest.raises(ValueError, match="phase 1 is not finite"):
+        sample_homodyne(coherent_state(0.5, 8), [0.0, bad], 10)
 
 
 def test_sample_moments_match_state():

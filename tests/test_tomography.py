@@ -168,13 +168,14 @@ def test_problem_requires_two_phases():
 def test_problem_at_high_cutoff_is_finite_and_complete():
     # Hermite values times factorial norms overflowed here into NaN
     # stacks, which the completeness check let through; 8 bins keep the
-    # stack, 10 x 301^2 = 906010 entries, within the cap
+    # working size, 10 x 301^2 = 906010 entries, within the cap
     edges = np.linspace(-6.0, 6.0, 9)
     hists = QuadratureHistograms([0.0, 1.0], edges, np.full((2, 10), 5))
     problem = TomographyProblem(hists, n_max=300)
     stack = problem.stack
     assert np.isfinite(stack).all()
-    miss = np.abs(stack.sum(axis=0) - np.eye(301)).max()
+    identity = np.eye(301)[np.triu_indices(301)]     # packed as the stack
+    miss = np.abs(stack.sum(axis=0) - identity).max()
     assert miss <= POVM_COMPLETENESS_TOL
     # the problem checks its own size: 100 bins at this cutoff would
     # need 102 x 301^2 = 9241302 entries
@@ -186,7 +187,8 @@ def test_problem_at_high_cutoff_is_finite_and_complete():
 
 def test_problem_rejects_non_finite_povm(monkeypatch):
     def nan_stack(edges, n_max):
-        return np.full((edges.size + 1, n_max + 1, n_max + 1), np.nan)
+        return np.full((edges.size + 1, (n_max + 1) * (n_max + 2) // 2),
+                       np.nan)
 
     monkeypatch.setattr(tomography, "_overlap_stack", nan_stack)
     edges = np.linspace(-6, 6, 11)
