@@ -49,7 +49,7 @@ import numpy as np
 from .fock import DensityOperator, FockVector, coherent_state
 from .numerics import (CONDITIONING_FLOOR, DIMENSION_CAP, CapacityError,
                        TruncationError)
-from .optics import _balanced_coefficients, _bs_matrix, apply_phase
+from .optics import _balanced_coefficients, apply_phase
 
 #: companion/ancilla modes never hold more than two photons
 _ANCILLA_DIM = 3
@@ -192,42 +192,34 @@ def single_photon_weights(mu: float, n: np.ndarray | int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # resource construction
 
-def _source_components(source: SourceModel) -> list[tuple[float, np.ndarray]]:
-    """Pure components of the raw source, before the A-BS.
-
-    Each entry is (weight, amplitudes over (T, Tc) as a 3 x 3 array), for
-    the vacuum, one photon (m a_T^+ + mc a_Tc^+)|0> and the pair
-    (m a_T^+ + mc a_Tc^+)^2 / sqrt(2) |0>; Tc stays in vacuum when m = 1.
-    """
-    m = source.mode_overlap
-    mc = math.sqrt(max(0.0, 1.0 - m * m))
-    amps = ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-            [[0.0, mc, 0.0], [m, 0.0, 0.0], [0.0, 0.0, 0.0]],
-            [[0.0, 0.0, mc * mc], [0.0, math.sqrt(2.0) * m * mc, 0.0],
-             [m * m, 0.0, 0.0]])
-    weights = (source.weight_vacuum, source.weight_single,
-               source.weight_two_photon)
-    return [(w, np.array(a, dtype=complex))
-            for w, a in zip(weights, amps) if w > 0.0]
-
-
 def _resource_components(r: float,
                          source: SourceModel) -> list[tuple[float, np.ndarray]]:
     """Pure components of the A-BS output over (T, R) x (Tc, Rc).
 
-    Each entry is (weight, amplitudes A[(t, r), (tc, rc)]).  R and Rc enter
-    in vacuum, so the A-BS acts on both pairs at once as u @ A @ u^T; only
-    the column (tc, rc) = (0, 0) is populated when the source is fully
-    mode-matched.  The source never holds more than two photons, where
-    _bs_matrix(3, r) is exactly unitary.
+    Each entry is (weight, amplitudes A[(t, r), (tc, rc)]) for a k-photon
+    emission, k = 0, 1, 2 with nonzero weight.  The k photons enter in the
+    mode m a_T^+ + mc a_Tc^+ (mc = sqrt(1 - m^2)), R and Rc in vacuum, and
+    the A-BS sends a_T^+ -> t a_T^+ + r a_R^+ (Tc to Rc alike), so the
+    component is (sum_i c_i a_i^+)^k / sqrt(k!) |0> with c = (m t, m r,
+    mc t, mc r) over (T, R, Tc, Rc): the multinomial amplitudes
+    sqrt(k! / prod n_i!) prod c_i^{n_i}; at m = 1 only the column
+    (tc, rc) = (0, 0) is populated.
     """
-    u = _bs_matrix(_ANCILLA_DIM, r)
+    t = math.sqrt(1.0 - r * r)
+    m = source.mode_overlap
+    mc = math.sqrt(max(0.0, 1.0 - m * m))
+    c = (m * t, m * r, mc * t, mc * r)
     comps = []
-    for weight, amp_t_tc in _source_components(source):
-        # flat index t * 3 + r, so R (and Rc) in vacuum is every third entry
-        a = np.zeros((_ANCILLA_DIM ** 2,) * 2, dtype=complex)
-        a[::_ANCILLA_DIM, ::_ANCILLA_DIM] = amp_t_tc
-        comps.append((weight, u @ a @ u.T))
+    for k, weight in enumerate((source.weight_vacuum, source.weight_single,
+                                source.weight_two_photon)):
+        if weight > 0.0:
+            amps = np.zeros((_ANCILLA_DIM,) * 4)
+            for n in np.ndindex(amps.shape):
+                if sum(n) == k:
+                    amps[n] = math.sqrt(
+                        math.factorial(k) / math.prod(map(math.factorial, n))
+                    ) * math.prod(ci ** ni for ci, ni in zip(c, n))
+            comps.append((weight, amps.reshape((_ANCILLA_DIM ** 2,) * 2)))
     return comps
 
 

@@ -45,7 +45,7 @@ from .metrics import (
     write_metrics_json,
     write_wigner_csv,
 )
-from .numerics import DIMENSION_CAP, TruncationError
+from .numerics import DIMENSION_CAP, SAMPLE_CAP, TruncationError
 from .tomography import (
     ReconstructionResult,
     TomographyProblem,
@@ -255,11 +255,16 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
         phases = tuple(default_phase_grid(phases))
     # settings valid alone but not for tomography
     if sweep["stage"] == "sampled":
-        if "sweep.samples_per_state" not in bad \
-                and sweep["samples_per_state"] == 0:
+        n_samples = (None if "sweep.samples_per_state" in bad
+                     else sweep["samples_per_state"])
+        if n_samples == 0:
             problems.append("sweep.samples_per_state: must be positive at "
                             "stage sampled (tomography cannot reconstruct "
                             "from no samples)")
+        elif n_samples is not None and n_samples > SAMPLE_CAP:
+            # sample_homodyne refuses it too, but only after the circuit ran
+            problems.append(f"sweep.samples_per_state: {n_samples} samples "
+                            f"exceed the cap {SAMPLE_CAP} on one batch")
         if len(phases) == 1:
             problems.append("sweep.phases: must give at least two distinct "
                             "angles at stage sampled (tomography cannot "

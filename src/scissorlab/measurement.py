@@ -24,7 +24,8 @@ import numpy as np
 
 from .csvtext import _CSV_CHUNK_ROWS, _csv_heads, _csv_rows
 from .fock import DensityOperator, FockVector, State
-from .numerics import TRUNCATION_TOL, UNIT_TRACE_TOL, TruncationError
+from .numerics import (SAMPLE_CAP, TRUNCATION_TOL, UNIT_TRACE_TOL,
+                       CapacityError, TruncationError)
 from .optics import LossChannel, apply_loss
 
 #: sampling grid for inverse-CDF draws: fixed, dense, and generous enough
@@ -330,7 +331,8 @@ def sample_homodyne(rho: State, phases, n_samples: int,
     ----------
     rho : single-mode state at the amplifier output plane.
     phases : homodyne angles; sample i uses phases[i % len(phases)].
-    n_samples : total number of draws.
+    n_samples : total number of draws, at most ``SAMPLE_CAP``
+        (CapacityError above it, before anything is allocated).
     eta_hd : homodyne efficiency; the state is sent through a loss eta_hd
         channel before its quadrature distributions are evaluated.
     seed : anything accepted by numpy.random.default_rng; fixed seeds give
@@ -350,6 +352,9 @@ def sample_homodyne(rho: State, phases, n_samples: int,
     _require_finite(phases, "phase {} is not finite")
     if n_samples < 0:
         raise ValueError("n_samples cannot be negative")
+    if n_samples > SAMPLE_CAP:
+        raise CapacityError(f"{n_samples} samples exceed the cap {SAMPLE_CAP} "
+                            f"on one batch")
     rho = _require_density(rho)
     if eta_hd != 1.0:
         if not 0.0 < eta_hd <= 1.0:

@@ -22,6 +22,9 @@ CONDITIONING_FLOOR = 1e-15
 PROBABILITY_FLOOR = 1e-300
 #: largest working size (entries) of a circuit or a reconstruction
 DIMENSION_CAP = 10**6
+#: most draws one homodyne sample batch may hold; sampling peaks near
+#: 24 bytes per draw, about 0.25 GB at the cap
+SAMPLE_CAP = 10**7
 
 
 class TruncationError(ValueError):

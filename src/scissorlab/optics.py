@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,40 +36,11 @@ class LossChannel:
             raise ValueError(f"transmission eta must lie in (0, 1], got {self.eta}")
 
 
-@lru_cache(maxsize=64)
-def _bs_matrix(dim: int, r: float) -> np.ndarray:
-    """Two-mode beamsplitter unitary on a (dim x dim) truncated pair.
-
-    Block matrix over total photon number; exactly unitary on every sector
-    with N <= dim - 1, an isometry-with-clipping above (columns there have
-    norm < 1, which callers account for as truncation leakage).
-    Row/column index convention: flat index = m * dim + n for |m, n>.
-    """
-    t = math.sqrt(1.0 - r * r)
-    mat = np.zeros((dim * dim, dim * dim))
-    fact = [math.factorial(k) for k in range(2 * dim - 1)]
-    for m in range(dim):
-        for n in range(dim):
-            total = m + n
-            norm_in = math.sqrt(fact[m] * fact[n])
-            for p in range(max(0, total - (dim - 1)), min(total, dim - 1) + 1):
-                q = total - p
-                acc = 0.0
-                # photons taken from the first factor into output mode i
-                for j in range(max(0, p - n), min(m, p) + 1):
-                    acc += (math.comb(m, j) * math.comb(n, p - j)
-                            * t ** j * r ** (m - j)
-                            * (-r) ** (p - j) * t ** (n - (p - j)))
-                amp = acc * math.sqrt(fact[p] * fact[q]) / norm_in
-                mat[p * dim + q, m * dim + n] = amp
-    mat.setflags(write=False)
-    return mat
-
-
 def _balanced_coefficients(dm: int, dn: int) -> np.ndarray:
     """Real C[p, m, n] = <p, m+n-p|B|m, n> for m < dm, n < dn and p <= m + n
-    (zero above), with B the balanced beamsplitter of _bs_matrix; it is
-    2^{-(m+n)/2} sqrt(p! q!/(m! n!)) c_p where q = m + n - p and
+    (zero above), with B the balanced beamsplitter (r = t = 1/sqrt 2) of
+    the convention above: a_1^+ -> (a_1^+ + a_2^+)/sqrt 2 and
+    a_2^+ -> (a_2^+ - a_1^+)/sqrt 2.  It is 2^{-(m+n)/2} sqrt(p! q!/(m! n!)) c_p where q = m + n - p and
     c_p = [z^p] (1+z)^m (1-z)^n.
 
     With N = m + n, the Krawtchouk symmetry C(N, p) k_p = C(N, n) c_p for

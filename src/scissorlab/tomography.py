@@ -30,6 +30,10 @@ from .numerics import (DIMENSION_CAP, POVM_COMPLETENESS_TOL,
                        PROBABILITY_FLOOR, CapacityError)
 
 
+#: draws binned per slice in bin_samples
+_BIN_SLICE = 16384
+
+
 @dataclass(frozen=True)
 class QuadratureHistograms:
     """Counts of samples at K phases on P bins of one edge array.
@@ -72,7 +76,8 @@ def bin_samples(samples: QuadratureSamples, bin_count: int = 100,
     Row k of the table counts the draws whose phase index is k, those
     read at samples.phases[k]; its sum is their number.  As in
     ``np.histogram`` the top edge is inclusive, so only values below
-    ``lo`` or above ``hi`` go out of range.
+    ``lo`` or above ``hi`` go out of range.  ValueError if bins a few ulps
+    wide let rounding move an edge by a whole bin.
     """
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
@@ -80,13 +85,32 @@ def bin_samples(samples: QuadratureSamples, bin_count: int = 100,
     if not lo < hi:
         raise ValueError(f"empty value range {value_range}")
     edges = np.linspace(lo, hi, bin_count + 1)
-    counts = np.empty((samples.phases.size, bin_count + 2), dtype=np.int64)
-    for k, row in enumerate(counts):
-        vals = samples.x[samples.phase_index == k]
-        row[1:-1], _ = np.histogram(vals, bins=edges)
-        row[0] = np.count_nonzero(vals < lo)
-        row[-1] = np.count_nonzero(vals > hi)
-    return QuadratureHistograms(samples.phases, edges, counts)
+    # column c holds bounds[c] <= x < bounds[c + 1] (0 underflow, P + 1
+    # overflow).  fl((x - lo) * scale) never decreases with x, so while it
+    # keeps each edge within a column of its index it lands each draw within
+    # a column of its own, and one comparison per side settles it
+    bounds = np.concatenate(([-np.inf], edges[:-1],
+                             [np.nextafter(hi, np.inf), np.inf]))
+    scale = bin_count / (hi - lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = (edges - lo) * scale - np.arange(bin_count + 1)
+    if not np.all(abs(offsets) < 1.0):
+        raise ValueError(f"{bin_count} bins on {value_range} are too narrow "
+                         f"for double precision")
+    cells = bin_count + 2
+    counts = np.zeros(samples.phases.size * cells, dtype=np.int64)
+    # in slices, so the working arrays stay near 0.5 MB at any batch size
+    for start in range(0, len(samples), _BIN_SLICE):
+        x = samples.x[start:start + _BIN_SLICE]
+        with np.errstate(over="ignore"):
+            guess = np.floor((x - lo) * scale)
+        col = np.clip(guess, -1, bin_count, out=guess).astype(np.intp) + 1
+        col -= x < bounds[col]
+        col += x >= bounds[1:][col]
+        col += samples.phase_index[start:start + _BIN_SLICE] * cells
+        counts += np.bincount(col, minlength=counts.size)
+    return QuadratureHistograms(samples.phases, edges,
+                                counts.reshape(-1, cells))
 
 
 def phase_povm_elements(theta: float, edges: np.ndarray, n_max: int

@@ -30,7 +30,7 @@ from scissorlab import (
 )
 from scissorlab import amplifier
 from scissorlab.amplifier import _heralding_map
-from scissorlab.optics import _bs_matrix
+from oracles import _bs_matrix
 
 
 def ideal_config(alpha, g=2.0, **kw):
@@ -95,6 +95,40 @@ def test_resource_photon_sector_weights():
         if total < 3:
             sector[total] += diag[idx]
     np.testing.assert_allclose(sector, [0.1, 0.85, 0.05], atol=1e-12)
+
+
+def resource_from_unitary(r, source):
+    """The A-BS output as the general unitary gives it: the source's
+    k-photon state (m a_T^+ + mc a_Tc^+)^k / sqrt(k!) |0> over (T, Tc),
+    with R and Rc in vacuum, sent through u (x) u as u @ A @ u^T."""
+    m = source.mode_overlap
+    mc = math.sqrt(1.0 - m * m)
+    raw = ([[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+           [[0, mc, 0], [m, 0, 0], [0, 0, 0]],
+           [[0, 0, mc * mc], [0, math.sqrt(2.0) * m * mc, 0], [m * m, 0, 0]])
+    weights = (source.weight_vacuum, source.weight_single,
+               source.weight_two_photon)
+    u = _bs_matrix(3, r)
+    comps = []
+    for weight, amp_t_tc in zip(weights, raw):
+        if weight > 0.0:
+            a = np.zeros((9, 9))
+            a[::3, ::3] = amp_t_tc
+            comps.append((weight, u @ a @ u.T))
+    return comps
+
+
+@pytest.mark.parametrize("source", [
+    IDEAL_SOURCE, EXPERIMENT_PRESET, SourceModel(0.2, 0.1, 1.0),
+    SourceModel(0.0, 0.3, 0.7)], ids=["ideal", "preset", "matched", "pairs"])
+@pytest.mark.parametrize("r", [1.0 / math.sqrt(5.0), 0.3, 0.5, 0.6, 0.9,
+                               1.0 / math.sqrt(2.0)])
+def test_resource_closed_form_matches_unitary(r, source):
+    closed = amplifier._resource_components(r, source)
+    dense = resource_from_unitary(r, source)
+    assert [w for w, _ in closed] == [w for w, _ in dense]
+    for (_, amps), (_, expect) in zip(closed, dense):
+        np.testing.assert_allclose(amps, expect, rtol=0, atol=1e-15)
 
 
 def test_detector_weight_partition():

@@ -154,10 +154,13 @@ def test_wigner_verb_rejects_non_finite_alpha(tmp_path, capsys, alpha):
 
 @pytest.mark.parametrize("key, value", [
     ("sweep.samples_per_state", 0),
+    # run would ask for 8 TB of uniforms: refused before anything is drawn
+    ("sweep.samples_per_state", 10**12),
     ("sweep.phases", 1),
     ("sweep.phases", [0.5]),
     ("tomography.bin_count", 1),
-], ids=["zero-samples", "one-phase", "one-angle", "one-bin"])
+], ids=["zero-samples", "too-many-samples", "one-phase", "one-angle",
+        "one-bin"])
 def test_stage_sampled_needs_samples_and_phases(tmp_path, capsys, key, value):
     out_dir = tmp_path / "out"
     path = write_config(tmp_path, **{"sweep.stage": "sampled", key: value})

@@ -14,6 +14,7 @@ from scipy.integrate import trapezoid
 from scipy.special import erf, eval_hermite, gammaln, ndtr
 
 from scissorlab import (
+    CapacityError,
     DensityOperator,
     FockVector,
     QuadratureSamples,
@@ -32,6 +33,7 @@ from scissorlab import (
     wavefunctions,
     write_samples_csv,
 )
+from scissorlab import measurement
 from scissorlab.measurement import (_CSV_CHUNK_ROWS, _GUIDE_BUCKETS,
                                     _SAMPLING_GRID, _inverse_cdf,
                                     _overlap_stack, _ProbabilityMap,
@@ -440,6 +442,18 @@ def test_sampling_rejects_non_finite_phases(bad):
     # else a NaN phase reaches the mass check as an off-grid TruncationError
     with pytest.raises(ValueError, match="phase 1 is not finite"):
         sample_homodyne(coherent_state(0.5, 8), [0.0, bad], 10)
+
+
+def test_sampling_refuses_a_batch_above_the_cap(monkeypatch):
+    # 10^12 draws would take 8 TB of uniforms; the cap is checked first,
+    # and any path past the check fails here before a draw is allocated
+    def past_the_check(rho):
+        raise AssertionError("sample_homodyne passed the cap check")
+
+    monkeypatch.setattr(measurement, "_require_density", past_the_check)
+    with pytest.raises(CapacityError,
+                       match="1000000000000 samples exceed the cap 10000000"):
+        sample_homodyne(coherent_state(0.5, 8), [0.0, 1.0], 10**12)
 
 
 def test_sample_moments_match_state():

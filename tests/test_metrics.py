@@ -30,7 +30,8 @@ from scissorlab import (
     write_wigner_csv,
 )
 from scissorlab.metrics import _wigner_heads, _wigner_map
-from scissorlab.optics import _balanced_coefficients, _bs_matrix
+from scissorlab.optics import _balanced_coefficients
+from oracles import _bs_matrix
 
 TWO_PI = 2.0 * math.pi
 

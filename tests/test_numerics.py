@@ -15,6 +15,7 @@ PINNED = {
     "CONDITIONING_FLOOR": 1e-15,
     "PROBABILITY_FLOOR": 1e-300,
     "DIMENSION_CAP": 10**6,
+    "SAMPLE_CAP": 10**7,
 }
 
 

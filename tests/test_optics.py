@@ -21,7 +21,7 @@ from scissorlab import (
     mean_photon_number,
     trace_distance,
 )
-from scissorlab.optics import _bs_matrix
+from oracles import _bs_matrix
 
 
 def two_mode(n_a, n_b, dim):

@@ -90,6 +90,50 @@ def test_bin_samples_boundaries():
                                                  [1, 1, 0, 0, 2, 0]])
 
 
+def histogram_oracle(samples, bin_count, value_range):
+    """Per-phase np.histogram, with the out-of-range draws counted apart."""
+    lo, hi = value_range
+    edges = np.linspace(lo, hi, bin_count + 1)
+    rows = []
+    for k in range(samples.phases.size):
+        vals = samples.x[samples.phase_index == k]
+        rows.append([np.count_nonzero(vals < lo),
+                     *np.histogram(vals, bins=edges)[0],
+                     np.count_nonzero(vals > hi)])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("bin_count, value_range", [
+    (100, (-6.0, 6.0)), (7, (-0.3, 2.1)), (1, (-1.0, 1.0)),
+    (333, (-5.5, 4.25)), (50, (1e15, 1e15 + 100.0)), (3, (-1e-300, 1e-300)),
+])
+def test_bin_samples_matches_histogram_oracle(bin_count, value_range,
+                                             monkeypatch):
+    # every edge and its two float neighbours, the extremes of the doubles
+    # and a drawn batch, spread over three phases and four slices
+    monkeypatch.setattr(tomography, "_BIN_SLICE", 1024)
+    edges = np.linspace(*value_range, bin_count + 1)
+    x = np.concatenate([edges, np.nextafter(edges, np.inf),
+                        np.nextafter(edges, -np.inf),
+                        [np.finfo(float).max, -np.finfo(float).max, 0.0, -0.0],
+                        value_range[0] + np.diff(value_range)
+                        * np.random.default_rng(3).uniform(-0.2, 1.2, 3000)])
+    samples = QuadratureSamples(np.array([0.0, 1.0, 2.0]),
+                                np.arange(x.size) % 3, x)
+    hists = bin_samples(samples, bin_count, value_range)
+    np.testing.assert_array_equal(
+        hists.counts, histogram_oracle(samples, bin_count, value_range))
+
+
+@pytest.mark.parametrize("value_range", [(1e15, 1e15 + 1.0),
+                                         (-1e-320, 1e-320)])
+def test_bin_samples_refuses_bins_below_double_precision(value_range):
+    samples = QuadratureSamples(np.array([0.0]), np.zeros(1, dtype=int),
+                                np.zeros(1))
+    with pytest.raises(ValueError, match="too narrow for double precision"):
+        bin_samples(samples, 100, value_range)
+
+
 def test_bin_povm_against_dense_quadrature():
     # independent oracle: trapezoid integral of psi_m psi_n over the bin,
     # rotated by e^{i theta (m - n)}
