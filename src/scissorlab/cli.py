@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import mmap
 import os
 import sys
 import traceback
@@ -31,12 +32,13 @@ import numpy as np
 
 from .amplifier import (AmplifierConfig, HeraldedOutput, SourceModel,
                         _check_working_size, ideal_output, simulate)
+from .csvtext import _CSV_CHUNK_ROWS
 from .fock import coherent_state
 from .measurement import (
+    _HomodyneDraws,
+    _write_sample_rows,
     default_phase_grid,
     read_samples_csv,
-    sample_homodyne,
-    write_samples_csv,
 )
 from .metrics import (
     build_metrics_report,
@@ -49,6 +51,7 @@ from .numerics import DIMENSION_CAP, SAMPLE_CAP, TruncationError
 from .tomography import (
     ReconstructionResult,
     TomographyProblem,
+    _bin_edges,
     _check_reconstruction_size,
     bin_samples,
     maxlik_reconstruct,
@@ -60,6 +63,10 @@ SCHEMA_VERSION = 1
 STAGES = ("analytic", "circuit", "sampled")
 
 SUMMARY_HEADER = "alpha,g_eff,ein_min,ein_avg,ein_max,p_success,reference_ein"
+
+#: rows drawn per block handed to the samples.csv writer: three of its
+#: chunks, so the child starts on an eighth of the default 200000 draws
+_BLOCK_ROWS = 3 * _CSV_CHUNK_ROWS
 
 
 def _is_number(value) -> bool:
@@ -273,6 +280,11 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
             problems.append("tomography.bin_count: must be at least 2 at "
                             "stage sampled (one bin carries no phase "
                             "information)")
+        if not {"tomography.bin_count", "tomography.bin_range"} & bad:
+            try:
+                _bin_edges(tomo["bin_count"], tuple(tomo["bin_range"]))
+            except ValueError as exc:
+                problems.append(f"tomography.bin_range: {exc}")
     if not {"tomography.bin_count", "tomography.n_max"} & bad:
         try:
             _check_reconstruction_size(tomo["bin_count"], tomo["n_max"])
@@ -370,31 +382,82 @@ def _write_wigner(state, cfg: RunConfig, path) -> None:
     write_wigner_csv(wigner(state, axes, axes), path)
 
 
-@contextmanager
-def _samples_written_in_child(samples, path: Path):
-    """Write samples to path in a forked child while the with-body runs.
+class _DrawsAbandoned(Exception):
+    """The parent stopped drawing before the last block: it is raising,
+    and its exception is the one reported."""
 
-    The child only formats and writes (no BLAS) and leaves through
-    os._exit, printing its traceback if the write fails.  Leaving the
-    body always waits for the child; a failed child then raises OSError,
-    unless the body is already raising, whose exception wins.
+
+def _announced(fd: int, stops: list[int]):
+    """Yield each stop once its block's byte has arrived on the pipe fd."""
+    for stop in stops:
+        if not os.read(fd, 1):
+            raise _DrawsAbandoned
+        yield stop
+
+
+@contextmanager
+def _samples_streamed_to_child(draws: _HomodyneDraws, path: Path):
+    """Draw the batch here, a block of _BLOCK_ROWS rows at a time, into
+    memory shared with a forked child that writes each block to path as
+    CSV once it is announced; yield the drawn batch to the with-body.
+
+    The draws land in an anonymous shared mmap, and each finished block
+    is announced by one byte on a pipe.  The child only formats and
+    writes (no BLAS) and leaves through os._exit, printing its traceback
+    if the write fails; if the pipe closes before the last block, the
+    parent is raising and the child deletes its partial file and leaves
+    quietly.  Leaving the body
+    always waits for the child; a failed child then raises OSError,
+    unless the draws or the body are already raising, whose exception
+    wins.
     """
+    n = len(draws)
+    stops = [*range(_BLOCK_ROWS, n, _BLOCK_ROWS), n]
+    # one byte at least: mmap refuses an empty map
+    x = np.frombuffer(mmap.mmap(-1, 8 * max(n, 1)), dtype=float, count=n)
+    listen, announce = os.pipe()
     sys.stdout.flush()
     sys.stderr.flush()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(listen)
+        os.close(announce)
+        raise
     if pid == 0:
         code = 1
         try:
-            write_samples_csv(samples, path)
+            os.close(announce)
+            _write_sample_rows(path, draws.phases, draws.phase_index, x,
+                               _announced(listen, stops))
             code = 0
+        except _DrawsAbandoned:
+            os.unlink(path)     # a partial file would read as a short batch
         except BaseException:
             traceback.print_exc()
             sys.stderr.flush()
         finally:
             os._exit(code)
+    os.close(listen)
     try:
-        yield
+        start = 0
+        for stop in stops:
+            draws.fill(start, x[start:stop])
+            start = stop
+            try:
+                os.write(announce, b"\0")
+            except BrokenPipeError:
+                pass    # the child has failed; its exit status says so
+        os.close(announce)
+        announce = None
+        samples = draws.batch(x)
+        # the body needs the batch alone: free the uniforms and the lookup
+        # tables (3 MB at the defaults) before it runs
+        del draws
+        yield samples
     finally:
+        if announce is not None:
+            os.close(announce)
         _, status = os.waitpid(pid, 0)
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
@@ -403,26 +466,27 @@ def _samples_written_in_child(samples, path: Path):
 
 
 def _run_single(cfg: RunConfig, alpha: float, out_dir: Path) -> tuple[dict, list[Path]]:
-    """Produce one alpha's artifacts; returns its summary row and paths.
+    """Produce one alpha's artifacts under out_dir, which exists; returns
+    its summary row and paths.
 
     At stage sampled, samples.csv is written by a forked child while the
-    reconstruction, metrics and Wigner grid run here.
+    draws, the reconstruction, metrics and Wigner grid run here.
     """
     written: list[Path] = []
     out = _stage_output(cfg, alpha, cfg.stage)
     state_for_metrics = out.state
     eta_for_metrics = 1.0
     alpha_dir = out_dir / _alpha_dir_name(alpha)
-    alpha_dir.mkdir(parents=True, exist_ok=True)
+    alpha_dir.mkdir(exist_ok=True)
 
     with ExitStack() as children:
         if cfg.stage == "sampled":
-            samples = sample_homodyne(out.state, cfg.phases,
-                                      cfg.samples_per_state, eta_hd=cfg.eta_hd,
-                                      seed=_alpha_seed(cfg.seed, alpha))
             sample_path = alpha_dir / "samples.csv"
-            children.enter_context(
-                _samples_written_in_child(samples, sample_path))
+            samples = children.enter_context(_samples_streamed_to_child(
+                _HomodyneDraws(out.state, cfg.phases, cfg.samples_per_state,
+                               eta_hd=cfg.eta_hd,
+                               seed=_alpha_seed(cfg.seed, alpha)),
+                sample_path))
             written.append(sample_path)
             rho_path = alpha_dir / "rho.json"
             recon = _reconstruct(samples, cfg.tomography,
@@ -461,13 +525,13 @@ def run_sweep(cfg: RunConfig, out_dir=None) -> list[Path]:
     increasing alpha, so a failing alpha never leaves a partial summary.
     """
     out_dir = Path(cfg.output_dir if out_dir is None else out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
     written: list[Path] = []
     for alpha in sorted(cfg.alphas):
         row, paths = _run_single(cfg, alpha, out_dir)
         rows.append(row)
         written.extend(paths)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = out_dir / "summary.csv"
     with open(summary, "w", encoding="utf-8") as fh:
         fh.write(SUMMARY_HEADER + "\n")

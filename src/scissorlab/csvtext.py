@@ -174,11 +174,26 @@ def _csv_heads(values) -> np.ndarray:
         values.size, width)
 
 
-def _csv_rows(heads: np.ndarray, values) -> bytes:
-    """Row i is heads[i] (NUL-padded text words) followed by
-    '%.17g' % values[i] and a newline."""
-    rows = np.empty((heads.shape[0], heads.shape[1] + _WORDS),
-                    dtype=np.uint64)
-    rows[:, :heads.shape[1]] = heads
-    _g17_words(values, rows[:, heads.shape[1]:])
-    return rows.tobytes().translate(None, b"\0")
+def _csv_row_writer(fh, heads: np.ndarray):
+    """A function write(index, values) that appends to the binary file fh
+    the rows heads[index[i]] (NUL-padded text words, as ``_csv_heads``
+    gives them) followed by '%.17g' % values[i] and a newline.
+
+    Rows go out a chunk of _CSV_CHUNK_ROWS at a time, one write each,
+    through one row buffer allocated with the writer; a chunk's heads are
+    gathered by one ``take`` of whole heads, each viewed as one item.
+    """
+    width = heads.shape[1]
+    rows = np.empty((_CSV_CHUNK_ROWS, width + _WORDS), dtype=np.uint64)
+    table = np.ascontiguousarray(heads).view(f"V{8 * width}").ravel()
+    slots = rows.view([("head", table.dtype),
+                       ("text", f"V{8 * _WORDS}")]).ravel()["head"]
+
+    def write(index: np.ndarray, values: np.ndarray) -> None:
+        for start in range(0, len(values), _CSV_CHUNK_ROWS):
+            chunk = values[start:start + _CSV_CHUNK_ROWS]
+            size = chunk.size
+            slots[:size] = table.take(index[start:start + size])
+            _g17_words(chunk, rows[:size, width:])
+            fh.write(rows[:size].tobytes().translate(None, b"\0"))
+    return write

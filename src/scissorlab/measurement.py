@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtext import _CSV_CHUNK_ROWS, _csv_heads, _csv_rows
+from .csvtext import _csv_heads, _csv_row_writer
 from .fock import DensityOperator, FockVector, State
 from .numerics import (SAMPLE_CAP, TRUNCATION_TOL, UNIT_TRACE_TOL,
                        CapacityError, TruncationError)
@@ -295,10 +295,11 @@ def _sampling_stack(n_max: int) -> np.ndarray:
     return stack
 
 
-def _inverse_cdf(u: np.ndarray, table: np.ndarray, grid: np.ndarray
-                 ) -> np.ndarray:
+class _InverseCdf:
     """np.interp(u, table, grid), bit for bit, for draws u in [0, 1) on a
-    non-decreasing table that runs from 0 to 1.
+    non-decreasing table that runs from 0 to 1: the guide table and the
+    slopes are prepared once per table, and each call looks up one block
+    of draws.
 
     np.interp takes the last j with table[j] <= u and returns grid[j]
     where u equals table[j], else slope[j] (u - table[j]) + grid[j].  A
@@ -306,21 +307,84 @@ def _inverse_cdf(u: np.ndarray, table: np.ndarray, grid: np.ndarray
     j directly for a draw whose bucket holds no table point; only the
     draws in the other buckets need a binary search.  The last j at or
     below each bucket edge b / B counts the points with ceil(B t) <= b,
-    exact since B is a power of two.
+    exact since B is a power of two.  Every step acts on each draw alone,
+    so a batch looked up in blocks equals one looked up whole.
     """
-    buckets = _GUIDE_BUCKETS
-    ranks = np.ceil(table * buckets).astype(np.intp)
-    cuts = np.cumsum(np.bincount(ranks, minlength=buckets + 1)) - 1
-    guide = np.where(cuts[1:] == cuts[:-1], cuts[:-1], -1)
-    j = guide[(u * buckets).astype(np.intp)]
-    mixed = np.flatnonzero(j < 0)
-    j[mixed] = np.searchsorted(table, u[mixed], "right") - 1
-    rise = np.diff(table)
-    # a flat run's slope is never read: no draw lands at its start
-    slope = np.divide(np.diff(grid), rise, out=np.zeros_like(rise),
-                      where=rise > 0)
-    at, base = table[j], grid[j]
-    return np.where(u == at, base, slope[j] * (u - at) + base)
+
+    def __init__(self, table: np.ndarray, grid: np.ndarray):
+        ranks = np.ceil(table * _GUIDE_BUCKETS).astype(np.intp)
+        cuts = np.cumsum(np.bincount(ranks, minlength=_GUIDE_BUCKETS + 1)) - 1
+        self.guide = np.where(cuts[1:] == cuts[:-1], cuts[:-1], -1)
+        rise = np.diff(table)
+        # a flat run's slope is never read: no draw lands at its start
+        self.slope = np.divide(np.diff(grid), rise, out=np.zeros_like(rise),
+                               where=rise > 0)
+        self.table, self.grid = table, grid
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        j = self.guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
+        mixed = np.flatnonzero(j < 0)
+        j[mixed] = np.searchsorted(self.table, u[mixed], "right") - 1
+        at, base = self.table[j], self.grid[j]
+        return np.where(u == at, base, self.slope[j] * (u - at) + base)
+
+
+class _HomodyneDraws:
+    """A batch of ``sample_homodyne`` before its quadratures are drawn:
+    the phases, the round-robin phase index, the uniforms and one inverse
+    CDF per phase.  ``fill`` draws any block of rows, so a batch drawn
+    block by block equals ``sample_homodyne``'s, bit for bit."""
+
+    def __init__(self, rho: State, phases, n_samples: int,
+                 eta_hd: float = 1.0, seed=None):
+        phases = np.array([float(t) for t in phases])
+        if not phases.size:
+            raise ValueError("need at least one phase")
+        _require_finite(phases, "phase {} is not finite")
+        if n_samples < 0:
+            raise ValueError("n_samples cannot be negative")
+        if n_samples > SAMPLE_CAP:
+            raise CapacityError(f"{n_samples} samples exceed the cap "
+                                f"{SAMPLE_CAP} on one batch")
+        rho = _require_density(rho)
+        if eta_hd != 1.0:
+            if not 0.0 < eta_hd <= 1.0:
+                raise ValueError(f"eta_hd must lie in (0, 1], got {eta_hd}")
+            rho = apply_loss(rho, LossChannel(eta_hd))
+        _require_normalized(rho)
+        k = phases.size
+        povm = _ProbabilityMap(phases, _sampling_stack(rho.n_max))
+        masses = povm.probabilities(rho.matrix)
+        off = masses[:, 0] + masses[:, -1]
+        worst = int(np.argmax(off))
+        if not off[worst] <= TRUNCATION_TOL:
+            raise TruncationError(f"{off[worst]:.3g} of the mass at theta="
+                                  f"{phases[worst]:g} lies off the sampling "
+                                  f"grid")
+        tables = np.zeros((k, _SAMPLING_GRID.size))
+        np.cumsum(np.clip(masses[:, 1:-1], 0.0, None), axis=1,
+                  out=tables[:, 1:])
+        tables /= tables[:, -1:]
+        self.phases = phases
+        rounds = -(-n_samples // k)   # arange(n_samples) % k, without the %
+        self.phase_index = np.tile(np.arange(k), rounds)[:n_samples]
+        self.u = np.random.default_rng(seed).random(n_samples)
+        self.inverse = [_InverseCdf(table, _SAMPLING_GRID) for table in tables]
+
+    def __len__(self) -> int:
+        return self.u.size
+
+    def fill(self, start: int, out: np.ndarray) -> None:
+        """Draw rows start .. start + len(out) - 1 into out."""
+        k = self.phases.size
+        u = self.u[start:start + out.size]
+        for idx, inverse in enumerate(self.inverse):
+            first = (idx - start) % k   # the block's first row at phase idx
+            out[first::k] = inverse(u[first::k])
+
+    def batch(self, x: np.ndarray) -> QuadratureSamples:
+        """The batch whose drawn quadratures are x."""
+        return QuadratureSamples(self.phases, self.phase_index, x)
 
 
 def sample_homodyne(rho: State, phases, n_samples: int,
@@ -342,44 +406,14 @@ def sample_homodyne(rho: State, phases, n_samples: int,
     [-10, 10] grid: the running sum of the grid cells' closed-form masses
     (``_ProbabilityMap.probabilities`` on the grid's packed overlap stack,
     built once per cutoff), drawn by linear interpolation through a guide
-    table (``_inverse_cdf``, np.interp's values bit for bit).  The two open
+    table (``_InverseCdf``, np.interp's values bit for bit).  The two open
     cells beyond the grid hold the exact off-grid mass; TruncationError
     if it exceeds ``TRUNCATION_TOL``.
     """
-    phases = np.array([float(t) for t in phases])
-    if not phases.size:
-        raise ValueError("need at least one phase")
-    _require_finite(phases, "phase {} is not finite")
-    if n_samples < 0:
-        raise ValueError("n_samples cannot be negative")
-    if n_samples > SAMPLE_CAP:
-        raise CapacityError(f"{n_samples} samples exceed the cap {SAMPLE_CAP} "
-                            f"on one batch")
-    rho = _require_density(rho)
-    if eta_hd != 1.0:
-        if not 0.0 < eta_hd <= 1.0:
-            raise ValueError(f"eta_hd must lie in (0, 1], got {eta_hd}")
-        rho = apply_loss(rho, LossChannel(eta_hd))
-    _require_normalized(rho)
-    k = phases.size
-    povm = _ProbabilityMap(phases, _sampling_stack(rho.n_max))
-    masses = povm.probabilities(rho.matrix)
-    off = masses[:, 0] + masses[:, -1]
-    worst = int(np.argmax(off))
-    if not off[worst] <= TRUNCATION_TOL:
-        raise TruncationError(f"{off[worst]:.3g} of the mass at theta="
-                              f"{phases[worst]:g} lies off the sampling grid")
-    tables = np.zeros((k, _SAMPLING_GRID.size))
-    np.cumsum(np.clip(masses[:, 1:-1], 0.0, None), axis=1, out=tables[:, 1:])
-    tables /= tables[:, -1:]
-    rng = np.random.default_rng(seed)
-    u = rng.random(n_samples)
-    values = np.empty(n_samples)
-    for idx, table in enumerate(tables):
-        values[idx::k] = _inverse_cdf(u[idx::k], table, _SAMPLING_GRID)
-    rounds = -(-n_samples // k)   # arange(n_samples) % k, without the %
-    return QuadratureSamples(phases, np.tile(np.arange(k), rounds)[:n_samples],
-                             values)
+    draws = _HomodyneDraws(rho, phases, n_samples, eta_hd, seed)
+    x = np.empty(n_samples)
+    draws.fill(0, x)
+    return draws.batch(x)
 
 
 def write_samples_csv(samples: QuadratureSamples, path) -> None:
@@ -389,13 +423,23 @@ def write_samples_csv(samples: QuadratureSamples, path) -> None:
     index; rows go out in chunks of _CSV_CHUNK_ROWS, one write per chunk,
     so no whole-file string is ever held.
     """
-    heads = _csv_heads(samples.phases)
+    _write_sample_rows(path, samples.phases, samples.phase_index, samples.x,
+                       [len(samples)])
+
+
+def _write_sample_rows(path, phases: np.ndarray, phase_index: np.ndarray,
+                       x: np.ndarray, stops) -> None:
+    """``write_samples_csv`` of the draws (phases, phase_index, x) for a
+    batch still being drawn: the rows before each stop are read and
+    written only once the iterable ``stops`` has yielded that stop
+    (increasing; the last one is the batch length)."""
     with open(path, "wb") as fh:
         fh.write(b"theta,x\n")
-        for start in range(0, len(samples), _CSV_CHUNK_ROWS):
-            stop = start + _CSV_CHUNK_ROWS
-            fh.write(_csv_rows(heads[samples.phase_index[start:stop]],
-                               samples.x[start:stop]))
+        write = _csv_row_writer(fh, _csv_heads(phases))
+        start = 0
+        for stop in stops:
+            write(phase_index[start:stop], x[start:stop])
+            start = stop
 
 
 def read_samples_csv(path) -> QuadratureSamples:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .csvtext import _CSV_CHUNK_ROWS, _csv_heads, _csv_rows
+from .csvtext import _csv_heads, _csv_row_writer
 from .fock import FockVector, State
 from .measurement import quadrature_moments, wavefunctions
 from .optics import _balanced_coefficients
@@ -128,14 +128,12 @@ def write_wigner_csv(grid: WignerGrid, path) -> None:
     as %.17g.  The ``x,p,`` heads are formatted once per distinct (x, p)
     axis pair (a small cache, since a sweep writes every alpha on the
     same axes); rows go out in chunks of _CSV_CHUNK_ROWS, one write per
-    chunk."""
+    chunk, through one row buffer."""
     heads = _wigner_heads(grid.x.tobytes(), grid.p.tobytes())
     values = grid.values.ravel()
     with open(path, "wb") as fh:
         fh.write(b"x,p,w\n")
-        for start in range(0, values.size, _CSV_CHUNK_ROWS):
-            stop = start + _CSV_CHUNK_ROWS
-            fh.write(_csv_rows(heads[start:stop], values[start:stop]))
+        _csv_row_writer(fh, heads)(np.arange(values.size), values)
 
 
 # ---------------------------------------------------------------------------

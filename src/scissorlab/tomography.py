@@ -68,6 +68,32 @@ class QuadratureHistograms:
             object.__setattr__(self, name, value)
 
 
+def _bin_edges(bin_count: int, value_range: tuple[float, float]
+               ) -> np.ndarray:
+    """The bin_count + 1 uniform edges of ``bin_samples`` on value_range.
+
+    A draw's column is guessed as fl((x - lo) * scale), scale = bin_count
+    / (hi - lo), and corrected by one comparison per side.  The guess
+    never decreases with x, so while it keeps each edge within a column
+    of its index it lands each draw within a column of its own.
+    ValueError if the range is empty, or if bins a few ulps wide let
+    rounding move an edge by a whole bin (``check`` runs this too).
+    """
+    if bin_count < 1:
+        raise ValueError("bin_count must be >= 1")
+    lo, hi = value_range
+    if not lo < hi:
+        raise ValueError(f"empty value range {value_range}")
+    edges = np.linspace(lo, hi, bin_count + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = (edges - lo) * (bin_count / (hi - lo)) \
+            - np.arange(bin_count + 1)
+    if not np.all(abs(offsets) < 1.0):
+        raise ValueError(f"{bin_count} bins on {value_range} are too narrow "
+                         f"for double precision")
+    return edges
+
+
 def bin_samples(samples: QuadratureSamples, bin_count: int = 100,
                 value_range: tuple[float, float] = (-6.0, 6.0)
                 ) -> QuadratureHistograms:
@@ -79,24 +105,13 @@ def bin_samples(samples: QuadratureSamples, bin_count: int = 100,
     ``lo`` or above ``hi`` go out of range.  ValueError if bins a few ulps
     wide let rounding move an edge by a whole bin.
     """
-    if bin_count < 1:
-        raise ValueError("bin_count must be >= 1")
+    edges = _bin_edges(bin_count, value_range)
     lo, hi = value_range
-    if not lo < hi:
-        raise ValueError(f"empty value range {value_range}")
-    edges = np.linspace(lo, hi, bin_count + 1)
     # column c holds bounds[c] <= x < bounds[c + 1] (0 underflow, P + 1
-    # overflow).  fl((x - lo) * scale) never decreases with x, so while it
-    # keeps each edge within a column of its index it lands each draw within
-    # a column of its own, and one comparison per side settles it
+    # overflow); see _bin_edges for why one comparison per side settles it
     bounds = np.concatenate(([-np.inf], edges[:-1],
                              [np.nextafter(hi, np.inf), np.inf]))
     scale = bin_count / (hi - lo)
-    with np.errstate(over="ignore", invalid="ignore"):
-        offsets = (edges - lo) * scale - np.arange(bin_count + 1)
-    if not np.all(abs(offsets) < 1.0):
-        raise ValueError(f"{bin_count} bins on {value_range} are too narrow "
-                         f"for double precision")
     cells = bin_count + 2
     counts = np.zeros(samples.phases.size * cells, dtype=np.int64)
     # in slices, so the working arrays stay near 0.5 MB at any batch size

@@ -159,8 +159,12 @@ def test_wigner_verb_rejects_non_finite_alpha(tmp_path, capsys, alpha):
     ("sweep.phases", 1),
     ("sweep.phases", [0.5]),
     ("tomography.bin_count", 1),
+    # bin_samples would refuse bins narrower than double precision resolves
+    # only after the circuit ran and samples.csv was written
+    ("tomography.bin_range", [1e15, 1e15 + 1.0]),
+    ("tomography.bin_range", [-1e-320, 1e-320]),
 ], ids=["zero-samples", "too-many-samples", "one-phase", "one-angle",
-        "one-bin"])
+        "one-bin", "unresolved-bins", "subnormal-bins"])
 def test_stage_sampled_needs_samples_and_phases(tmp_path, capsys, key, value):
     out_dir = tmp_path / "out"
     path = write_config(tmp_path, **{"sweep.stage": "sampled", key: value})
@@ -385,6 +389,45 @@ def test_empty_alpha_list_gives_bare_summary(tmp_path):
     assert (out_dir / "summary.csv").read_text().strip() == SUMMARY_HEADER
 
 
+def test_sweep_makes_each_directory_once(tmp_path, monkeypatch):
+    made = []
+
+    def mkdir(path, *args, **kwargs):
+        made.append(os.fspath(path))
+        return real_mkdir(path, *args, **kwargs)
+
+    real_mkdir = os.mkdir
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"sweep.alphas": [0.25, 0.1],
+                                     "sweep.stage": "analytic",
+                                     "sweep.output_dir": str(out_dir)})
+    cfg, _ = validate_config(path)
+    monkeypatch.setattr(os, "mkdir", mkdir)
+    # a fresh tree, then the same tree again
+    for _ in range(2):
+        made.clear()
+        run_sweep(cfg)
+        assert made == [str(out_dir), str(out_dir / "alpha_0.1000"),
+                        str(out_dir / "alpha_0.2500")]
+    # a missing parent is still made
+    run_sweep(cfg, out_dir=tmp_path / "nested" / "out")
+    assert (tmp_path / "nested" / "out" / "summary.csv").is_file()
+
+
+@pytest.mark.parametrize("alphas", [[], [0.25]])
+def test_output_dir_that_is_a_file_fails_the_run(tmp_path, capsys, alphas):
+    blocker = tmp_path / "out"
+    blocker.write_text("kept")
+    for out_dir in (blocker, blocker / "below"):
+        path = write_config(tmp_path, **{"sweep.alphas": alphas,
+                                         "sweep.stage": "analytic",
+                                         "sweep.output_dir": str(out_dir)})
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(blocker) in err
+    assert blocker.read_text() == "kept"
+
+
 def test_circuit_stage_close_to_analytic(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -437,15 +480,104 @@ def test_sampled_stage_samples_match_an_inline_write(tmp_path):
 
 
 def test_failed_sample_writer_fails_the_run(tmp_path, capsys, monkeypatch):
-    def broken_writer(samples, path):
+    def broken_writer(path, phases, phase_index, x, stops):
         raise RuntimeError("disk gone")
 
-    monkeypatch.setattr(cli, "write_samples_csv", broken_writer)
+    monkeypatch.setattr(cli, "_write_sample_rows", broken_writer)
     path = small_sampled_config(tmp_path)
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "samples.csv" in err
     assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_writer_gone_before_the_last_block_fails_the_run(tmp_path, capsys,
+                                                        monkeypatch):
+    # the child has exited before the parent announces its later blocks,
+    # whose bytes then meet a closed pipe
+    def broken_writer(path, phases, phase_index, x, stops):
+        raise RuntimeError("disk gone")
+
+    fill = cli._HomodyneDraws.fill
+
+    def fill_once_the_child_exited(self, start, out):
+        if start:
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        fill(self, start, out)
+
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1000)
+    monkeypatch.setattr(cli, "_write_sample_rows", broken_writer)
+    monkeypatch.setattr(cli._HomodyneDraws, "fill", fill_once_the_child_exited)
+    path = small_sampled_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: writing ") and err.endswith(
+        "samples.csv failed in its child process (exit status 1)\n")
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_unwritable_samples_file_fails_the_run(tmp_path, capsys):
+    # a real write error in the child: samples.csv is a directory
+    path = small_sampled_config(tmp_path)
+    blocked = tmp_path / "out" / "alpha_0.2500" / "samples.csv"
+    blocked.mkdir(parents=True)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: writing {blocked} failed in its child "
+                          f"process")
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("calls_before_failing", [0, 1, 3])
+def test_draw_error_wins_over_the_sample_writer(tmp_path, capsys, monkeypatch,
+                                                calls_before_failing):
+    # a parent exception while blocks are still being drawn and announced;
+    # the writer child sees the pipe close and leaves (the fixture checks
+    # that it was reaped)
+    fill = cli._HomodyneDraws.fill
+    calls = []
+
+    def failing_fill(self, start, out):
+        if len(calls) == calls_before_failing:
+            raise ValueError("draw failed")
+        calls.append(start)
+        fill(self, start, out)
+
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1000)
+    monkeypatch.setattr(cli._HomodyneDraws, "fill", failing_fill)
+    path = small_sampled_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: draw failed\n"
+    assert calls == [1000 * k for k in range(calls_before_failing)]
+    # as when the draws fail before the fork: no partial samples.csv
+    assert sorted(p.name for p in (tmp_path / "out").rglob("*")) == [
+        "alpha_0.2500"]
+
+
+@pytest.mark.parametrize("n_samples", [0, 3, 10, 23, 70,
+                                       2 * cli._BLOCK_ROWS + 5])
+@pytest.mark.parametrize("block_rows", [10, None])
+def test_streamed_draws_match_sample_homodyne(tmp_path, monkeypatch,
+                                              n_samples, block_rows):
+    # 7 phases and blocks of 10 rows: block edges inside a round of the
+    # phases, batches below one round, and sizes that are multiples of
+    # neither; None keeps the sweep's own block size
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    rho = cli.ideal_output(0.3, 2.0).state
+    phases = np.arange(7) * math.pi / 7
+    streamed = tmp_path / "streamed.csv"
+    with cli._samples_streamed_to_child(
+            cli._HomodyneDraws(rho, phases, n_samples, 0.68, seed=11),
+            streamed) as held:
+        pass
+    whole = sample_homodyne(rho, phases, n_samples, eta_hd=0.68, seed=11)
+    assert np.array_equal(held.x.view(np.uint64), whole.x.view(np.uint64))
+    assert np.array_equal(held.phase_index, whole.phase_index)
+    assert np.array_equal(held.phases, whole.phases)
+    inline = tmp_path / "inline.csv"
+    write_samples_csv(whole, inline)
+    assert streamed.read_bytes() == inline.read_bytes()
 
 
 @pytest.mark.parametrize("writer_fails", [False, True])
@@ -457,7 +589,7 @@ def test_reconstruction_error_wins_over_the_sample_writer(tmp_path,
 
     monkeypatch.setattr(cli, "maxlik_reconstruct", failing)
     if writer_fails:
-        monkeypatch.setattr(cli, "write_samples_csv", failing)
+        monkeypatch.setattr(cli, "_write_sample_rows", failing)
     cfg, _ = validate_config(small_sampled_config(tmp_path))
     with pytest.raises(ValueError, match="reconstruction failed"):
         run_sweep(cfg)

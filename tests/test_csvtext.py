@@ -1,8 +1,10 @@
 """The bulk %.17g formatter against Python's own ``'%.17g' % v``."""
 
+import io
+
 import numpy as np
 
-from scissorlab.csvtext import _csv_heads, _csv_rows
+from scissorlab.csvtext import _csv_heads, _csv_row_writer
 
 
 def reference(values) -> str:
@@ -10,8 +12,11 @@ def reference(values) -> str:
 
 
 def formatted(values) -> str:
-    heads = np.zeros((values.size, 0), dtype=np.uint64)
-    return _csv_rows(heads, values).decode("ascii")
+    # one head of NUL padding alone, which the writer deletes
+    fh = io.BytesIO()
+    _csv_row_writer(fh, np.zeros((1, 1), dtype=np.uint64))(
+        np.zeros(values.size, dtype=int), values)
+    return fh.getvalue().decode("ascii")
 
 
 def oracle_classes(rng) -> dict[str, np.ndarray]:

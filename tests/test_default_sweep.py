@@ -40,18 +40,20 @@ SUMMARY_RTOL = 5e-12
 
 
 @contextmanager
-def recorded(*names):
-    """Record what the named cli functions return while the body runs."""
-    saved = {name: getattr(cli, name) for name in names}
-    results = {name: [] for name in names}
+def recorded(*names, inputs=()):
+    """Record what the named cli functions return, or for the names in
+    inputs their first argument, while the body runs."""
+    saved = {name: getattr(cli, name) for name in (*names, *inputs)}
+    results = {name: [] for name in saved}
 
     def recording(name):
         def call(*args, **kwargs):
-            results[name].append(saved[name](*args, **kwargs))
-            return results[name][-1]
+            result = saved[name](*args, **kwargs)
+            results[name].append(args[0] if name in inputs else result)
+            return result
         return call
 
-    for name in names:
+    for name in saved:
         setattr(cli, name, recording(name))
     try:
         yield results
@@ -85,7 +87,9 @@ def run_default(stage: str, out_dir: Path) -> dict:
     path.write_text(json.dumps(config))
     cfg, problems = cli.validate_config(path)
     assert problems == []
-    with recorded("sample_homodyne", "maxlik_reconstruct", "wigner") as calls:
+    # the batch the run binned is the one it held in memory
+    with recorded("maxlik_reconstruct", "wigner",
+                  inputs=("bin_samples",)) as calls:
         run_sweep(cfg)
     rows = (out_dir / "summary.csv").read_text().splitlines()
     assert rows[0] == SUMMARY_HEADER
@@ -107,7 +111,7 @@ def run_default(stage: str, out_dir: Path) -> dict:
                              "wigner.csv p")
         assert_bitwise_equal(table[:, 2], grid.values.ravel(), "wigner.csv w")
         if stage == "sampled":
-            draws = calls["sample_homodyne"][k]
+            draws = calls["bin_samples"][k]
             back = read_csv(alpha_dir / "samples.csv", "theta,x")
             assert_bitwise_equal(draws.phases, cfg.phases, "phase list")
             assert_bitwise_equal(back[:, 0], draws.phases[draws.phase_index],

@@ -117,7 +117,7 @@ UNUSED_EXPORTS = {
     "build_resource", "click_weights", "fidelity", "mean_photon_number",
     "mutual_info_bound", "number_distribution", "phase_covariance_check",
     "phase_povm_elements", "quadrature_operator", "quadrature_pdf",
-    "resize_mode", "vacuum_state",
+    "resize_mode", "sample_homodyne", "vacuum_state", "write_samples_csv",
 }
 
 

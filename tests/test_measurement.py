@@ -34,8 +34,9 @@ from scissorlab import (
     write_samples_csv,
 )
 from scissorlab import measurement
-from scissorlab.measurement import (_CSV_CHUNK_ROWS, _GUIDE_BUCKETS,
-                                    _SAMPLING_GRID, _inverse_cdf,
+from scissorlab.csvtext import _CSV_CHUNK_ROWS
+from scissorlab.measurement import (_GUIDE_BUCKETS, _SAMPLING_GRID,
+                                    _HomodyneDraws, _InverseCdf,
                                     _overlap_stack, _ProbabilityMap,
                                     _sampling_stack)
 
@@ -364,9 +365,32 @@ def test_inverse_cdf_matches_interp_bit_for_bit(name):
         np.nextafter(table[table < 1.0], 1.0),
     ))
     u = u[u < 1.0]     # the draws of rng.random
-    got = _inverse_cdf(u, table, grid)
+    got = _InverseCdf(table, grid)(u)
     want = np.interp(u, table, grid)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_samples", [0, 4, 5, 31, 1000])
+def test_draws_in_blocks_match_sample_homodyne(n_samples):
+    # 5 phases; blocks that start anywhere in a round of the phases, are
+    # shorter than a round, or empty
+    rho = ideal_output(0.4, 2.0).state
+    phases = default_phase_grid(5)
+    whole = sample_homodyne(rho, phases, n_samples, eta_hd=0.8, seed=7)
+    draws = _HomodyneDraws(rho, phases, n_samples, eta_hd=0.8, seed=7)
+    assert len(draws) == n_samples
+    rng = np.random.default_rng(n_samples)
+    cuts = np.unique(np.clip(np.concatenate(
+        ([0, 1, 3, n_samples], rng.integers(0, n_samples + 1, size=6))),
+        0, n_samples)).tolist()
+    x = np.full(n_samples, np.nan)
+    draws.fill(0, x[:0])                        # an empty block
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        draws.fill(start, x[start:stop])
+    assert np.array_equal(x.view(np.uint64), whole.x.view(np.uint64))
+    batch = draws.batch(x)
+    assert np.array_equal(batch.phase_index, whole.phase_index)
+    assert np.array_equal(batch.phases, whole.phases)
 
 
 def test_sampling_stack_is_one_read_only_entry():
@@ -520,6 +544,30 @@ def test_samples_csv_roundtrip(tmp_path):
     # a -0.0 phase prints as -0 on every row that uses it
     write_samples_csv(batches[1], path)
     assert path.read_text() == "theta,x\n0,0.5\n-0,-0.5\n-0,1.5\n0,-1.5\n"
+
+
+def test_sample_rows_written_block_by_block(tmp_path):
+    # the streamed writer reads each block only once its stop is yielded,
+    # and gathers the heads through a phase index that is not round-robin
+    rng = np.random.default_rng(5)
+    size = 2 * _CSV_CHUNK_ROWS + 37
+    batch = QuadratureSamples(np.array([0.3, -0.0, 1.7, 0.0, 1e-300]),
+                              rng.permutation(np.arange(size) % 5 // 2 * 2),
+                              rng.normal(size=size))
+    x = np.full(size, np.nan)
+    stops = [0, 5, _CSV_CHUNK_ROWS + 1, _CSV_CHUNK_ROWS + 1, size]
+
+    def produced():
+        start = 0
+        for stop in stops:
+            x[start:stop] = batch.x[start:stop]
+            start = stop
+            yield stop
+
+    path = tmp_path / "samples.csv"
+    measurement._write_sample_rows(path, batch.phases, batch.phase_index, x,
+                                   produced())
+    assert path.read_text() == reference_samples_csv(batch)
 
 
 def test_read_samples_csv_indexes_increasing_phases(tmp_path):
