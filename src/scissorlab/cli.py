@@ -36,6 +36,7 @@ from .csvtext import _CSV_CHUNK_ROWS
 from .fock import coherent_state
 from .measurement import (
     _HomodyneDraws,
+    _check_draw_size,
     _write_sample_rows,
     default_phase_grid,
     read_samples_csv,
@@ -254,7 +255,12 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
                         f"(output directory or seed)")
 
     phases = sweep["phases"]
+    count = len(phases) if isinstance(phases, list) else phases
     if "sweep.phases" in bad:
+        phases = ()
+    elif count > DIMENSION_CAP:
+        problems.append(f"sweep.phases: {count} phases exceed the cap "
+                        f"{DIMENSION_CAP}")
         phases = ()
     elif isinstance(phases, list):
         phases = tuple(float(t) for t in phases)
@@ -276,6 +282,10 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
             problems.append("sweep.phases: must give at least two distinct "
                             "angles at stage sampled (tomography cannot "
                             "reconstruct from one)")
+        try:
+            _check_draw_size(len(phases))
+        except ValueError as exc:
+            problems.append(f"sweep.phases: {exc}")
         if "tomography.bin_count" not in bad and tomo["bin_count"] < 2:
             problems.append("tomography.bin_count: must be at least 2 at "
                             "stage sampled (one bin carries no phase "
@@ -597,6 +607,9 @@ def _cmd_tomo(args) -> int:
     cfg = _load_config_or_fail(args.config) if args.config else None
     tomo = cfg.tomography if cfg else default_config_dict()["tomography"]
     n_max = args.n_max if args.n_max is not None else tomo["n_max"]
+    _, accepts, rule = _SCHEMA["tomography.n_max"]
+    if not accepts(n_max):
+        raise SystemExit(f"--n-max: {rule}, got {n_max!r}")
     _check_reconstruction_size(tomo["bin_count"], n_max)
     result = _reconstruct(read_samples_csv(args.samples), tomo, n_max,
                           args.out)

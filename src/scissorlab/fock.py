@@ -211,76 +211,48 @@ def resize_mode(state: State, mode: int, new_dim: int) -> State:
         raise ValueError(f"mode {mode} outside 0..{len(dims) - 1}")
     if new_dim < 1:
         raise ValueError("new_dim must be >= 1")
-    old = dims[mode]
-    if new_dim == old:
+    if new_dim == dims[mode]:
         return state
     new_dims = dims[:mode] + (new_dim,) + dims[mode + 1:]
-    if isinstance(state, FockVector):
-        t = state.amplitudes.reshape(dims)
-        if new_dim > old:
-            pad = [(0, 0)] * len(dims)
-            pad[mode] = (0, new_dim - old)
-            t = np.pad(t, pad)
-        else:
-            sl = [slice(None)] * len(dims)
-            sl[mode] = slice(0, new_dim)
-            kept = t[tuple(sl)]
-            lost = state.norm_sq() - float(np.vdot(kept, kept).real)
-            if lost > TRUNCATION_TOL:
-                raise TruncationError(
-                    f"truncating mode {mode} to dim {new_dim} discards {lost:.3e}"
-                )
-            t = kept
-        return FockVector(t.reshape(-1), new_dims)
-    t = state.matrix.reshape(dims + dims)
-    k = len(dims)
-    if new_dim > old:
-        pad = [(0, 0)] * (2 * k)
-        pad[mode] = pad[k + mode] = (0, new_dim - old)
-        t = np.pad(t, pad)
-    else:
-        sl = [slice(None)] * (2 * k)
-        sl[mode] = sl[k + mode] = slice(0, new_dim)
-        kept = t[tuple(sl)]
-        lost = state.trace() - float(
-            np.trace(kept.reshape(math.prod(new_dims), -1)).real
+    # a vector has one axis per mode, a matrix a ket and a bra axis per mode
+    data = state.amplitudes if isinstance(state, FockVector) else state.matrix
+    shared = [slice(None)] * (len(dims) * data.ndim)
+    shared[mode::len(dims)] = [slice(0, min(new_dim, dims[mode]))] * data.ndim
+    out = np.zeros(new_dims * data.ndim, dtype=complex)
+    out[tuple(shared)] = data.reshape(dims * data.ndim)[tuple(shared)]
+    resized = type(state)(out.reshape((math.prod(new_dims),) * data.ndim),
+                          new_dims)
+    # the populations sum to the norm of a vector and the trace of a matrix
+    lost = number_distribution(state).sum() - number_distribution(resized).sum()
+    if lost > TRUNCATION_TOL:
+        raise TruncationError(
+            f"truncating mode {mode} to dim {new_dim} discards {lost:.3e}"
         )
-        if lost > TRUNCATION_TOL:
-            raise TruncationError(
-                f"truncating mode {mode} to dim {new_dim} discards {lost:.3e}"
-            )
-        t = kept
-    d = math.prod(new_dims)
-    return DensityOperator(t.reshape(d, d), new_dims)
+    return resized
 
 
 def mean_photon_number(state: State) -> float:
     """Total mean photon number summed over all modes."""
-    dims = state.mode_dims
-    if isinstance(state, FockVector):
-        probs = np.abs(state.amplitudes) ** 2
-    else:
-        probs = np.diag(state.matrix).real
-    probs = probs.reshape(dims)
-    total = 0.0
-    for m, d in enumerate(dims):
-        marg = probs.sum(axis=tuple(i for i in range(len(dims)) if i != m))
-        total += float(np.arange(d) @ marg)
-    return total
+    dist = number_distribution(state)
+    return float(np.arange(dist.size) @ dist)
 
 
 def number_distribution(state: State) -> np.ndarray:
     """Distribution of the total photon number across all modes."""
-    dims = state.mode_dims
-    if isinstance(state, FockVector):
-        probs = np.abs(state.amplitudes) ** 2
-    else:
-        probs = np.diag(state.matrix).real
-    probs = probs.reshape(dims)
-    out = np.zeros(sum(d - 1 for d in dims) + 1)
-    for idx, p in np.ndenumerate(probs):
-        out[sum(idx)] += p
-    return out
+    probs = (np.abs(state.amplitudes) ** 2 if isinstance(state, FockVector)
+             else np.diagonal(state.matrix).real)
+    # each basis state, in flattening order, adds to its total photon number
+    return np.bincount(np.indices(state.mode_dims).sum(axis=0).ravel(),
+                       weights=probs)
+
+
+def _single_mode(state: State, what: str) -> DensityOperator:
+    """The state as a density operator (a vector is promoted); ValueError,
+    naming ``what``, unless it has one mode."""
+    if state.n_modes != 1:
+        raise ValueError(f"{what}: expected one mode, got mode_dims "
+                         f"{state.mode_dims}")
+    return state.to_density() if isinstance(state, FockVector) else state
 
 
 def _sqrt_psd(mat: np.ndarray) -> np.ndarray:

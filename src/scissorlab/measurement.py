@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvtext import _csv_heads, _csv_row_writer
-from .fock import DensityOperator, FockVector, State
-from .numerics import (SAMPLE_CAP, TRUNCATION_TOL, UNIT_TRACE_TOL,
-                       CapacityError, TruncationError)
+from .fock import DensityOperator, State, _single_mode
+from .numerics import (DIMENSION_CAP, SAMPLE_CAP, TRUNCATION_TOL,
+                       UNIT_TRACE_TOL, CapacityError, TruncationError)
 from .optics import LossChannel, apply_loss
 
 #: sampling grid for inverse-CDF draws: fixed, dense, and generous enough
@@ -126,14 +126,6 @@ def _require_negligible_beyond_normal(n_max: int) -> None:
             f"or lower the cutoff")
 
 
-def _require_density(rho: State) -> DensityOperator:
-    if isinstance(rho, FockVector):
-        rho = rho.to_density()
-    if rho.n_modes != 1:
-        raise ValueError("quadrature statistics are defined for single-mode states")
-    return rho
-
-
 def _require_normalized(rho: DensityOperator) -> DensityOperator:
     if abs(rho.trace() - 1.0) > UNIT_TRACE_TOL:
         raise ValueError(f"state must be normalized, trace is {rho.trace()}")
@@ -150,7 +142,7 @@ def quadrature_operator(theta: float, dim: int) -> np.ndarray:
 
 def quadrature_pdf(rho: State, theta: float, x):
     """p(x | theta) = <x;theta| rho |x;theta> for a normalized state."""
-    rho = _require_normalized(_require_density(rho))
+    rho = _require_normalized(_single_mode(rho, "quadrature_pdf"))
     scalar = np.isscalar(x)
     psi = wavefunctions(x, rho.n_max)
     v = psi * np.exp(1j * theta * np.arange(rho.n_max + 1))
@@ -179,7 +171,7 @@ def quadrature_moments(rho: State, theta):
     truncated, so population at the state's own cutoff is exact.  A
     scalar theta gives two floats, an array two arrays of its shape.
     """
-    a1, a2, n_mean = _ladder_moments(_require_density(rho))
+    a1, a2, n_mean = _ladder_moments(_single_mode(rho, "quadrature_moments"))
     theta = np.asarray(theta, dtype=float)
     mean = 2.0 * (a1 * np.exp(-1j * theta)).real
     var = (2.0 * (a2 * np.exp(-2j * theta)).real + 2.0 * n_mean + 1.0
@@ -329,6 +321,15 @@ class _InverseCdf:
         return np.where(u == at, base, self.slope[j] * (u - at) + base)
 
 
+def _check_draw_size(k: int) -> None:
+    """Raise CapacityError if the (k, 4002) table of grid-cell masses that
+    sampling at k phases builds exceeds the cap."""
+    size = k * (_SAMPLING_GRID.size + 1)
+    if size > DIMENSION_CAP:
+        raise CapacityError(f"{k} phases need a sampling table of {size} "
+                            f"entries, above the cap {DIMENSION_CAP}")
+
+
 class _HomodyneDraws:
     """A batch of ``sample_homodyne`` before its quadratures are drawn:
     the phases, the round-robin phase index, the uniforms and one inverse
@@ -346,7 +347,8 @@ class _HomodyneDraws:
         if n_samples > SAMPLE_CAP:
             raise CapacityError(f"{n_samples} samples exceed the cap "
                                 f"{SAMPLE_CAP} on one batch")
-        rho = _require_density(rho)
+        _check_draw_size(phases.size)
+        rho = _single_mode(rho, "sample_homodyne")
         if eta_hd != 1.0:
             if not 0.0 < eta_hd <= 1.0:
                 raise ValueError(f"eta_hd must lie in (0, 1], got {eta_hd}")

@@ -17,8 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .amplifier import gain_to_reflectivity, reflectivity_to_gain
 from .csvtext import _csv_heads, _csv_row_writer
-from .fock import FockVector, State
+from .fock import State, _single_mode
 from .measurement import quadrature_moments, wavefunctions
 from .optics import _balanced_coefficients
 
@@ -96,10 +97,7 @@ def wigner(rho: State, x=None, p=None) -> WignerGrid:
         W(x, p) = sum_{j,k} A_jk psi_j(sqrt2 x) psi_k(sqrt2 p),
         A_jk = (-i)^k / sqrt(2 pi) sum_{m+n=j+k} <j,k|B|m,n> (-1)^n rho_mn.
     """
-    if isinstance(rho, FockVector):
-        rho = rho.to_density()
-    if rho.n_modes != 1:
-        raise ValueError("Wigner maps are computed for single-mode states")
+    rho = _single_mode(rho, "wigner")
     x = phase_space_axes() if x is None else np.asarray(x, dtype=float)
     p = phase_space_axes() if p is None else np.asarray(p, dtype=float)
     d, size = rho.dim, 2 * rho.dim - 1
@@ -225,13 +223,9 @@ def mutual_info_bound(snr: float, g: float | None = None,
     if (g is None) == (r is None):
         raise ValueError("specify exactly one of g or r")
     if g is None:
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"reflectivity must lie in (0, 1), got {r}")
-        g = math.sqrt(1.0 - r * r) / r
+        g = reflectivity_to_gain(r)
     else:
-        if g <= 0.0:
-            raise ValueError(f"gain must be positive, got {g}")
-        r = 1.0 / math.sqrt(1.0 + g * g)
+        r = gain_to_reflectivity(g)
     p_success = r * r / 2.0
     if accept_both_heralds:
         p_success *= 2.0
@@ -257,18 +251,6 @@ class MetricsReport:
     reference_ein: float
     phases: tuple[float, ...]
     variance_provenance: str  # "output_plane" or "eta_corrected"
-
-    def to_dict(self) -> dict:
-        return {
-            "g_eff": self.g_eff,
-            "ein_min": self.ein_min,
-            "ein_avg": self.ein_avg,
-            "ein_max": self.ein_max,
-            "success_probability": self.success_probability,
-            "reference_ein": self.reference_ein,
-            "phases": list(self.phases),
-            "variance_provenance": self.variance_provenance,
-        }
 
 
 def build_metrics_report(rho_out: State, alpha_in: complex,
@@ -296,6 +278,6 @@ def _provenance(eta_hd: float) -> str:
 
 
 def write_metrics_json(report: MetricsReport, path) -> None:
-    text = json.dumps(report.to_dict(), indent=1, sort_keys=True)
+    text = json.dumps(vars(report), indent=1, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

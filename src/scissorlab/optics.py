@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, FockVector, State
+from .fock import DensityOperator, FockVector, State, _single_mode
 
 
 @dataclass(frozen=True)
@@ -71,19 +71,12 @@ def apply_phase(state: State, theta: float, mode: int = 0) -> State:
     dims = state.mode_dims
     if not 0 <= mode < len(dims):
         raise ValueError(f"mode {mode} outside 0..{len(dims) - 1}")
-    phases = np.exp(1j * float(theta) * np.arange(dims[mode]))
-    shape = [1] * len(dims)
-    shape[mode] = dims[mode]
-    ph = phases.reshape(shape)
+    # each basis state's factor, from its photon number in the mode; a
+    # matrix takes it on the ket side and its conjugate on the bra side
+    ket = np.exp(1j * float(theta) * np.indices(dims)[mode].ravel())
     if isinstance(state, FockVector):
-        t = state.amplitudes.reshape(dims) * ph
-        return FockVector(t.reshape(-1), dims)
-    k = len(dims)
-    tensor = state.matrix.reshape(dims + dims)
-    tensor = tensor * ph.reshape(shape + [1] * k)
-    tensor = tensor * ph.conj().reshape([1] * k + shape)
-    d = math.prod(dims)
-    return DensityOperator(tensor.reshape(d, d), dims)
+        return FockVector(state.amplitudes * ket, dims)
+    return DensityOperator(state.matrix * ket[:, None] * ket.conj(), dims)
 
 
 def apply_loss(rho: State, channel: LossChannel) -> DensityOperator:
@@ -92,11 +85,7 @@ def apply_loss(rho: State, channel: LossChannel) -> DensityOperator:
     Always returns a density operator; eta = 1 returns the input unchanged.
     Raises ValueError for a multimode state.
     """
-    if isinstance(rho, FockVector):
-        rho = rho.to_density()
-    if rho.n_modes != 1:
-        raise ValueError(
-            f"apply_loss acts on one mode, got mode_dims {rho.mode_dims}")
+    rho = _single_mode(rho, "apply_loss")
     eta = channel.eta
     if eta == 1.0:
         return rho

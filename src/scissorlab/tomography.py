@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import DensityOperator
+from .fock import DensityOperator, _single_mode
 from .measurement import (QuadratureSamples, _overlap_stack,
                           _packed_identity, _ProbabilityMap)
 from .numerics import (DIMENSION_CAP, POVM_COMPLETENESS_TOL,
@@ -414,8 +414,7 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
 
 def write_density_json(rho: DensityOperator, path) -> None:
     """Serialize a single-mode density matrix as n_max plus re/im parts."""
-    if rho.n_modes != 1:
-        raise ValueError("JSON interchange covers single-mode states only")
+    rho = _single_mode(rho, "write_density_json")
     payload = {
         "n_max": rho.n_max,
         "re": rho.matrix.real.tolist(),
@@ -442,7 +441,8 @@ def read_density_json(path) -> DensityOperator:
     except TypeError as exc:  # an entry such as {} that is not a number
         raise ValueError(f"{path}: density matrix entry is not a number "
                          f"({exc})") from exc
-    if not isinstance(n_max, int) or mat.shape != (n_max + 1, n_max + 1):
+    # the type itself: true is an int instance, but not a cutoff
+    if type(n_max) is not int or mat.shape != (n_max + 1, n_max + 1):
         raise ValueError(
             f"matrix shape {mat.shape} inconsistent with n_max {n_max!r}")
     return DensityOperator(mat, (n_max + 1,)).validate()

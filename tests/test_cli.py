@@ -261,6 +261,50 @@ def test_tomo_cutoff_capped_before_reading(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tomo_cutoff_must_be_positive_before_reading(tmp_path, capsys):
+    # the tomography.n_max rule, met before the samples file is opened
+    out = tmp_path / "recon.json"
+    assert main(["tomo", "--samples", str(tmp_path / "missing.csv"),
+                 "--out", str(out), "--n-max", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "--n-max: must be a positive integer, got 0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count, accepted", [(249, True), (250, False)])
+def test_sampled_phase_count_capped(tmp_path, capsys, count, accepted):
+    # sampling builds a (K, 4002) table of grid-cell masses: 249 phases
+    # fit the cap, 250 (1000500 entries) do not
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"sweep.stage": "sampled",
+                                     "sweep.phases": count,
+                                     "sweep.output_dir": str(out_dir)})
+    message = ("  - sweep.phases: 250 phases need a sampling table of "
+               "1000500 entries, above the cap 1000000")
+    assert main(["check", "--config", str(path)]) == (0 if accepted else 1)
+    assert (message in capsys.readouterr().out) != accepted
+    if not accepted:
+        assert main(["run", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        # the circuit stage builds no sampling table
+        path = write_config(tmp_path, **{"sweep.phases": count})
+        assert main(["check", "--config", str(path)]) == 0
+
+
+def test_phase_count_capped_before_the_grid(tmp_path, capsys, monkeypatch):
+    # 10^6 + 1 phases exceed the cap at every stage, and the grid, which
+    # a count of 10^9 would make an 8 GB array, is never built
+    def no_grid(count):
+        raise AssertionError("the phase grid was built")
+
+    monkeypatch.setattr(cli, "default_phase_grid", no_grid)
+    path = write_config(tmp_path, **{"sweep.phases": 10**6 + 1})
+    assert main(["check", "--config", str(path)]) == 1
+    assert ("  - sweep.phases: 1000001 phases exceed the cap 1000000"
+            in capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("points, accepted", [(1000, True), (1001, False)])
 def test_wigner_points_capped(tmp_path, capsys, points, accepted):
     # a grid of points^2 values: 1000 fits the cap, 1001 does not
@@ -653,12 +697,15 @@ def test_wigner_verb_from_density_file(tmp_path):
     ([[1, 0], [0, 0]], "must be an object"),
     ({"n_max": None, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
      "inconsistent with n_max None"),
+    # true is a Python int, but not a cutoff
+    ({"n_max": True, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+     "inconsistent with n_max True"),
     ({"n_max": 1, "re": [[{}, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
      "entry is not a number"),
     ({"n_max": 1, "re": [[1, 0], [0, 0]], "im": [[0, None], [0, 0]]},
      "entry is not finite"),
-], ids=["negative", "trace-4", "no-im", "list", "null-n_max", "object-entry",
-        "null-entry"])
+], ids=["negative", "trace-4", "no-im", "list", "null-n_max", "true-n_max",
+        "object-entry", "null-entry"])
 def test_wigner_verb_rejects_bad_density_file(tmp_path, capsys, payload,
                                               message):
     cfg = write_config(tmp_path)

@@ -14,9 +14,14 @@ from scissorlab import (
     fock_state,
     mean_photon_number,
     number_distribution,
+    quadrature_moments,
+    quadrature_pdf,
     resize_mode,
+    sample_homodyne,
     trace_distance,
     vacuum_state,
+    wigner,
+    write_density_json,
 )
 
 
@@ -95,6 +100,85 @@ def test_resize_mode_truncation_guard():
     psi = coherent_state(2.0, 30)
     with pytest.raises(TruncationError):
         resize_mode(psi, 0, 3)
+
+
+def test_resize_mode_truncates_a_density_matrix():
+    rho = coherent_state(0.4, 20).to_density()
+    cut = resize_mode(rho, 0, 12)
+    assert cut.mode_dims == (12,)
+    np.testing.assert_array_equal(cut.matrix, rho.matrix[:12, :12])
+    with pytest.raises(TruncationError):
+        resize_mode(coherent_state(2.0, 30).to_density(), 0, 3)
+
+
+def two_mode_vectors(seed):
+    """Two random (3, 4) two-mode vectors with mode 1 empty above n = 1."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(2):
+        t = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        t[:, 2:] = 0.0
+        out.append(FockVector(t.reshape(-1), (3, 4)).normalized())
+    return out
+
+
+@pytest.mark.parametrize("new_dim", [6, 2])
+def test_resize_second_of_two_modes_matches_pad_and_slice(new_dim):
+    a, b = two_mode_vectors(4)
+    rho = DensityOperator(0.25 * a.to_density().matrix
+                          + 0.75 * b.to_density().matrix, (3, 4))
+    ket, mat = a.amplitudes.reshape(3, 4), rho.matrix.reshape(3, 4, 3, 4)
+    # oracle: np.pad to grow mode 1, a plain slice to shrink it
+    if new_dim > 4:
+        ket = np.pad(ket, ((0, 0), (0, new_dim - 4)))
+        mat = np.pad(mat, ((0, 0), (0, new_dim - 4)) * 2)
+    else:
+        ket, mat = ket[:, :new_dim], mat[:, :new_dim, :, :new_dim]
+    vec_out, rho_out = resize_mode(a, 1, new_dim), resize_mode(rho, 1, new_dim)
+    assert vec_out.mode_dims == rho_out.mode_dims == (3, new_dim)
+    np.testing.assert_array_equal(vec_out.amplitudes, ket.reshape(-1))
+    np.testing.assert_array_equal(rho_out.matrix,
+                                  mat.reshape(3 * new_dim, 3 * new_dim))
+
+
+def test_resize_second_of_two_modes_guards_truncation():
+    rng = np.random.default_rng(6)
+    full = FockVector(rng.normal(size=12), (3, 4)).normalized()
+    for state in (full, full.to_density()):
+        with pytest.raises(TruncationError, match="truncating mode 1"):
+            resize_mode(state, 1, 2)
+
+
+def test_two_mode_number_statistics_agree_across_representations():
+    # |0.5> x |0.3>: the total photon number is Poisson with mean 0.34
+    psi = FockVector(np.kron(coherent_state(0.5, 10).amplitudes,
+                             coherent_state(0.3, 8).amplitudes), (11, 9))
+    rho = psi.to_density()
+    dist = number_distribution(rho)
+    assert dist.shape == (19,)
+    np.testing.assert_allclose(dist, number_distribution(psi), rtol=0,
+                               atol=1e-15)
+    poisson = [math.exp(-0.34) * 0.34 ** n / math.factorial(n)
+               for n in range(19)]
+    np.testing.assert_allclose(dist, poisson, rtol=0, atol=1e-12)
+    assert mean_photon_number(rho) == pytest.approx(mean_photon_number(psi),
+                                                    abs=1e-15)
+    assert mean_photon_number(rho) == pytest.approx(0.34, abs=1e-12)
+
+
+def test_single_mode_entry_points_reject_two_modes(tmp_path):
+    joint = FockVector(np.eye(4)[1], (2, 2))
+    calls = [lambda s: quadrature_moments(s, 0.0),
+             lambda s: quadrature_pdf(s, 0.0, 0.5),
+             lambda s: sample_homodyne(s, [0.0, 1.0], 10),
+             wigner,
+             lambda s: write_density_json(s, tmp_path / "rho.json")]
+    for call in calls:
+        for state in (joint, joint.to_density()):
+            with pytest.raises(ValueError, match="expected one mode, got "
+                               r"mode_dims \(2, 2\)"):
+                call(state)
+    assert not (tmp_path / "rho.json").exists()
 
 
 def test_density_rejects_non_hermitian():

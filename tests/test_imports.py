@@ -115,9 +115,9 @@ def test_scanner_flags_only_unused_exports():
 #: use it inside the package or stop exporting it instead
 UNUSED_EXPORTS = {
     "build_resource", "click_weights", "fidelity", "mean_photon_number",
-    "mutual_info_bound", "number_distribution", "phase_covariance_check",
-    "phase_povm_elements", "quadrature_operator", "quadrature_pdf",
-    "resize_mode", "sample_homodyne", "vacuum_state", "write_samples_csv",
+    "mutual_info_bound", "phase_covariance_check", "phase_povm_elements",
+    "quadrature_operator", "quadrature_pdf", "resize_mode",
+    "sample_homodyne", "vacuum_state", "write_samples_csv",
 }
 
 

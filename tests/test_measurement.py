@@ -471,13 +471,29 @@ def test_sampling_rejects_non_finite_phases(bad):
 def test_sampling_refuses_a_batch_above_the_cap(monkeypatch):
     # 10^12 draws would take 8 TB of uniforms; the cap is checked first,
     # and any path past the check fails here before a draw is allocated
-    def past_the_check(rho):
+    def past_the_check(rho, what):
         raise AssertionError("sample_homodyne passed the cap check")
 
-    monkeypatch.setattr(measurement, "_require_density", past_the_check)
+    monkeypatch.setattr(measurement, "_single_mode", past_the_check)
     with pytest.raises(CapacityError,
                        match="1000000000000 samples exceed the cap 10000000"):
         sample_homodyne(coherent_state(0.5, 8), [0.0, 1.0], 10**12)
+
+
+def test_sampling_caps_the_phase_count(monkeypatch):
+    # the (K, 4002) table of grid-cell masses: 249 phases fit the cap
+    samples = sample_homodyne(coherent_state(0.5, 8), default_phase_grid(249),
+                              498, seed=2)
+    assert np.bincount(samples.phase_index).tolist() == [2] * 249
+
+    # 250 do not, and are refused before the state is read
+    def past_the_check(rho, what):
+        raise AssertionError("sample_homodyne passed the phase cap")
+
+    monkeypatch.setattr(measurement, "_single_mode", past_the_check)
+    with pytest.raises(CapacityError, match="250 phases need a sampling "
+                       "table of 1000500 entries, above the cap 1000000"):
+        sample_homodyne(coherent_state(0.5, 8), default_phase_grid(250), 10)
 
 
 def test_sample_moments_match_state():

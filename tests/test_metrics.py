@@ -370,12 +370,20 @@ def test_mutual_info_validation():
         mutual_info_bound(0.1, g=2.0, r=0.3)
 
 
-def test_metrics_report_shape():
+@pytest.mark.parametrize("g", [math.inf, math.nan])
+def test_mutual_info_rejects_a_non_finite_gain(g):
+    # the gain-to-reflectivity conversion the amplifier config uses
+    with pytest.raises(ValueError, match="gain must be finite and positive"):
+        mutual_info_bound(0.1, g=g)
+
+
+def test_metrics_report_shape(tmp_path):
     rho = ideal_output(0.25, 2.0)
     phases = [k * math.pi / 12 for k in range(12)]
     report = build_metrics_report(rho.state, 0.25,
                                   rho.success_probability, phases)
-    d = report.to_dict()
+    write_metrics_json(report, tmp_path / "metrics.json")
+    d = json.loads((tmp_path / "metrics.json").read_text())
     assert set(d) == {"g_eff", "ein_min", "ein_avg", "ein_max",
                       "success_probability", "reference_ein", "phases",
                       "variance_provenance"}
