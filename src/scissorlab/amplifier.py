@@ -116,13 +116,12 @@ EXPERIMENT_PRESET_MU = 0.07
 class AmplifierConfig:
     """Full description of one amplifier run.
 
-    Exactly one of ``gain`` and ``reflectivity`` must be given; the other
-    is derived through g = sqrt(1 - r^2) / r.
+    The gain is the one amplifier parameter: ``r`` is the A-BS
+    reflectivity it sets, and an r converts through reflectivity_to_gain.
     """
 
     alpha: complex
-    gain: float | None = None
-    reflectivity: float | None = None
+    gain: float
     source: SourceModel = IDEAL_SOURCE
     detector_mu: float = 1.0
     use_d2_veto: bool = False
@@ -130,34 +129,17 @@ class AmplifierConfig:
     n_max: int = 12
 
     def __post_init__(self):
-        if (self.gain is None) == (self.reflectivity is None):
-            raise ValueError("specify exactly one of gain or reflectivity")
-        if self.gain is not None and not (math.isfinite(self.gain)
-                                          and self.gain > 0.0):
-            raise ValueError(
-                f"gain must be finite and positive, got {self.gain}")
+        gain_to_reflectivity(self.gain)   # raises unless finite and positive
         if not cmath.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if self.reflectivity is not None and not 0.0 < self.reflectivity < 1.0:
-            raise ValueError(
-                f"reflectivity must lie in (0, 1), got {self.reflectivity}"
-            )
         if not 0.0 < self.detector_mu <= 1.0:
             raise ValueError(f"detector_mu must lie in (0, 1], got {self.detector_mu}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 
     @property
-    def g(self) -> float:
-        if self.gain is not None:
-            return float(self.gain)
-        return reflectivity_to_gain(float(self.reflectivity))
-
-    @property
     def r(self) -> float:
-        if self.reflectivity is not None:
-            return float(self.reflectivity)
-        return gain_to_reflectivity(float(self.gain))
+        return gain_to_reflectivity(self.gain)
 
 
 @dataclass(frozen=True)
@@ -231,8 +213,7 @@ def build_resource(r: float,
     (T, R, Tc, Rc) when mode_overlap < 1, with every mode truncated at two
     photons (the source never emits more).
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"reflectivity must lie in (0, 1), got {r}")
+    reflectivity_to_gain(r)   # raises unless 0 < r < 1
     with_companion = source.mode_overlap < 1.0
     dims = (_ANCILLA_DIM,) * (4 if with_companion else 2)
     d = math.prod(dims)

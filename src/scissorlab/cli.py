@@ -25,7 +25,7 @@ import os
 import sys
 import traceback
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,7 @@ from .measurement import (
     read_samples_csv,
 )
 from .metrics import (
+    _check_grid_size,
     build_metrics_report,
     phase_space_axes,
     wigner,
@@ -96,7 +97,6 @@ def _is_phases(value) -> bool:
 
 # (accepts(value), rule) pairs that several keys share
 _NUMBER = (_is_number, "must be a finite number")
-_OPTIONAL_NUMBER = (lambda v: v is None or _is_number(v), _NUMBER[1])
 _POSITIVE = (lambda v: _is_number(v) and v > 0,
              "must be a finite positive number")
 _FLAG = (lambda v: isinstance(v, bool), "must be true or false")
@@ -104,14 +104,12 @@ _POSITIVE_INTEGER = (_integer_from(1), "must be a positive integer")
 _NON_NEGATIVE_INTEGER = (_integer_from(0), "must be a non-negative integer")
 
 #: The whole config schema: dotted key -> (default, accepts(value), rule).
-#: A rejected value is reported as "<key>: <rule>, got <value>".  The one
-#: key without a default (None) is left out of default_config_dict.
+#: A rejected value is reported as "<key>: <rule>, got <value>".
 _SCHEMA = {
     "schema_version": (SCHEMA_VERSION,
                        lambda v: _is_integer(v) and v == SCHEMA_VERSION,
                        f"expected {SCHEMA_VERSION}"),
-    "amplifier.gain": (2.0, *_OPTIONAL_NUMBER),
-    "amplifier.reflectivity": (None, *_OPTIONAL_NUMBER),
+    "amplifier.gain": (2.0, *_NUMBER),
     "amplifier.detector_mu": (1.0, *_NUMBER),
     "amplifier.use_d2_veto": (False, *_FLAG),
     "amplifier.accept_both_heralds": (False, *_FLAG),
@@ -162,15 +160,14 @@ def _nest(flat: dict) -> dict:
 
 def default_config_dict() -> dict:
     """A complete, valid configuration with the package defaults."""
-    return _nest({key: default for key, (default, _, _) in _SCHEMA.items()
-                  if default is not None})
+    return _nest({key: default for key, (default, _, _) in _SCHEMA.items()})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated sweep settings ready for run_sweep."""
 
-    amplifier: dict
+    amplifier: AmplifierConfig     # at alpha 0
     alphas: tuple[float, ...]
     stage: str
     phases: tuple[float, ...]
@@ -182,9 +179,15 @@ class RunConfig:
     wigner: dict
 
     def amplifier_config(self, alpha: float) -> AmplifierConfig:
-        amp = dict(self.amplifier)
-        source = SourceModel(**amp.pop("source"))
-        return AmplifierConfig(alpha=alpha, source=source, **amp)
+        return replace(self.amplifier, alpha=alpha)
+
+
+def _report(problems: list[str], key: str, check, *args) -> None:
+    """Run a library rule check(*args), reporting its ValueError under key."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        problems.append(f"{key}: {exc}")
 
 
 def _flatten(node: dict, prefix: str, flat: dict, problems: list[str]) -> dict:
@@ -214,31 +217,21 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
         if not accepts(values[key]):
             bad.add(key)
             problems.append(f"{key}: {rule}, got {values[key]!r}")
-
-    # gain has a default and reflectivity none, so a given reflectivity
-    # replaces the default gain
-    if values["amplifier.reflectivity"] is not None:
-        if flat.get("amplifier.gain") is not None:
-            problems.append(
-                "amplifier: gain and reflectivity are both set; they are "
-                "tied by g = sqrt(1 - r^2)/r, so give exactly one"
-            )
-        values["amplifier.gain"] = None
     sections = _nest(values)
     amp, sweep = sections["amplifier"], sections["sweep"]
     tomo = sections["tomography"]
+    amplifier = None    # the section as the pipeline runs it, at alpha 0
     # set once simulate's working space at this cutoff is known to fit the cap
     fits = False
     if not any(key.startswith("amplifier.") for key in bad):
         where = "amplifier.source"
         try:
-            source = SourceModel(**amp["source"])
+            source = SourceModel(**amp.pop("source"))
             where = "amplifier"
-            AmplifierConfig(alpha=0.0, source=source,
-                            **{k: v for k, v in amp.items() if k != "source"})
+            amplifier = AmplifierConfig(alpha=0.0, source=source, **amp)
             if sweep["stage"] in ("circuit", "sampled"):
                 where = "amplifier.n_max"
-                _check_working_size(amp["n_max"], source)
+                _check_working_size(amplifier.n_max, source)
                 fits = True
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
@@ -282,31 +275,23 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
             problems.append("sweep.phases: must give at least two distinct "
                             "angles at stage sampled (tomography cannot "
                             "reconstruct from one)")
-        try:
-            _check_draw_size(len(phases))
-        except ValueError as exc:
-            problems.append(f"sweep.phases: {exc}")
+        _report(problems, "sweep.phases", _check_draw_size, len(phases))
         if "tomography.bin_count" not in bad and tomo["bin_count"] < 2:
             problems.append("tomography.bin_count: must be at least 2 at "
                             "stage sampled (one bin carries no phase "
                             "information)")
         if not {"tomography.bin_count", "tomography.bin_range"} & bad:
-            try:
-                _bin_edges(tomo["bin_count"], tuple(tomo["bin_range"]))
-            except ValueError as exc:
-                problems.append(f"tomography.bin_range: {exc}")
+            _report(problems, "tomography.bin_range", _bin_edges,
+                    tomo["bin_count"], tuple(tomo["bin_range"]))
     if not {"tomography.bin_count", "tomography.n_max"} & bad:
-        try:
-            _check_reconstruction_size(tomo["bin_count"], tomo["n_max"])
-        except ValueError as exc:
-            problems.append(f"tomography.n_max: {exc}")
-    points = sections["wigner"]["points"]
-    if "wigner.points" not in bad and points ** 2 > DIMENSION_CAP:
-        problems.append(f"wigner.points: {points} points need a grid of "
-                        f"{points ** 2} values, above the cap {DIMENSION_CAP}")
-    # the circuit starts from |alpha> at the amplifier's cutoff
-    n_max = amp["n_max"]
+        _report(problems, "tomography.n_max", _check_reconstruction_size,
+                tomo["bin_count"], tomo["n_max"])
+    if "wigner.points" not in bad:
+        points = sections["wigner"]["points"]
+        _report(problems, "wigner.points", _check_grid_size, points, points)
     if fits:
+        # the circuit starts from |alpha> at the amplifier's cutoff
+        n_max = amplifier.n_max
         for alpha in alphas:
             try:
                 coherent_state(alpha, n_max)
@@ -319,7 +304,7 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
     # the sweep section's keys are RunConfig's remaining fields
     sweep.update(alphas=tuple(map(float, alphas)), phases=phases,
                  eta_hd=float(sweep["eta_hd"]))
-    return RunConfig(amplifier=amp, tomography=tomo,
+    return RunConfig(amplifier=amplifier, tomography=tomo,
                      wigner=sections["wigner"], **sweep)
 
 
@@ -333,13 +318,16 @@ def validate_config(path) -> tuple[RunConfig | None, list[str]]:
 
 
 def _check_file(path, overrides: dict) -> tuple[RunConfig | None, list[str]]:
-    """validate_config with dotted keys set over the file's values."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        return None, [f"parse error at line {exc.lineno}, column {exc.colno}: "
-                      f"{exc.msg}"]
+    """validate_config with dotted keys set over the file's values, or
+    over the package defaults when path is None."""
+    raw = {"schema_version": SCHEMA_VERSION}    # every other key defaulted
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            return None, [f"parse error at line {exc.lineno}, column {exc.colno}: "
+                          f"{exc.msg}"]
     if not isinstance(raw, dict):
         return None, ["config root must be a JSON object"]
     problems: list[str] = []
@@ -360,22 +348,21 @@ def _alpha_dir_name(alpha: float) -> str:
     return f"alpha_{alpha:.4f}"
 
 
-def _stage_output(cfg: RunConfig, alpha: float, stage: str) -> HeraldedOutput:
+def _stage_output(cfg: RunConfig, alpha: float) -> HeraldedOutput:
     """One alpha's output: the closed form at stage analytic, else the circuit."""
     amp_cfg = cfg.amplifier_config(alpha)
-    if stage == "analytic":
-        return ideal_output(alpha, amp_cfg.g, amp_cfg.accept_both_heralds)
+    if cfg.stage == "analytic":
+        return ideal_output(alpha, amp_cfg.gain, amp_cfg.accept_both_heralds)
     return simulate(amp_cfg)
 
 
-def _reconstruct(samples, tomo: dict, n_max: int,
-                 path) -> ReconstructionResult:
-    """Bin the samples as the tomography section says, reconstruct at
-    cutoff n_max and write the result's rho JSON to path; ValueError,
-    before anything is written, if the fit did not converge."""
+def _reconstruct(samples, tomo: dict, path) -> ReconstructionResult:
+    """Bin and reconstruct the samples as the tomography section says and
+    write the result's rho JSON to path; ValueError, before anything is
+    written, if the fit did not converge."""
     hists = bin_samples(samples, bin_count=tomo["bin_count"],
                         value_range=tuple(tomo["bin_range"]))
-    result = maxlik_reconstruct(TomographyProblem(hists, n_max=n_max),
+    result = maxlik_reconstruct(TomographyProblem(hists, n_max=tomo["n_max"]),
                                 max_iter=tomo["max_iter"], tol=tomo["tol"])
     if not result.converged:
         raise ValueError(
@@ -483,7 +470,7 @@ def _run_single(cfg: RunConfig, alpha: float, out_dir: Path) -> tuple[dict, list
     draws, the reconstruction, metrics and Wigner grid run here.
     """
     written: list[Path] = []
-    out = _stage_output(cfg, alpha, cfg.stage)
+    out = _stage_output(cfg, alpha)
     state_for_metrics = out.state
     eta_for_metrics = 1.0
     alpha_dir = out_dir / _alpha_dir_name(alpha)
@@ -499,8 +486,7 @@ def _run_single(cfg: RunConfig, alpha: float, out_dir: Path) -> tuple[dict, list
                 sample_path))
             written.append(sample_path)
             rho_path = alpha_dir / "rho.json"
-            recon = _reconstruct(samples, cfg.tomography,
-                                 cfg.tomography["n_max"], rho_path)
+            recon = _reconstruct(samples, cfg.tomography, rho_path)
             written.append(rho_path)
             state_for_metrics = recon.rho
             eta_for_metrics = cfg.eta_hd
@@ -555,24 +541,23 @@ def run_sweep(cfg: RunConfig, out_dir=None) -> list[Path]:
 # ---------------------------------------------------------------------------
 # verbs
 
-def _fail_on(problems: list[str]) -> None:
+def _load_config_or_fail(path, overrides: dict) -> RunConfig:
+    """validate_config, with the dotted keys in overrides that are given
+    (not None) set over the file's values, or over the package defaults
+    when path is None, so that ``run --seed``, ``tomo --n-max`` and the
+    like meet the same rules; SystemExit listing the problems if any."""
+    given = {key: value for key, value in overrides.items() if value is not None}
+    cfg, problems = _check_file(path, given)
     if problems:
         raise SystemExit("invalid config:\n" + "\n".join(
             f"  - {p}" for p in problems))
-
-
-def _load_config_or_fail(path, **sweep) -> RunConfig:
-    """validate_config, with the ``sweep`` keys given (not None) set over
-    the file's, so that ``run --seed`` and the like meet the same rules."""
-    cfg, problems = _check_file(path, {f"sweep.{key}": value for key, value
-                                       in sweep.items() if value is not None})
-    _fail_on(problems)
     return cfg
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config_or_fail(args.config, seed=args.seed, stage=args.stage,
-                               output_dir=args.out)
+    cfg = _load_config_or_fail(args.config, {"sweep.seed": args.seed,
+                                             "sweep.stage": args.stage,
+                                             "sweep.output_dir": args.out})
     written = run_sweep(cfg)
     print(f"wrote {len(written)} artifacts under {cfg.output_dir}")
     return 0
@@ -591,27 +576,21 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_wigner(args) -> int:
-    cfg = _load_config_or_fail(args.config)
+    cfg = _load_config_or_fail(args.config, {"sweep.stage": args.stage})
     if args.rho is not None:
         state = read_density_json(args.rho)
     else:
         if args.alpha is None:
             raise SystemExit("wigner needs --alpha (or --rho FILE)")
-        state = _stage_output(cfg, args.alpha, args.stage or cfg.stage).state
+        state = _stage_output(cfg, args.alpha).state
     _write_wigner(state, cfg, args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_tomo(args) -> int:
-    cfg = _load_config_or_fail(args.config) if args.config else None
-    tomo = cfg.tomography if cfg else default_config_dict()["tomography"]
-    n_max = args.n_max if args.n_max is not None else tomo["n_max"]
-    _, accepts, rule = _SCHEMA["tomography.n_max"]
-    if not accepts(n_max):
-        raise SystemExit(f"--n-max: {rule}, got {n_max!r}")
-    _check_reconstruction_size(tomo["bin_count"], n_max)
-    result = _reconstruct(read_samples_csv(args.samples), tomo, n_max,
+    cfg = _load_config_or_fail(args.config, {"tomography.n_max": args.n_max})
+    result = _reconstruct(read_samples_csv(args.samples), cfg.tomography,
                           args.out)
     print(f"wrote {args.out} (converged after {result.iterations} "
           f"iterations, certified gap {result.gap:.3e} per count)")

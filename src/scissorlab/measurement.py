@@ -322,11 +322,13 @@ class _InverseCdf:
 
 
 def _check_draw_size(k: int) -> None:
-    """Raise CapacityError if the (k, 4002) table of grid-cell masses that
-    sampling at k phases builds exceeds the cap."""
-    size = k * (_SAMPLING_GRID.size + 1)
+    """Raise CapacityError if the tables sampling at k phases holds at its
+    peak, as _HomodyneDraws' constructor returns, exceed the cap: per phase
+    the grid-cell masses (4002 entries), the CDF row (4001), and the guide
+    (8192) and slopes (4000) of its _InverseCdf."""
+    size = k * (3 * _SAMPLING_GRID.size + _GUIDE_BUCKETS)
     if size > DIMENSION_CAP:
-        raise CapacityError(f"{k} phases need a sampling table of {size} "
+        raise CapacityError(f"{k} phases need sampling tables of {size} "
                             f"entries, above the cap {DIMENSION_CAP}")
 
 

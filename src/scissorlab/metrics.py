@@ -17,10 +17,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amplifier import gain_to_reflectivity, reflectivity_to_gain
+from .amplifier import gain_to_reflectivity
 from .csvtext import _csv_heads, _csv_row_writer
 from .fock import State, _single_mode
 from .measurement import quadrature_moments, wavefunctions
+from .numerics import DIMENSION_CAP, CapacityError
 from .optics import _balanced_coefficients
 
 TWO_PI = 2.0 * math.pi
@@ -68,6 +69,16 @@ def phase_space_axes(extent: float = 6.0, points: int = 201) -> np.ndarray:
     return np.linspace(-extent, extent, points)
 
 
+def _check_grid_size(x_points: int, p_points: int) -> None:
+    """Raise CapacityError if a Wigner grid on axes of these lengths holds
+    more values than the cap."""
+    size = x_points * p_points
+    if size > DIMENSION_CAP:
+        points = x_points if x_points == p_points else f"{x_points} x {p_points}"
+        raise CapacityError(f"{points} points need a grid of {size} values, "
+                            f"above the cap {DIMENSION_CAP}")
+
+
 @lru_cache(maxsize=8)
 def _wigner_map(d: int) -> np.ndarray:
     """Read-only real M[(j,k), (m,n)] = <j,k|B|m,n> (-1)^n, j, k < 2d - 1 and
@@ -96,10 +107,13 @@ def wigner(rho: State, x=None, p=None) -> WignerGrid:
 
         W(x, p) = sum_{j,k} A_jk psi_j(sqrt2 x) psi_k(sqrt2 p),
         A_jk = (-i)^k / sqrt(2 pi) sum_{m+n=j+k} <j,k|B|m,n> (-1)^n rho_mn.
+
+    CapacityError, before any table is built, above DIMENSION_CAP values.
     """
     rho = _single_mode(rho, "wigner")
     x = phase_space_axes() if x is None else np.asarray(x, dtype=float)
     p = phase_space_axes() if p is None else np.asarray(p, dtype=float)
+    _check_grid_size(x.size, p.size)
     d, size = rho.dim, 2 * rho.dim - 1
     # the real map takes the real and imaginary parts of rho as two columns
     c = _wigner_map(d) @ rho.matrix.reshape(-1).view(float).reshape(-1, 2)
@@ -203,8 +217,7 @@ def reference_ein(g_eff: float) -> float:
 # ---------------------------------------------------------------------------
 # information budget
 
-def mutual_info_bound(snr: float, g: float | None = None,
-                      r: float | None = None,
+def mutual_info_bound(snr: float, g: float,
                       accept_both_heralds: bool = False
                       ) -> tuple[float, float, float]:
     """Channel information with and without the heralded amplifier.
@@ -220,12 +233,7 @@ def mutual_info_bound(snr: float, g: float | None = None,
     """
     if snr < 0.0:
         raise ValueError(f"snr cannot be negative, got {snr}")
-    if (g is None) == (r is None):
-        raise ValueError("specify exactly one of g or r")
-    if g is None:
-        g = reflectivity_to_gain(r)
-    else:
-        r = gain_to_reflectivity(g)
+    r = gain_to_reflectivity(g)
     p_success = r * r / 2.0
     if accept_both_heralds:
         p_success *= 2.0

@@ -49,13 +49,18 @@ def test_gain_reflectivity_roundtrip():
         reflectivity_to_gain(0.0)
 
 
-def test_config_needs_exactly_one_of_gain_reflectivity():
-    with pytest.raises(ValueError):
+def test_config_takes_the_gain_alone():
+    # the reflectivity follows from the gain; it is not a second parameter
+    cfg = AmplifierConfig(alpha=0.1, gain=2.0)
+    assert cfg.r == gain_to_reflectivity(2.0)
+    with pytest.raises(TypeError):
         AmplifierConfig(alpha=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         AmplifierConfig(alpha=0.1, gain=2.0, reflectivity=0.3)
-    cfg = AmplifierConfig(alpha=0.1, reflectivity=1.0 / math.sqrt(5.0))
-    assert cfg.g == pytest.approx(2.0)
+    for g in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError,
+                           match="gain must be finite and positive"):
+            AmplifierConfig(alpha=0.1, gain=g)
 
 
 def test_ideal_resource_weights():
@@ -205,8 +210,7 @@ def test_unit_gain_circuit():
     # a balanced splitter gives g = 1: the state passes through up to the
     # usual truncation of the superposition, so <X> shrinks by 1/(1+|a|^2)
     alpha = 0.2
-    out = simulate(AmplifierConfig(alpha=alpha, reflectivity=1 / math.sqrt(2),
-                                   use_d2_veto=True))
+    out = simulate(AmplifierConfig(alpha=alpha, gain=1.0, use_d2_veto=True))
     assert trace_distance(out.state, ideal_output(alpha, 1.0).state) < 1e-9
     mean, _ = quadrature_moments(out.state, 0.0)
     assert mean / (2 * alpha) == pytest.approx(1 / (1 + alpha ** 2), rel=1e-6)

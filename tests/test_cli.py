@@ -6,14 +6,16 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import scissorlab
-from scissorlab import (cli, read_density_json, read_samples_csv,
-                        sample_homodyne, wigner, write_samples_csv)
+from scissorlab import (AmplifierConfig, SourceModel, cli, read_density_json,
+                        read_samples_csv, sample_homodyne, wigner,
+                        write_samples_csv)
 from scissorlab.cli import (
     SUMMARY_HEADER,
     default_config_dict,
@@ -75,21 +77,25 @@ def test_unknown_key_flagged(tmp_path):
     assert any("eta_hc" in p for p in problems)
 
 
-def test_gain_and_reflectivity_conflict(tmp_path):
+def test_reflectivity_key_is_unknown(tmp_path, capsys):
+    # the gain is the amplifier's one parameter; r is not a second spelling
     path = write_config(tmp_path, **{"amplifier.reflectivity": 0.3})
-    cfg, problems = validate_config(path)
-    assert any("gain and reflectivity" in p for p in problems)
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "invalid config:\n  - amplifier.reflectivity: unknown key\n")
 
 
-def test_reflectivity_alone_is_accepted(tmp_path):
-    cfg_dict = default_config_dict()
-    del cfg_dict["amplifier"]["gain"]
-    cfg_dict["amplifier"]["reflectivity"] = 1.0 / math.sqrt(5.0)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg_dict))
+def test_amplifier_section_validated_once(tmp_path):
+    # the config holds the validated AmplifierConfig; each alpha's is a copy
+    path = write_config(tmp_path, **{"amplifier.gain": 3.0,
+                                     "amplifier.n_max": 14,
+                                     "amplifier.source": {"mode_overlap": 0.9}})
     cfg, problems = validate_config(path)
     assert problems == []
-    assert cfg.amplifier_config(0.1).g == pytest.approx(2.0)
+    expected = AmplifierConfig(alpha=0.0, gain=3.0, n_max=14,
+                               source=SourceModel(mode_overlap=0.9))
+    assert cfg.amplifier == expected
+    assert cfg.amplifier_config(0.25) == replace(expected, alpha=0.25)
 
 
 @pytest.mark.parametrize("alphas, clash", [
@@ -230,7 +236,7 @@ def test_cutoff_at_the_capacity_accepted(tmp_path, n_max, overlap):
                                      "amplifier.source": {"mode_overlap": overlap}})
     cfg, problems = validate_config(path)
     assert problems == []
-    assert cfg.amplifier["n_max"] == n_max
+    assert cfg.amplifier.n_max == n_max
 
 
 @pytest.mark.parametrize("n_max, accepted", [(98, True), (99, False)])
@@ -256,8 +262,9 @@ def test_tomo_cutoff_capped_before_reading(tmp_path, capsys):
     assert main(["tomo", "--samples", str(tmp_path / "missing.csv"),
                  "--out", str(out), "--n-max", "1000"]) == 1
     assert capsys.readouterr().err == (
-        "error: n_max = 1000 on 100 bins needs a tomography working size of "
-        "102204102, above the cap 1000000\n")
+        "invalid config:\n  - tomography.n_max: n_max = 1000 on 100 bins "
+        "needs a tomography working size of 102204102, above the cap "
+        "1000000\n")
     assert not out.exists()
 
 
@@ -267,20 +274,21 @@ def test_tomo_cutoff_must_be_positive_before_reading(tmp_path, capsys):
     assert main(["tomo", "--samples", str(tmp_path / "missing.csv"),
                  "--out", str(out), "--n-max", "0"]) == 1
     assert capsys.readouterr().err == (
-        "--n-max: must be a positive integer, got 0\n")
+        "invalid config:\n  - tomography.n_max: must be a positive integer, "
+        "got 0\n")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("count, accepted", [(249, True), (250, False)])
+@pytest.mark.parametrize("count, accepted", [(49, True), (50, False)])
 def test_sampled_phase_count_capped(tmp_path, capsys, count, accepted):
-    # sampling builds a (K, 4002) table of grid-cell masses: 249 phases
-    # fit the cap, 250 (1000500 entries) do not
+    # sampling holds 20195 table entries per phase at its peak: 49 phases
+    # fit the cap, 50 (1009750 entries) do not
     out_dir = tmp_path / "out"
     path = write_config(tmp_path, **{"sweep.stage": "sampled",
                                      "sweep.phases": count,
                                      "sweep.output_dir": str(out_dir)})
-    message = ("  - sweep.phases: 250 phases need a sampling table of "
-               "1000500 entries, above the cap 1000000")
+    message = ("  - sweep.phases: 50 phases need sampling tables of "
+               "1009750 entries, above the cap 1000000")
     assert main(["check", "--config", str(path)]) == (0 if accepted else 1)
     assert (message in capsys.readouterr().out) != accepted
     if not accepted:
@@ -513,7 +521,7 @@ def test_sampled_stage_samples_match_an_inline_write(tmp_path):
     cfg, _ = validate_config(small_sampled_config(tmp_path))
     run_sweep(cfg)
     alpha = cfg.alphas[0]
-    out = cli._stage_output(cfg, alpha, cfg.stage)
+    out = cli._stage_output(cfg, alpha)
     samples = sample_homodyne(out.state, cfg.phases, cfg.samples_per_state,
                               eta_hd=cfg.eta_hd,
                               seed=cli._alpha_seed(cfg.seed, alpha))
@@ -669,6 +677,25 @@ def test_wigner_verb_analytic(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "x,p,w"
     assert len(lines) == 1 + 201 * 201
+
+
+def test_wigner_stage_meets_that_stage_rules(tmp_path, capsys):
+    # --stage sets sweep.stage before the one check, as run's does: the
+    # circuit's working-size rule holds at stage circuit only
+    path = write_config(tmp_path, **{"amplifier.n_max": 575,
+                                     "sweep.stage": "analytic"})
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--config", str(path), "--alpha", "0.3",
+                 "--stage", "circuit", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "invalid config:\n  - amplifier.n_max: n_max = 575 needs a circuit "
+        "working size of 1002252, above the cap 1000000\n")
+    assert not out.exists()
+    path = write_config(tmp_path, **{"amplifier.n_max": 575,
+                                     "sweep.stage": "circuit"})
+    assert main(["wigner", "--config", str(path), "--alpha", "0.3",
+                 "--stage", "analytic", "--out", str(out)]) == 0
+    assert out.is_file()
 
 
 def test_wigner_verb_requires_state(tmp_path, capsys):

@@ -481,19 +481,20 @@ def test_sampling_refuses_a_batch_above_the_cap(monkeypatch):
 
 
 def test_sampling_caps_the_phase_count(monkeypatch):
-    # the (K, 4002) table of grid-cell masses: 249 phases fit the cap
-    samples = sample_homodyne(coherent_state(0.5, 8), default_phase_grid(249),
-                              498, seed=2)
-    assert np.bincount(samples.phase_index).tolist() == [2] * 249
+    # 20195 table entries per phase at the sampler's peak: 49 phases fit
+    # the cap
+    samples = sample_homodyne(coherent_state(0.5, 8), default_phase_grid(49),
+                              98, seed=2)
+    assert np.bincount(samples.phase_index).tolist() == [2] * 49
 
-    # 250 do not, and are refused before the state is read
+    # 50 do not, and are refused before the state is read
     def past_the_check(rho, what):
         raise AssertionError("sample_homodyne passed the phase cap")
 
     monkeypatch.setattr(measurement, "_single_mode", past_the_check)
-    with pytest.raises(CapacityError, match="250 phases need a sampling "
-                       "table of 1000500 entries, above the cap 1000000"):
-        sample_homodyne(coherent_state(0.5, 8), default_phase_grid(250), 10)
+    with pytest.raises(CapacityError, match="50 phases need sampling "
+                       "tables of 1009750 entries, above the cap 1000000"):
+        sample_homodyne(coherent_state(0.5, 8), default_phase_grid(50), 10)
 
 
 def test_sample_moments_match_state():
