@@ -12,14 +12,12 @@ from .amplifier import (
     EXPERIMENT_PRESET_MU,
     HeraldedOutput,
     IDEAL_SOURCE,
-    PhaseCovarianceReport,
     SourceModel,
     build_resource,
     click_weights,
     gain_to_reflectivity,
     ideal_output,
     no_click_weights,
-    phase_covariance_check,
     reflectivity_to_gain,
     simulate,
     single_photon_weights,
@@ -40,7 +38,6 @@ from .measurement import (
     QuadratureSamples,
     default_phase_grid,
     quadrature_moments,
-    quadrature_operator,
     quadrature_pdf,
     read_samples_csv,
     sample_homodyne,
@@ -73,7 +70,6 @@ from .tomography import (
     TomographyProblem,
     bin_samples,
     maxlik_reconstruct,
-    phase_povm_elements,
     read_density_json,
     write_density_json,
 )

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,17 +49,27 @@ import numpy as np
 from .fock import DensityOperator, FockVector, coherent_state
 from .numerics import (CONDITIONING_FLOOR, DIMENSION_CAP, CapacityError,
                        TruncationError)
-from .optics import _balanced_coefficients, apply_phase
+from .optics import _balanced_coefficients
 
 #: companion/ancilla modes never hold more than two photons
 _ANCILLA_DIM = 3
 
 
 def gain_to_reflectivity(g: float) -> float:
-    """r such that t/r = g; the amplifier works harder as r shrinks."""
-    if not (math.isfinite(g) and g > 0.0):
+    """r such that t/r = g; the amplifier works harder as r shrinks.
+    ValueError unless g is finite and positive, and g^2 a finite double
+    (above it r would round to 0)."""
+    # compared, not converted: an integer beyond float range is finite too
+    if not 0.0 < g < math.inf:
         raise ValueError(f"gain must be finite and positive, got {g}")
-    return 1.0 / math.sqrt(1.0 + g * g)
+    try:
+        r = 1.0 / math.sqrt(1.0 + g * g)
+    except OverflowError:   # an integer g, whose exact square no float holds
+        r = 0.0
+    if r == 0.0:
+        raise ValueError(f"gain must be below about 1.34e154, where its "
+                         f"square overflows a double, got {g}")
+    return r
 
 
 def reflectivity_to_gain(r: float) -> float:
@@ -94,11 +104,6 @@ class SourceModel:
     @property
     def weight_single(self) -> float:
         return 1.0 - self.weight_vacuum - self.weight_two_photon
-
-    @property
-    def is_ideal(self) -> bool:
-        return (self.weight_vacuum == 0.0 and self.weight_two_photon == 0.0
-                and self.mode_overlap == 1.0)
 
 
 IDEAL_SOURCE = SourceModel()
@@ -144,11 +149,10 @@ class AmplifierConfig:
 
 @dataclass(frozen=True)
 class HeraldedOutput:
-    """Normalized heralded state on T plus the branch bookkeeping."""
+    """Normalized heralded state on T and its herald probability."""
 
     state: DensityOperator
     success_probability: float
-    branch: str  # "d1" or "both"
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +244,9 @@ def ideal_output(alpha: complex, g: float,
     vec = FockVector([1.0, g * alpha, 0.0], (_ANCILLA_DIM,)).normalized()
     a2 = abs(alpha) ** 2
     p = math.exp(-a2) * (r * r / 2.0) * (1.0 + g * g * a2)
-    branch = "both" if accept_both_heralds else "d1"
     if accept_both_heralds:
         p *= 2.0
-    return HeraldedOutput(vec.to_density(), p, branch)
+    return HeraldedOutput(vec.to_density(), p)
 
 
 def _check_working_size(n_max: int, source: SourceModel) -> None:
@@ -342,41 +345,9 @@ def simulate(config: AmplifierConfig) -> HeraldedOutput:
     rho_t = rho_t / p_success
     out = DensityOperator(0.5 * (rho_t + rho_t.conj().T), (_ANCILLA_DIM,))
     out.validate()
-    branch = "d1"
     if config.accept_both_heralds:
         # the partner herald (single photon on D2, none on D1) occurs with
         # equal probability and is folded back by an exact phase flip
         p_success *= 2.0
-        branch = "both"
-    return HeraldedOutput(out, float(p_success), branch)
+    return HeraldedOutput(out, float(p_success))
 
-
-@dataclass(frozen=True)
-class PhaseCovarianceReport:
-    thetas: tuple[float, ...]
-    deviations: tuple[float, ...]
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.deviations)
-
-
-def phase_covariance_check(config: AmplifierConfig, thetas
-                           ) -> PhaseCovarianceReport:
-    """Verify simulate(alpha e^{i theta}) equals the rotated simulate(alpha).
-
-    Returns the trace distance between the two routes for each theta; the
-    circuit contains no phase reference, so deviations should sit at
-    numerical noise.
-    """
-    from .fock import trace_distance
-
-    base = simulate(config)
-    devs = []
-    for theta in thetas:
-        rotated_cfg = replace(config, alpha=config.alpha * cmath.exp(1j * theta))
-        direct = simulate(rotated_cfg)
-        reference = apply_phase(base.state, theta, mode=0)
-        devs.append(trace_distance(direct.state, reference))
-    return PhaseCovarianceReport(tuple(float(t) for t in thetas),
-                                 tuple(float(d) for d in devs))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import mmap
 import os
 import sys
@@ -37,6 +36,7 @@ from .fock import coherent_state
 from .measurement import (
     _HomodyneDraws,
     _check_draw_size,
+    _check_sample_count,
     _write_sample_rows,
     default_phase_grid,
     read_samples_csv,
@@ -49,7 +49,8 @@ from .metrics import (
     write_metrics_json,
     write_wigner_csv,
 )
-from .numerics import DIMENSION_CAP, SAMPLE_CAP, TruncationError
+from .numerics import DIMENSION_CAP, TruncationError
+from .optics import LossChannel, apply_loss
 from .tomography import (
     ReconstructionResult,
     TomographyProblem,
@@ -72,9 +73,11 @@ _BLOCK_ROWS = 3 * _CSV_CHUNK_ROWS
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; true/false, NaN and Infinity are not."""
+    """A finite JSON number that a double holds; true/false, NaN, Infinity
+    and integers beyond float range are not."""
+    # compared, not converted: float() of such an integer overflows
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_integer(value) -> bool:
@@ -126,8 +129,7 @@ _SCHEMA = {
     "sweep.phases": (12, _is_phases, "must be a positive phase count or a "
                      "list of distinct angles"),
     "sweep.samples_per_state": (200000, *_NON_NEGATIVE_INTEGER),
-    "sweep.eta_hd": (0.68, lambda v: _is_number(v) and 0.0 < v <= 1.0,
-                     "must lie in (0, 1]"),
+    "sweep.eta_hd": (0.68, *_NUMBER),
     "sweep.seed": (1, *_NON_NEGATIVE_INTEGER),
     "sweep.output_dir": ("sweep_out", lambda v: isinstance(v, str),
                          "must be a string path"),
@@ -182,12 +184,15 @@ class RunConfig:
         return replace(self.amplifier, alpha=alpha)
 
 
-def _report(problems: list[str], key: str, check, *args) -> None:
-    """Run a library rule check(*args), reporting its ValueError under key."""
+def _report(problems: list[str], key: str, check, *args) -> bool:
+    """Run a library rule check(*args), reporting its ValueError under key;
+    whether the rule held."""
     try:
         check(*args)
     except ValueError as exc:
         problems.append(f"{key}: {exc}")
+        return False
+    return True
 
 
 def _flatten(node: dict, prefix: str, flat: dict, problems: list[str]) -> dict:
@@ -237,15 +242,14 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
             problems.append(f"{where}: {exc}")
 
     alphas = [] if "sweep.alphas" in bad else sweep["alphas"]
-    # each alpha owns an output directory and a seed, both keyed at 4
-    # decimals but rounded differently (0.12345 -> alpha_0.1235/, key 1234)
-    dirs = [_alpha_dir_name(a) for a in alphas]
+    # each alpha's key names its output directory and its seed
     keys = [_alpha_key(a) for a in alphas]
-    clashes = [a for a, d, k in zip(alphas, dirs, keys)
-               if dirs.count(d) > 1 or keys.count(k) > 1]
+    clashes = [a for a, k in zip(alphas, keys) if keys.count(k) > 1]
     if clashes:
         problems.append(f"sweep.alphas: {clashes} coincide at 4 decimals "
-                        f"(output directory or seed)")
+                        f"(output directory and seed)")
+    if "sweep.eta_hd" not in bad:
+        _report(problems, "sweep.eta_hd", LossChannel, sweep["eta_hd"])
 
     phases = sweep["phases"]
     count = len(phases) if isinstance(phases, list) else phases
@@ -259,6 +263,10 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
         phases = tuple(float(t) for t in phases)
     else:
         phases = tuple(default_phase_grid(phases))
+    # the capacity rule first: it bounds the bin count before any edges
+    tomography_fits = not {"tomography.bin_count", "tomography.n_max"} & bad \
+        and _report(problems, "tomography.n_max", _check_reconstruction_size,
+                    tomo["bin_count"], tomo["n_max"])
     # settings valid alone but not for tomography
     if sweep["stage"] == "sampled":
         n_samples = (None if "sweep.samples_per_state" in bad
@@ -267,10 +275,10 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
             problems.append("sweep.samples_per_state: must be positive at "
                             "stage sampled (tomography cannot reconstruct "
                             "from no samples)")
-        elif n_samples is not None and n_samples > SAMPLE_CAP:
-            # sample_homodyne refuses it too, but only after the circuit ran
-            problems.append(f"sweep.samples_per_state: {n_samples} samples "
-                            f"exceed the cap {SAMPLE_CAP} on one batch")
+        elif n_samples is not None:
+            # the sampler's own rule, met here before the circuit runs
+            _report(problems, "sweep.samples_per_state", _check_sample_count,
+                    n_samples)
         if len(phases) == 1:
             problems.append("sweep.phases: must give at least two distinct "
                             "angles at stage sampled (tomography cannot "
@@ -280,12 +288,9 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
             problems.append("tomography.bin_count: must be at least 2 at "
                             "stage sampled (one bin carries no phase "
                             "information)")
-        if not {"tomography.bin_count", "tomography.bin_range"} & bad:
+        if tomography_fits and "tomography.bin_range" not in bad:
             _report(problems, "tomography.bin_range", _bin_edges,
                     tomo["bin_count"], tuple(tomo["bin_range"]))
-    if not {"tomography.bin_count", "tomography.n_max"} & bad:
-        _report(problems, "tomography.n_max", _check_reconstruction_size,
-                tomo["bin_count"], tomo["n_max"])
     if "wigner.points" not in bad:
         points = sections["wigner"]["points"]
         _report(problems, "wigner.points", _check_grid_size, points, points)
@@ -336,7 +341,8 @@ def _check_file(path, overrides: dict) -> tuple[RunConfig | None, list[str]]:
 
 
 def _alpha_key(alpha: float) -> int:
-    # documented stable rule: alphas keyed at 4-decimal resolution
+    # documented stable rule: alphas keyed at 4-decimal resolution; the
+    # key names the alpha's seed, output directory and summary row
     return int(round(alpha * 10_000))
 
 
@@ -344,8 +350,10 @@ def _alpha_seed(seed: int, alpha: float) -> np.random.SeedSequence:
     return np.random.SeedSequence([seed, _alpha_key(alpha)])
 
 
-def _alpha_dir_name(alpha: float) -> str:
-    return f"alpha_{alpha:.4f}"
+def _alpha_text(alpha: float) -> str:
+    """The key of a non-negative alpha as a 4-decimal number."""
+    whole, fraction = divmod(_alpha_key(alpha), 10_000)
+    return f"{whole}.{fraction:04d}"
 
 
 def _stage_output(cfg: RunConfig, alpha: float) -> HeraldedOutput:
@@ -473,15 +481,15 @@ def _run_single(cfg: RunConfig, alpha: float, out_dir: Path) -> tuple[dict, list
     out = _stage_output(cfg, alpha)
     state_for_metrics = out.state
     eta_for_metrics = 1.0
-    alpha_dir = out_dir / _alpha_dir_name(alpha)
+    alpha_dir = out_dir / f"alpha_{_alpha_text(alpha)}"
     alpha_dir.mkdir(exist_ok=True)
 
     with ExitStack() as children:
         if cfg.stage == "sampled":
             sample_path = alpha_dir / "samples.csv"
             samples = children.enter_context(_samples_streamed_to_child(
-                _HomodyneDraws(out.state, cfg.phases, cfg.samples_per_state,
-                               eta_hd=cfg.eta_hd,
+                _HomodyneDraws(apply_loss(out.state, LossChannel(cfg.eta_hd)),
+                               cfg.phases, cfg.samples_per_state,
                                seed=_alpha_seed(cfg.seed, alpha)),
                 sample_path))
             written.append(sample_path)
@@ -533,7 +541,7 @@ def run_sweep(cfg: RunConfig, out_dir=None) -> list[Path]:
         fh.write(SUMMARY_HEADER + "\n")
         for row in rows:
             fields = [f"{row[key]:.12g}" for key in SUMMARY_HEADER.split(",")[1:]]
-            fh.write(",".join([f"{row['alpha']:.4f}", *fields]) + "\n")
+            fh.write(",".join([_alpha_text(row["alpha"]), *fields]) + "\n")
     written.append(summary)
     return written
 

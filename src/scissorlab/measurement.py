@@ -26,7 +26,6 @@ from .csvtext import _csv_heads, _csv_row_writer
 from .fock import DensityOperator, State, _single_mode
 from .numerics import (DIMENSION_CAP, SAMPLE_CAP, TRUNCATION_TOL,
                        UNIT_TRACE_TOL, CapacityError, TruncationError)
-from .optics import LossChannel, apply_loss
 
 #: sampling grid for inverse-CDF draws: fixed, dense, and generous enough
 #: for any state representable at the package's default truncations
@@ -130,14 +129,6 @@ def _require_normalized(rho: DensityOperator) -> DensityOperator:
     if abs(rho.trace() - 1.0) > UNIT_TRACE_TOL:
         raise ValueError(f"state must be normalized, trace is {rho.trace()}")
     return rho
-
-
-def quadrature_operator(theta: float, dim: int) -> np.ndarray:
-    """Matrix of X_theta on a dim-dimensional truncated mode (an oracle for
-    ``quadrature_moments``, which needs no operator)."""
-    off = np.sqrt(np.arange(1, dim, dtype=float))
-    return (np.diag(off * np.exp(-1j * theta), 1)
-            + np.diag(off * np.exp(1j * theta), -1))
 
 
 def quadrature_pdf(rho: State, theta: float, x):
@@ -321,6 +312,16 @@ class _InverseCdf:
         return np.where(u == at, base, self.slope[j] * (u - at) + base)
 
 
+def _check_sample_count(n_samples: int) -> None:
+    """ValueError for a negative draw count, CapacityError above
+    SAMPLE_CAP (``check`` runs this too)."""
+    if n_samples < 0:
+        raise ValueError("n_samples cannot be negative")
+    if n_samples > SAMPLE_CAP:
+        raise CapacityError(f"{n_samples} samples exceed the cap "
+                            f"{SAMPLE_CAP} on one batch")
+
+
 def _check_draw_size(k: int) -> None:
     """Raise CapacityError if the tables sampling at k phases holds at its
     peak, as _HomodyneDraws' constructor returns, exceed the cap: per phase
@@ -338,24 +339,14 @@ class _HomodyneDraws:
     CDF per phase.  ``fill`` draws any block of rows, so a batch drawn
     block by block equals ``sample_homodyne``'s, bit for bit."""
 
-    def __init__(self, rho: State, phases, n_samples: int,
-                 eta_hd: float = 1.0, seed=None):
+    def __init__(self, rho: State, phases, n_samples: int, *, seed=None):
         phases = np.array([float(t) for t in phases])
         if not phases.size:
             raise ValueError("need at least one phase")
         _require_finite(phases, "phase {} is not finite")
-        if n_samples < 0:
-            raise ValueError("n_samples cannot be negative")
-        if n_samples > SAMPLE_CAP:
-            raise CapacityError(f"{n_samples} samples exceed the cap "
-                                f"{SAMPLE_CAP} on one batch")
+        _check_sample_count(n_samples)
         _check_draw_size(phases.size)
-        rho = _single_mode(rho, "sample_homodyne")
-        if eta_hd != 1.0:
-            if not 0.0 < eta_hd <= 1.0:
-                raise ValueError(f"eta_hd must lie in (0, 1], got {eta_hd}")
-            rho = apply_loss(rho, LossChannel(eta_hd))
-        _require_normalized(rho)
+        rho = _require_normalized(_single_mode(rho, "sample_homodyne"))
         k = phases.size
         povm = _ProbabilityMap(phases, _sampling_stack(rho.n_max))
         masses = povm.probabilities(rho.matrix)
@@ -391,18 +382,17 @@ class _HomodyneDraws:
         return QuadratureSamples(self.phases, self.phase_index, x)
 
 
-def sample_homodyne(rho: State, phases, n_samples: int,
-                    eta_hd: float = 1.0, seed=None) -> QuadratureSamples:
+def sample_homodyne(rho: State, phases, n_samples: int, *,
+                    seed=None) -> QuadratureSamples:
     """Draw quadrature samples across the phase list, round-robin.
 
     Parameters
     ----------
-    rho : single-mode state at the amplifier output plane.
+    rho : single-mode state as the detector sees it; a homodyne
+        efficiency eta is ``apply_loss(state, LossChannel(eta))`` first.
     phases : homodyne angles; sample i uses phases[i % len(phases)].
     n_samples : total number of draws, at most ``SAMPLE_CAP``
         (CapacityError above it, before anything is allocated).
-    eta_hd : homodyne efficiency; the state is sent through a loss eta_hd
-        channel before its quadrature distributions are evaluated.
     seed : anything accepted by numpy.random.default_rng; fixed seeds give
         bit-identical sample streams.
 
@@ -414,7 +404,7 @@ def sample_homodyne(rho: State, phases, n_samples: int,
     cells beyond the grid hold the exact off-grid mass; TruncationError
     if it exceeds ``TRUNCATION_TOL``.
     """
-    draws = _HomodyneDraws(rho, phases, n_samples, eta_hd, seed)
+    draws = _HomodyneDraws(rho, phases, n_samples, seed=seed)
     x = np.empty(n_samples)
     draws.fill(0, x)
     return draws.batch(x)

@@ -22,7 +22,7 @@ from .csvtext import _csv_heads, _csv_row_writer
 from .fock import State, _single_mode
 from .measurement import quadrature_moments, wavefunctions
 from .numerics import DIMENSION_CAP, CapacityError
-from .optics import _balanced_coefficients
+from .optics import LossChannel, _balanced_coefficients
 
 TWO_PI = 2.0 * math.pi
 
@@ -161,8 +161,7 @@ def effective_gain(rho_out: State, alpha_in: complex,
     """
     if alpha_in == 0:
         raise ValueError("effective gain is undefined for a vacuum input")
-    if not 0.0 < eta_hd <= 1.0:
-        raise ValueError(f"eta_hd must lie in (0, 1], got {eta_hd}")
+    LossChannel(eta_hd)     # raises unless 0 < eta_hd <= 1
     theta = cmath.phase(complex(alpha_in))
     mean, _ = quadrature_moments(rho_out, theta)
     return mean / (2.0 * abs(alpha_in) * math.sqrt(eta_hd))
@@ -182,8 +181,7 @@ def equivalent_input_noise(rho_out: State, g_eff: float, theta,
     """
     if g_eff == 0.0:
         raise ValueError("g_eff must be nonzero")
-    if not 0.0 < eta_hd <= 1.0:
-        raise ValueError(f"eta_hd must lie in (0, 1], got {eta_hd}")
+    LossChannel(eta_hd)     # raises unless 0 < eta_hd <= 1
     _, var_measured = quadrature_moments(rho_out, theta)
     var_out = 1.0 + (var_measured - 1.0) / eta_hd
     return var_out / (g_eff * g_eff) - 1.0

@@ -76,14 +76,18 @@ def _bin_edges(bin_count: int, value_range: tuple[float, float]
     / (hi - lo), and corrected by one comparison per side.  The guess
     never decreases with x, so while it keeps each edge within a column
     of its index it lands each draw within a column of its own.
-    ValueError if the range is empty, or if bins a few ulps wide let
-    rounding move an edge by a whole bin (``check`` runs this too).
+    ValueError if the range is empty or wider than a double holds, or if
+    bins a few ulps wide let rounding move an edge by a whole bin
+    (``check`` runs this too).
     """
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
     lo, hi = value_range
     if not lo < hi:
         raise ValueError(f"empty value range {value_range}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"value range {value_range} is wider than a double "
+                         f"holds")
     edges = np.linspace(lo, hi, bin_count + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         offsets = (edges - lo) * (bin_count / (hi - lo)) \
@@ -126,13 +130,6 @@ def bin_samples(samples: QuadratureSamples, bin_count: int = 100,
         counts += np.bincount(col, minlength=counts.size)
     return QuadratureHistograms(samples.phases, edges,
                                 counts.reshape(-1, cells))
-
-
-def phase_povm_elements(theta: float, edges: np.ndarray, n_max: int
-                        ) -> np.ndarray:
-    """All elements of one phase, Pi[k, m, n] = e^{i (m - n) theta}
-    S[k, m, n]: underflow (from -inf), the bins, overflow (to +inf)."""
-    return _ProbabilityMap([theta], _overlap_stack(edges, n_max)).elements()
 
 
 def _check_reconstruction_size(bin_count: int, n_max: int) -> None:

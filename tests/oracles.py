@@ -6,12 +6,33 @@ creation-operator map of the convention in ``scissorlab.optics``.  The
 package itself needs only the balanced beamsplitter's exact coefficients
 (``optics._balanced_coefficients``) and the ancilla resource in closed
 form (``amplifier._resource_components``); the tests hold both to it.
+
+``quadrature_operator`` is the matrix of X_theta, against which the
+operator-free ``quadrature_moments`` is checked, and
+``phase_povm_elements`` one phase's full (complex, unpacked) bin
+elements, against which the packed probability map is checked.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
+
+from scissorlab.measurement import _overlap_stack, _ProbabilityMap
+
+
+def quadrature_operator(theta: float, dim: int) -> np.ndarray:
+    """Matrix of X_theta = a e^{-i theta} + a^dag e^{i theta} on a
+    dim-dimensional truncated mode."""
+    off = np.sqrt(np.arange(1, dim, dtype=float))
+    return (np.diag(off * np.exp(-1j * theta), 1)
+            + np.diag(off * np.exp(1j * theta), -1))
+
+
+def phase_povm_elements(theta: float, edges, n_max: int) -> np.ndarray:
+    """All elements of one phase, Pi[k, m, n] = e^{i (m - n) theta}
+    S[k, m, n]: underflow (from -inf), the bins, overflow (to +inf)."""
+    return _ProbabilityMap([theta], _overlap_stack(edges, n_max)).elements()
 
 
 @lru_cache(maxsize=64)

@@ -31,7 +31,6 @@ from scissorlab import (
     maxlik_reconstruct,
     mutual_info_bound,
     no_click_weights,
-    phase_povm_elements,
     quadrature_moments,
     quadrature_pdf,
     reference_ein,
@@ -41,6 +40,7 @@ from scissorlab import (
     vacuum_state,
     wigner,
 )
+from oracles import phase_povm_elements
 
 ALPHA_GRID = (0.0, 0.1, 0.25, 0.5, 1.0)
 
@@ -122,7 +122,7 @@ def test_criterion_4_tomography_closure(_report):
     truth = ideal_output(alpha, 2.0).state
     degraded = apply_loss(truth, LossChannel(eta))
     phases = default_phase_grid(12)
-    samples = sample_homodyne(truth, phases, 200_000, eta_hd=eta, seed=7)
+    samples = sample_homodyne(degraded, phases, 200_000, seed=7)
     problem = TomographyProblem(bin_samples(samples), n_max=10)
     result = maxlik_reconstruct(problem)
     from scissorlab import resize_mode
@@ -144,7 +144,8 @@ def test_criterion_5_likelihood_monotonicity(_report):
                            (0.1, 5_000, 9)):
         truth = ideal_output(alpha, 2.0).state
         phases = default_phase_grid(12)
-        samples = sample_homodyne(truth, phases, n, eta_hd=0.68, seed=seed)
+        samples = sample_homodyne(apply_loss(truth, LossChannel(0.68)), phases,
+                                  n, seed=seed)
         problem = TomographyProblem(bin_samples(samples), n_max=10)
         result = maxlik_reconstruct(problem)
         gains = np.diff(result.loglik)

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import scissorlab
-from scissorlab import (AmplifierConfig, SourceModel, cli, read_density_json,
-                        read_samples_csv, sample_homodyne, wigner,
-                        write_samples_csv)
+from scissorlab import (AmplifierConfig, CapacityError, LossChannel,
+                        SourceModel, apply_loss, cli, read_density_json,
+                        read_samples_csv, sample_homodyne, vacuum_state,
+                        wigner, write_samples_csv)
 from scissorlab.cli import (
     SUMMARY_HEADER,
     default_config_dict,
@@ -23,6 +24,7 @@ from scissorlab.cli import (
     run_sweep,
     validate_config,
 )
+from scissorlab.numerics import SAMPLE_CAP
 
 
 def write_config(tmp_path, name="config.json", **changes):
@@ -101,13 +103,32 @@ def test_amplifier_section_validated_once(tmp_path):
 @pytest.mark.parametrize("alphas, clash", [
     ([0.25, 0.1, 0.10001], "[0.1, 0.10001]"),
     ([0.1234, 0.12345, 0.5], "[0.1234, 0.12345]"),
-], ids=["same-directory-and-seed", "same-seed-only"])
+], ids=["same-directory-and-seed", "rounding-tie"])
 def test_colliding_alphas_flagged(tmp_path, alphas, clash):
     path = write_config(tmp_path, **{"sweep.alphas": alphas})
     cfg, problems = validate_config(path)
     assert cfg is None
     assert any(p.startswith(f"sweep.alphas: {clash} coincide")
                for p in problems)
+
+
+@pytest.mark.parametrize("alpha, name", [(0.12345, "0.1234"),
+                                         (-0.0, "0.0000")],
+                         ids=["rounding-tie", "negative-zero"])
+def test_alpha_key_names_directory_and_summary_row(tmp_path, alpha, name):
+    # one rounding, the seed's: 0.12345 * 10^4 rounds half to even, and
+    # -0.0 keys to 0 (a %.4f format would give 0.1235 and -0.0000)
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"sweep.alphas": [alpha],
+                                     "sweep.stage": "analytic",
+                                     "sweep.output_dir": str(out_dir),
+                                     "wigner.points": 3})
+    assert cli._alpha_key(alpha) == int(name.replace(".", ""))
+    assert main(["run", "--config", str(path)]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [f"alpha_{name}",
+                                                          "summary.csv"]
+    rows = (out_dir / "summary.csv").read_text().splitlines()
+    assert rows[1].split(",")[0] == name
 
 
 @pytest.mark.parametrize("key, value", [
@@ -131,6 +152,9 @@ def test_colliding_alphas_flagged(tmp_path, alphas, clash):
     # a repeated angle would take two shares of the draws and count twice
     # in the phase-averaged noise
     ("sweep.phases", [0.0, 0.0, 1.0]),
+    # integers no double holds: float() of them overflows
+    ("amplifier.gain", 10**400),
+    ("sweep.eta_hd", 10**400),
 ])
 def test_non_finite_and_boolean_values_flagged(tmp_path, capsys, monkeypatch,
                                                key, value):
@@ -184,6 +208,72 @@ def test_stage_sampled_needs_samples_and_phases(tmp_path, capsys, key, value):
     assert main(["run", "--config", str(path), "--stage", "sampled"]) == 1
     assert f"{key}:" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("gain", [10**300, 1e300],
+                         ids=["integer", "float"])
+def test_gain_whose_square_overflows_rejected(tmp_path, capsys, gain):
+    # r = 1 / sqrt(1 + g^2) would overflow (integer) or round to 0 (float)
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"amplifier.gain": gain,
+                                     "sweep.output_dir": str(out_dir)})
+    message = ("  - amplifier: gain must be below about 1.34e154, where its "
+               f"square overflows a double, got {gain}")
+    assert main(["check", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().out.splitlines()
+    assert main(["run", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err.splitlines()
+    assert not out_dir.exists()
+
+
+def test_eta_rule_is_the_loss_channel_rule(tmp_path, capsys):
+    path = write_config(tmp_path, **{"sweep.eta_hd": 1.5})
+    with pytest.raises(ValueError) as rule:
+        LossChannel(1.5)
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"invalid config:\n  - sweep.eta_hd: {rule.value}\n")
+    assert str(rule.value) == "transmission eta must lie in (0, 1], got 1.5"
+
+
+def test_sample_count_rule_is_the_sampler_rule(tmp_path, capsys):
+    count = SAMPLE_CAP + 1
+    path = write_config(tmp_path, **{"sweep.stage": "sampled",
+                                     "sweep.samples_per_state": count})
+    with pytest.raises(CapacityError) as rule:
+        sample_homodyne(vacuum_state(2), [0.0, 1.0], count)
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"invalid config:\n  - sweep.samples_per_state: {rule.value}\n")
+    assert str(rule.value) == "10000001 samples exceed the cap 10000000 " \
+        "on one batch"
+
+
+def test_bin_count_capped_before_the_edges_are_built(tmp_path, capsys,
+                                                     monkeypatch):
+    # 10^13 bins would be an 80 TB edge array: the capacity rule rejects
+    # the count, and the edges are never built
+    def no_edges(bin_count, value_range):
+        raise AssertionError("the bin edges were built")
+
+    monkeypatch.setattr(cli, "_bin_edges", no_edges)
+    path = write_config(tmp_path, **{"sweep.stage": "sampled",
+                                     "tomography.bin_count": 10**13})
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "invalid config:\n  - tomography.n_max: n_max = 10 on "
+        "10000000000000 bins needs a tomography working size of "
+        "1210000000000242, above the cap 1000000\n")
+
+
+def test_bin_range_wider_than_a_double_rejected(tmp_path, capsys):
+    # hi - lo overflows: rejected as such, with no numpy RuntimeWarning
+    path = write_config(tmp_path, **{"sweep.stage": "sampled",
+                                     "tomography.bin_range": [-1e308, 1e308]})
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "invalid config:\n  - tomography.bin_range: value range "
+        "(-1e+308, 1e+308) is wider than a double holds\n")
 
 
 @pytest.mark.parametrize("stage", ["circuit", "sampled"])
@@ -522,8 +612,8 @@ def test_sampled_stage_samples_match_an_inline_write(tmp_path):
     run_sweep(cfg)
     alpha = cfg.alphas[0]
     out = cli._stage_output(cfg, alpha)
-    samples = sample_homodyne(out.state, cfg.phases, cfg.samples_per_state,
-                              eta_hd=cfg.eta_hd,
+    samples = sample_homodyne(apply_loss(out.state, LossChannel(cfg.eta_hd)),
+                              cfg.phases, cfg.samples_per_state,
                               seed=cli._alpha_seed(cfg.seed, alpha))
     inline = tmp_path / "inline.csv"
     write_samples_csv(samples, inline)
@@ -616,14 +706,14 @@ def test_streamed_draws_match_sample_homodyne(tmp_path, monkeypatch,
     # neither; None keeps the sweep's own block size
     if block_rows is not None:
         monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
-    rho = cli.ideal_output(0.3, 2.0).state
+    rho = apply_loss(cli.ideal_output(0.3, 2.0).state, LossChannel(0.68))
     phases = np.arange(7) * math.pi / 7
     streamed = tmp_path / "streamed.csv"
     with cli._samples_streamed_to_child(
-            cli._HomodyneDraws(rho, phases, n_samples, 0.68, seed=11),
+            cli._HomodyneDraws(rho, phases, n_samples, seed=11),
             streamed) as held:
         pass
-    whole = sample_homodyne(rho, phases, n_samples, eta_hd=0.68, seed=11)
+    whole = sample_homodyne(rho, phases, n_samples, seed=11)
     assert np.array_equal(held.x.view(np.uint64), whole.x.view(np.uint64))
     assert np.array_equal(held.phase_index, whole.phase_index)
     assert np.array_equal(held.phases, whole.phases)

@@ -114,10 +114,10 @@ def test_scanner_flags_only_unused_exports():
 #: perfbench or users call.  Growing this set orphans another public name:
 #: use it inside the package or stop exporting it instead
 UNUSED_EXPORTS = {
-    "build_resource", "click_weights", "fidelity", "mean_photon_number",
-    "mutual_info_bound", "phase_covariance_check", "phase_povm_elements",
-    "quadrature_operator", "quadrature_pdf", "resize_mode",
-    "sample_homodyne", "vacuum_state", "write_samples_csv",
+    "apply_phase", "build_resource", "click_weights", "fidelity",
+    "mean_photon_number", "mutual_info_bound", "quadrature_pdf",
+    "resize_mode", "sample_homodyne", "trace_distance", "vacuum_state",
+    "write_samples_csv",
 }
 
 

@@ -17,15 +17,15 @@ from scissorlab import (
     CapacityError,
     DensityOperator,
     FockVector,
+    LossChannel,
     QuadratureSamples,
     TruncationError,
+    apply_loss,
     coherent_state,
     default_phase_grid,
     fock_state,
     ideal_output,
-    phase_povm_elements,
     quadrature_moments,
-    quadrature_operator,
     quadrature_pdf,
     read_samples_csv,
     sample_homodyne,
@@ -39,6 +39,7 @@ from scissorlab.measurement import (_GUIDE_BUCKETS, _SAMPLING_GRID,
                                     _HomodyneDraws, _InverseCdf,
                                     _overlap_stack, _ProbabilityMap,
                                     _sampling_stack)
+from oracles import phase_povm_elements, quadrature_operator
 
 GRID = np.linspace(-8.0, 8.0, 1601)
 DENSE = np.linspace(-12.0, 12.0, 24001)
@@ -376,8 +377,9 @@ def test_draws_in_blocks_match_sample_homodyne(n_samples):
     # shorter than a round, or empty
     rho = ideal_output(0.4, 2.0).state
     phases = default_phase_grid(5)
-    whole = sample_homodyne(rho, phases, n_samples, eta_hd=0.8, seed=7)
-    draws = _HomodyneDraws(rho, phases, n_samples, eta_hd=0.8, seed=7)
+    seen = apply_loss(rho, LossChannel(0.8))
+    whole = sample_homodyne(seen, phases, n_samples, seed=7)
+    draws = _HomodyneDraws(seen, phases, n_samples, seed=7)
     assert len(draws) == n_samples
     rng = np.random.default_rng(n_samples)
     cuts = np.unique(np.clip(np.concatenate(
@@ -514,10 +516,25 @@ def test_sampling_with_homodyne_loss():
     # |1> behind efficiency eta has variance 1 + 2 eta
     eta = 0.68
     n = 60000
-    values = sample_homodyne(fock_state(1, 8).to_density(), [0.0], n,
-                             eta_hd=eta, seed=4).x
+    values = sample_homodyne(apply_loss(fock_state(1, 8).to_density(),
+                                        LossChannel(eta)),
+                             [0.0], n, seed=4).x
     assert values.var() == pytest.approx(1 + 2 * eta, rel=0.03)
     assert values.mean() == pytest.approx(0.0, abs=0.05)
+
+
+def test_sampler_takes_no_efficiency():
+    # the sampler draws the state it is given; detector loss is applied to
+    # the state first, by apply_loss alone
+    rho = coherent_state(0.5, 8)
+    with pytest.raises(TypeError):
+        sample_homodyne(rho, [0.0, 1.0], 10, eta_hd=0.5)
+    with pytest.raises(TypeError):
+        _HomodyneDraws(rho, [0.0, 1.0], 10, eta_hd=0.5)
+    # the seed is keyword-only, so an efficiency in the old place of
+    # eta_hd, even 1, fails too instead of seeding the draws
+    with pytest.raises(TypeError):
+        sample_homodyne(rho, [0.0, 1.0], 10, 1)
 
 
 def reference_samples_csv(samples):

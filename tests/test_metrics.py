@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -346,6 +347,16 @@ def test_ein_eta_correction_example():
     # vacuum through the correction is a fixed point for any eta
     assert equivalent_input_noise(rho, 1.0, 0.0, eta_hd=0.68) == \
         pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.5, math.nan])
+def test_efficiency_rule_is_the_loss_channel_rule(eta):
+    rho = ideal_output(0.2, 2.0).state
+    message = re.escape(f"transmission eta must lie in (0, 1], got {eta}")
+    with pytest.raises(ValueError, match=message):
+        effective_gain(rho, 0.2, eta_hd=eta)
+    with pytest.raises(ValueError, match=message):
+        equivalent_input_noise(rho, 1.5, 0.0, eta_hd=eta)
 
 
 def test_reference_ein_branches():

@@ -21,7 +21,6 @@ from scissorlab import (
     fidelity,
     ideal_output,
     maxlik_reconstruct,
-    phase_povm_elements,
     read_density_json,
     resize_mode,
     sample_homodyne,
@@ -32,6 +31,7 @@ from scissorlab import (
 from scissorlab import tomography
 from scissorlab.numerics import (POVM_COMPLETENESS_TOL, PROBABILITY_FLOOR,
                                  CapacityError)
+from oracles import phase_povm_elements
 
 
 def test_histogram_validation():
@@ -131,6 +131,16 @@ def test_bin_samples_refuses_bins_below_double_precision(value_range):
     samples = QuadratureSamples(np.array([0.0]), np.zeros(1, dtype=int),
                                 np.zeros(1))
     with pytest.raises(ValueError, match="too narrow for double precision"):
+        bin_samples(samples, 100, value_range)
+
+
+@pytest.mark.parametrize("value_range", [(-1e308, 1e308),
+                                         (-math.inf, math.inf)])
+def test_bin_samples_refuses_a_range_no_double_spans(value_range):
+    # hi - lo overflows: refused as such before any edge is computed
+    samples = QuadratureSamples(np.array([0.0]), np.zeros(1, dtype=int),
+                                np.zeros(1))
+    with pytest.raises(ValueError, match="wider than a double holds"):
         bin_samples(samples, 100, value_range)
 
 
@@ -284,7 +294,8 @@ def test_maxlik_recovers_generating_state():
 def test_loglik_never_decreases():
     truth = ideal_output(0.4, 2.0).state
     phases = default_phase_grid(6)
-    samples = sample_homodyne(truth, phases, 30000, eta_hd=0.68, seed=8)
+    samples = sample_homodyne(apply_loss(truth, LossChannel(0.68)), phases,
+                              30000, seed=8)
     problem = TomographyProblem(bin_samples(samples), n_max=10)
     result = maxlik_reconstruct(problem)
     gains = np.diff(result.loglik)
