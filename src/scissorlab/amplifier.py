@@ -239,13 +239,28 @@ def ideal_output(alpha: complex, g: float,
     probability of the single-detector branch is
     exp(-|alpha|^2) (r^2 / 2) (1 + g^2 |alpha|^2); accepting the
     phase-flipped partner herald doubles it without changing the state.
+    Raises TruncationError, before the state is built, if that probability
+    falls below the conditioning floor, as simulate does.
     """
     r = gain_to_reflectivity(g)
-    vec = FockVector([1.0, g * alpha, 0.0], (_ANCILLA_DIM,)).normalized()
-    a2 = abs(alpha) ** 2
-    p = math.exp(-a2) * (r * r / 2.0) * (1.0 + g * g * a2)
+    try:
+        a2 = abs(complex(alpha)) ** 2
+    except OverflowError:
+        a2 = math.inf
+    decay = math.exp(-a2)
+    if decay == 0.0:    # then p < exp(-a2) (1 + a2) / 2, far below the floor
+        p = 0.0
+    elif g * g * a2 < math.inf:
+        p = decay * (r * r / 2.0) * (1.0 + g * g * a2)
+    else:   # the same p, as r^2 (1 + g^2 a2) = r^2 + t^2 a2, t^2 = 1 - r^2
+        p = decay * (r * r + (1.0 - r * r) * a2) / 2.0
+    if not p >= CONDITIONING_FLOOR:     # NaN too
+        raise TruncationError(
+            f"herald probability {p:.3e} below conditioning floor"
+        )
     if accept_both_heralds:
         p *= 2.0
+    vec = FockVector([1.0, g * alpha, 0.0], (_ANCILLA_DIM,)).normalized()
     return HeraldedOutput(vec.to_density(), p)
 
 

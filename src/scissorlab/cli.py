@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import mmap
 import os
 import sys
@@ -42,6 +43,7 @@ from .measurement import (
     read_samples_csv,
 )
 from .metrics import (
+    _check_coefficient_size,
     _check_grid_size,
     build_metrics_report,
     phase_space_axes,
@@ -243,8 +245,10 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
 
     alphas = [] if "sweep.alphas" in bad else sweep["alphas"]
     # each alpha's key names its output directory and its seed
-    keys = [_alpha_key(a) for a in alphas]
-    clashes = [a for a, k in zip(alphas, keys) if keys.count(k) > 1]
+    keyed = [a for a in alphas
+             if _report(problems, "sweep.alphas", _alpha_key, a)]
+    keys = [_alpha_key(a) for a in keyed]
+    clashes = [a for a, k in zip(keyed, keys) if keys.count(k) > 1]
     if clashes:
         problems.append(f"sweep.alphas: {clashes} coincide at 4 decimals "
                         f"(output directory and seed)")
@@ -291,9 +295,23 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
         if tomography_fits and "tomography.bin_range" not in bad:
             _report(problems, "tomography.bin_range", _bin_edges,
                     tomo["bin_count"], tuple(tomo["bin_range"]))
+        if "tomography.n_max" not in bad:
+            # the reconstruction's Wigner grid is mapped at this cutoff
+            _report(problems, "tomography.n_max", _check_coefficient_size,
+                    tomo["n_max"] + 1)
     if "wigner.points" not in bad:
         points = sections["wigner"]["points"]
         _report(problems, "wigner.points", _check_grid_size, points, points)
+    if amplifier is not None and sweep["stage"] == "analytic":
+        # the closed form meets the herald floor, as the circuit does
+        for alpha in alphas:
+            try:
+                ideal_output(alpha, amplifier.gain,
+                             amplifier.accept_both_heralds)
+            except TruncationError as exc:
+                problems.append(f"sweep.alphas: alpha {alpha!r} is not "
+                                f"heralded at amplifier.gain = "
+                                f"{amplifier.gain!r} ({exc})")
     if fits:
         # the circuit starts from |alpha> at the amplifier's cutoff
         n_max = amplifier.n_max
@@ -341,9 +359,14 @@ def _check_file(path, overrides: dict) -> tuple[RunConfig | None, list[str]]:
 
 
 def _alpha_key(alpha: float) -> int:
-    # documented stable rule: alphas keyed at 4-decimal resolution; the
-    # key names the alpha's seed, output directory and summary row
-    return int(round(alpha * 10_000))
+    """The documented stable rule: alphas keyed at 4-decimal resolution;
+    the key names the alpha's seed, output directory and summary row.
+    ValueError for an alpha whose key no double holds."""
+    scaled = float(alpha) * 10_000
+    if not math.isfinite(scaled):
+        raise ValueError(f"alpha {alpha!r} is too large to key at 4 "
+                         f"decimals (alpha * 10^4 overflows a double)")
+    return int(round(scaled))
 
 
 def _alpha_seed(seed: int, alpha: float) -> np.random.SeedSequence:

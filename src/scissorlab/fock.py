@@ -179,14 +179,23 @@ def coherent_state(alpha: complex, n_max: int) -> FockVector:
     Raises
     ------
     TruncationError
-        If the discarded Poisson tail exceeds ``TRUNCATION_TOL``.
+        If the discarded Poisson tail exceeds ``TRUNCATION_TOL``, or if
+        |alpha|^2 overflows a double, when no cutoff can hold the state.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    alpha = complex(alpha)
+    try:
+        mean = abs(alpha) ** 2
+    except OverflowError:
+        size = math.hypot(alpha.real, alpha.imag)   # inf, not a raise
+        raise TruncationError(f"coherent state |alpha|={size:.4g} has a "
+                              f"mean photon number |alpha|^2 beyond double "
+                              f"range, which no cutoff holds") from None
     n = np.arange(n_max + 1)
     # c_n = e^{-|a|^2/2} a^n / sqrt(n!), evaluated stably through logs
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    mag = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * log_fact) \
+    mag = np.exp(-0.5 * mean + n * np.log(abs(alpha)) - 0.5 * log_fact) \
         if alpha != 0 else np.where(n == 0, 1.0, 0.0)
     phase = np.exp(1j * n * np.angle(alpha)) if alpha != 0 else 1.0
     amps = mag * phase

@@ -79,21 +79,42 @@ def _check_grid_size(x_points: int, p_points: int) -> None:
                             f"above the cap {DIMENSION_CAP}")
 
 
-@lru_cache(maxsize=8)
-def _wigner_map(d: int) -> np.ndarray:
-    """Read-only real M[(j,k), (m,n)] = <j,k|B|m,n> (-1)^n, j, k < 2d - 1 and
-    m, n < d, with B the balanced beamsplitter: the coefficients
-    optics._balanced_coefficients(d, d)[j, m, n] placed at k = m + n - j."""
-    size = 2 * d - 1
-    j, m, n = np.indices((size, d, d))
-    held = j <= m + n
-    out = np.zeros((size, size, d, d))
-    # adding 0.0 turns a signed zero coefficient into +0.0
-    out[j[held], (m + n - j)[held], m[held], n[held]] = (
-        _balanced_coefficients(d, d)[held] * (-1.0) ** n[held] + 0.0)
-    out = out.reshape(size * size, d * d)
-    out.setflags(write=False)
-    return out
+def _check_coefficient_size(d: int) -> None:
+    """Raise CapacityError if the Wigner coefficient table of a state of
+    dimension d, (2d - 1) d^2 entries, holds more values than the cap."""
+    size = (2 * d - 1) * d * d
+    if size > DIMENSION_CAP:
+        raise CapacityError(f"a state on 0..{d - 1} photons needs {size} "
+                            f"Wigner coefficients, above the cap {DIMENSION_CAP}")
+
+
+@lru_cache(maxsize=4)
+def _wigner_sectors(d: int) -> tuple[np.ndarray, ...]:
+    """Read-only (coefficients, entries, cells, turns): the balanced
+    beamsplitter B on m, n < d one photon-number sector N = m + n at a
+    time, and the Fourier factors turns[k] = (-i)^k, k < 2d - 1.
+
+    coefficients[N, j, m] = <j, N-j|B|m, N-m> (-1)^(N-m), from
+    optics._balanced_coefficients(d, d); it is 0 where j > N or N - m is
+    outside 0..d-1.  entries[N, m] = N + m (d - 1) is the flat index of
+    rho[m, N - m] (another entry, met by a zero coefficient, where N - m
+    is outside).  cells[j (2d - 1) + k] is the row of the sectors'
+    product that holds A[j, k]: row j of sector N = j + k, or of sector
+    N - (2d - 1) < j, which is zero, where N > 2d - 2.  Each of the four
+    cached cutoffs holds about (2d - 1)^2 (d + 1) numbers, O(d^3).
+    """
+    size, n = 2 * d - 1, np.arange(d)
+    table = _balanced_coefficients(d, d)    # zero at j > m + n
+    coeffs = np.zeros((size, size, d))
+    for m in range(d):
+        coeffs[m:m + d, :, m] = (table[:, m] * (-1.0) ** n).T
+    entries = np.arange(size)[:, None] + (d - 1) * n
+    j, k = np.ogrid[:size, :size]
+    cells = ((j + k) % size * size + j).ravel()
+    turns = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(size) % 4]
+    for arr in (coeffs, entries, cells, turns):
+        arr.setflags(write=False)
+    return coeffs, entries, cells, turns
 
 
 def wigner(rho: State, x=None, p=None) -> WignerGrid:
@@ -101,24 +122,31 @@ def wigner(rho: State, x=None, p=None) -> WignerGrid:
 
     W is the Fourier transform over y of <x + y/2| rho |x - y/2>; the change
     to x +- y/2 is a 45-degree rotation, acting on Hermite products as the
-    balanced beamsplitter B (``_wigner_map``), and the Fourier transform
-    multiplies psi_k by (-i)^k.  So, with psi the quadrature eigenfunctions
-    (``wavefunctions``) of orders 0..2d-2, the real grid is U Re(A) V^T:
+    balanced beamsplitter B, and the Fourier transform multiplies psi_k by
+    (-i)^k.  So, with psi the quadrature eigenfunctions (``wavefunctions``)
+    of orders 0..2d-2, the real grid is U Re(A) V^T:
 
         W(x, p) = sum_{j,k} A_jk psi_j(sqrt2 x) psi_k(sqrt2 p),
         A_jk = (-i)^k / sqrt(2 pi) sum_{m+n=j+k} <j,k|B|m,n> (-1)^n rho_mn.
 
-    CapacityError, before any table is built, above DIMENSION_CAP values.
+    B conserves photon number, so A is one small product per sector
+    N = m + n = j + k (``_wigner_sectors``).  No array built here holds
+    more than twice the greatest of the points^2 grid, the (2d - 1) d^2
+    coefficient table and the points (2d - 1) wavefunction tables;
+    CapacityError, before any table is built, if the grid or the
+    coefficient table exceeds DIMENSION_CAP.
     """
     rho = _single_mode(rho, "wigner")
     x = phase_space_axes() if x is None else np.asarray(x, dtype=float)
     p = phase_space_axes() if p is None else np.asarray(p, dtype=float)
     _check_grid_size(x.size, p.size)
+    _check_coefficient_size(rho.dim)
     d, size = rho.dim, 2 * rho.dim - 1
-    # the real map takes the real and imaginary parts of rho as two columns
-    c = _wigner_map(d) @ rho.matrix.reshape(-1).view(float).reshape(-1, 2)
-    turns = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(size) % 4]  # (-i)^k
-    a = (c.view(complex).reshape(size, size) * turns).real / math.sqrt(TWO_PI)
+    coeffs, entries, cells, turns = _wigner_sectors(d)
+    # sector N's real and imaginary parts as two columns; row j is A[j, N - j]
+    rows = coeffs @ rho.matrix.ravel()[entries].view(float).reshape(size, d, 2)
+    c = rows.reshape(-1, 2)[cells].view(complex).reshape(size, size)
+    a = (c * turns).real / math.sqrt(TWO_PI)
     u, v = (wavefunctions(math.sqrt(2.0) * axis, size - 1) for axis in (x, p))
     return WignerGrid(x, p, u @ a @ v.T)
 
@@ -206,9 +234,9 @@ def reference_ein(g_eff: float) -> float:
     noise; below unit gain the comparison is a beamsplitter, which adds
     (1 - g^2)/g^2.
     """
-    if g_eff <= 0.0:
-        raise ValueError(f"g_eff must be positive, got {g_eff}")
     g2 = g_eff * g_eff
+    if g_eff <= 0.0 or g2 == 0.0:
+        raise ValueError(f"g_eff and its square must be positive, got {g_eff}")
     return (g2 - 1.0) / g2 if g_eff >= 1.0 else (1.0 - g2) / g2
 
 

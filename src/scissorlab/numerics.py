@@ -21,7 +21,8 @@ CONDITIONING_FLOOR = 1e-15
 #: clamp for model bin probabilities inside likelihood evaluations
 PROBABILITY_FLOOR = 1e-300
 #: largest working size (entries) of a circuit, a reconstruction, the
-#: sampler's mass table, the phase list or the Wigner grid
+#: sampler's mass table, the phase list, the Wigner grid or the Wigner
+#: coefficient table ((2d - 1) d^2 for a state of dimension d)
 DIMENSION_CAP = 10**6
 #: most draws one homodyne sample batch may hold; sampling peaks near
 #: 24 bytes per draw, about 0.25 GB at the cap

@@ -82,7 +82,7 @@ def _bin_edges(bin_count: int, value_range: tuple[float, float]
     """
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
-    lo, hi = value_range
+    lo, hi = map(float, value_range)    # an integer beyond 2^63 too
     if not lo < hi:
         raise ValueError(f"empty value range {value_range}")
     if not math.isfinite(hi - lo):
@@ -110,7 +110,7 @@ def bin_samples(samples: QuadratureSamples, bin_count: int = 100,
     wide let rounding move an edge by a whole bin.
     """
     edges = _bin_edges(bin_count, value_range)
-    lo, hi = value_range
+    lo, hi = map(float, value_range)
     # column c holds bounds[c] <= x < bounds[c + 1] (0 underflow, P + 1
     # overflow); see _bin_edges for why one comparison per side settles it
     bounds = np.concatenate(([-np.inf], edges[:-1],

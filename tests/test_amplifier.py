@@ -193,6 +193,33 @@ def test_ideal_output_formula():
     assert not out.state.matrix[2].any() and not out.state.matrix[:, 2].any()
 
 
+def test_ideal_output_meets_the_herald_floor(monkeypatch):
+    # at gain 2, p = e^{-a^2} (1 + 4 a^2) / 10 crosses the floor near 6.1
+    assert ideal_output(6.0, 2.0).success_probability == pytest.approx(
+        3.3633081038531755e-15, rel=1e-12)
+    assert ideal_output(6.0, 2.0, accept_both_heralds=True
+                        ).success_probability == pytest.approx(
+        2 * 3.3633081038531755e-15, rel=1e-12)
+
+    def no_state(*args):
+        raise AssertionError("the state was built")
+
+    # checked on the single branch, as simulate does, before the state
+    monkeypatch.setattr(amplifier, "FockVector", no_state)
+    for alpha in (6.2, 1e5, 1e150, 1e300, 10**300, 1e305):
+        with pytest.raises(TruncationError, match="below conditioning floor"):
+            ideal_output(alpha, 2.0, accept_both_heralds=True)
+
+
+def test_ideal_output_probability_where_g2_alpha2_overflows():
+    # g^2 |alpha|^2 = 1.44e308 * 4 overflows a double, while
+    # r^2 (1 + g^2 |alpha|^2) = (1 + g^2 |alpha|^2) / (1 + g^2) is near 4
+    g = 1.2e154
+    assert g * g * 4.0 == math.inf
+    p = ideal_output(2.0, g).success_probability
+    assert p == pytest.approx(math.exp(-4.0) * 4.0 / 2.0, rel=1e-12)
+
+
 def test_circuit_matches_closed_form():
     out = simulate(ideal_config(0.25))
     ref = ideal_output(0.25, 2.0)

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 import scissorlab
-from scissorlab import (AmplifierConfig, CapacityError, LossChannel,
-                        SourceModel, apply_loss, cli, read_density_json,
-                        read_samples_csv, sample_homodyne, vacuum_state,
-                        wigner, write_samples_csv)
+from scissorlab import (AmplifierConfig, CapacityError, DensityOperator,
+                        LossChannel, SourceModel, apply_loss, cli,
+                        read_density_json, read_samples_csv, sample_homodyne,
+                        vacuum_state, wigner, write_density_json,
+                        write_samples_csv)
 from scissorlab.cli import (
+    STAGES,
     SUMMARY_HEADER,
     default_config_dict,
     main,
@@ -294,6 +296,72 @@ def test_alpha_beyond_the_cutoff_rejected(tmp_path, capsys, stage):
     assert (out_dir / "summary.csv").is_file()
 
 
+#: every key whose value is a number or a list of numbers
+NUMBER_KEYS = [key for key, (default, _, _) in cli._SCHEMA.items()
+               if not isinstance(default, (bool, str))]
+
+
+@pytest.mark.parametrize("key", NUMBER_KEYS)
+@pytest.mark.parametrize("stage", STAGES)
+def test_check_answers_extreme_numbers(tmp_path, capsys, stage, key):
+    # at and past the edge of double range, as floats and as an integer:
+    # check says ok or lists problems, and never raises
+    section, _, leaf = key.rpartition(".")
+    for value in (1e300, 1e305, 10**300, -1e300):
+        if isinstance(cli._SCHEMA[key][0], list):
+            value = sorted([0.0, value])
+        changes = ({section: {leaf: value}} if section == "amplifier.source"
+                   else {key: value})
+        path = write_config(tmp_path, **{"sweep.stage": stage, **changes})
+        code = main(["check", "--config", str(path)])
+        out = capsys.readouterr().out
+        assert code in (0, 1), (value, out)
+        if key == "sweep.alphas":
+            # no alpha this large is heralded, fits a cutoff or (1e305)
+            # has a key, and none is negative
+            assert code == 1 and "  - sweep.alphas: " in out
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_alpha_without_a_key_rejected(tmp_path, capsys, stage):
+    # alpha * 10^4 overflows a double: no seed or directory can be named
+    path = write_config(tmp_path, **{"sweep.alphas": [0.25, 1e305],
+                                     "sweep.stage": stage})
+    assert main(["check", "--config", str(path)]) == 1
+    assert ("  - sweep.alphas: alpha 1e+305 is too large to key at 4 "
+            "decimals (alpha * 10^4 overflows a double)\n"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("alpha", [6.2, 1e150, 1e300, 1e305, 10**300],
+                         ids=["6.2", "1e150", "1e300", "1e305", "10**300"])
+def test_analytic_alpha_below_the_herald_floor_rejected(tmp_path, capsys,
+                                                        alpha):
+    # the closed form meets the circuit's herald floor: at gain 2 its
+    # probability falls below 1e-15 near alpha 6.1, and run writes nothing
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"sweep.alphas": [0.25, alpha],
+                                     "sweep.stage": "analytic",
+                                     "sweep.output_dir": str(out_dir)})
+    message = (f"  - sweep.alphas: alpha {alpha!r} is not heralded at "
+               f"amplifier.gain = 2.0 (herald probability ")
+    assert main(["check", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().out
+    assert main(["run", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_analytic_alpha_above_the_herald_floor_runs(tmp_path):
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"sweep.alphas": [6.0],
+                                     "sweep.output_dir": str(out_dir)})
+    assert main(["run", "--config", str(path), "--stage", "analytic"]) == 0
+    metrics = json.loads((out_dir / "alpha_6.0000" / "metrics.json")
+                         .read_text())
+    assert metrics["success_probability"] == 3.3633081038531755e-15
+
+
 @pytest.mark.parametrize("stage", ["circuit", "sampled"])
 @pytest.mark.parametrize("n_max, overlap, size", [
     (575, 1.0, 578 * 3 * 578),
@@ -344,6 +412,27 @@ def test_reconstruction_cutoff_capped(tmp_path, capsys, n_max, accepted):
         assert main(["run", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("n_max, accepted", [(78, True), (79, False)])
+def test_sampled_wigner_cutoff_capped(tmp_path, capsys, n_max, accepted):
+    # the reconstruction's Wigner map holds (2d - 1) d^2 coefficients at
+    # d = n_max + 1: 78 fits the cap (979837), 79 (1017600) does not
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"sweep.stage": "sampled",
+                                     "tomography.n_max": n_max,
+                                     "sweep.output_dir": str(out_dir)})
+    message = ("  - tomography.n_max: a state on 0..79 photons needs 1017600 "
+               "Wigner coefficients, above the cap 1000000")
+    assert main(["check", "--config", str(path)]) == (0 if accepted else 1)
+    assert (message in capsys.readouterr().out) != accepted
+    if not accepted:
+        assert main(["run", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        # the circuit stage maps the three levels of mode T
+        path = write_config(tmp_path, **{"tomography.n_max": n_max})
+        assert main(["check", "--config", str(path)]) == 0
 
 
 def test_tomo_cutoff_capped_before_reading(tmp_path, capsys):
@@ -803,6 +892,21 @@ def test_wigner_verb_from_density_file(tmp_path):
     assert main(["wigner", "--config", str(cfg), "--rho", str(rho_path),
                  "--out", str(out)]) == 0
     assert out.exists()
+
+
+def test_wigner_verb_caps_a_density_file(tmp_path, capsys):
+    # 99 levels need 197 * 99^2 Wigner coefficients, above the cap
+    cfg = write_config(tmp_path)
+    rho_path = tmp_path / "rho.json"
+    write_density_json(DensityOperator(np.eye(99, dtype=complex) / 99, (99,)),
+                       rho_path)
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--config", str(cfg), "--rho", str(rho_path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: a state on 0..98 photons needs 1930797 Wigner coefficients, "
+        "above the cap 1000000\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("payload, message", [

@@ -71,6 +71,15 @@ def test_coherent_state_truncation_guard():
     coherent_state(4.0, 60)
 
 
+@pytest.mark.parametrize("alpha", [1.4e154, 1e300, 10**300,
+                                   complex(1.7e308, 1.7e308)],
+                         ids=["1.4e154", "1e300", "10**300", "complex"])
+def test_coherent_state_beyond_double_range(alpha):
+    # |alpha|^2 overflows a double: no cutoff holds the state
+    with pytest.raises(TruncationError, match="beyond double range"):
+        coherent_state(alpha, 12)
+
+
 def test_coherent_mean_photon_number():
     for alpha in (0.3, 0.9, 1.4 + 0.5j):
         psi = coherent_state(alpha, 40)

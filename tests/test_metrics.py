@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from scissorlab import (
     write_wigner_csv,
 )
 from scissorlab import metrics
-from scissorlab.metrics import _wigner_heads, _wigner_map
+from scissorlab.metrics import _wigner_heads, _wigner_sectors
 from scissorlab.optics import _balanced_coefficients
 from oracles import _bs_matrix
 
@@ -143,19 +144,53 @@ def test_wigner_grid_capped_before_it_is_built(monkeypatch):
         wigner(state, axis[:1000], axis[:1000])
 
 
+def test_wigner_coefficients_capped_before_they_are_built(monkeypatch):
+    # the (2d - 1) d^2 coefficient table bounds the Wigner map: d = 79
+    # (979837 entries) fits the cap, d = 80 does not, and for it neither
+    # the coefficients nor a wavefunction table is built
+    def no_tables(*args):
+        raise AssertionError("wigner built a table")
+
+    monkeypatch.setattr(metrics, "_balanced_coefficients", no_tables)
+    monkeypatch.setattr(metrics, "wavefunctions", no_tables)
+    _wigner_sectors.cache_clear()
+    axis = np.linspace(-6.0, 6.0, 11)
+    with pytest.raises(CapacityError, match="^a state on 0..79 photons needs "
+                       "1017600 Wigner coefficients, above the cap 1000000$"):
+        wigner(vacuum_state(79), axis, axis)
+    with pytest.raises(AssertionError, match="built a table"):
+        wigner(vacuum_state(78), axis, axis)
+
+
+def test_wigner_memory_is_bounded_by_its_tables():
+    # d = 40 on the 201-point axes: the sector coefficients hold 79^2 40
+    # numbers (2 MB); a dense (2d - 1)^2 x d^2 map would hold 80 MB
+    rho = DensityOperator(np.diag(np.full(40, 1.0 / 40)).astype(complex),
+                          (40,))
+    axes = phase_space_axes()
+    _wigner_sectors.cache_clear()
+    tracemalloc.start()
+    try:
+        wigner(rho, axes, axes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
 def test_wigner_map_is_built_once_per_cutoff():
-    _wigner_map.cache_clear()
+    _wigner_sectors.cache_clear()
     config = AmplifierConfig(alpha=0.1, gain=2.0)
     for alpha in (0.1, 0.25, 0.5, 1.0):
         wigner(simulate(replace(config, alpha=alpha)).state)
-    info = _wigner_map.cache_info()
+    info = _wigner_sectors.cache_info()
     assert (info.misses, info.hits) == (1, 3)
     wigner(vacuum_state(4))
-    assert _wigner_map.cache_info().misses == 2
-    mapping = _wigner_map(3)
-    assert not mapping.flags.writeable
-    with pytest.raises(ValueError):
-        mapping[0, 0] = 1.0
+    assert _wigner_sectors.cache_info().misses == 2
+    for table in _wigner_sectors(3):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def test_wigner_map_is_the_balanced_beamsplitter():
@@ -171,12 +206,22 @@ def test_wigner_map_is_the_balanced_beamsplitter():
         expect = np.where(q >= 0, bs[p, np.maximum(q, 0), m, n], 0.0)
         np.testing.assert_allclose(_balanced_coefficients(dm, dn), expect,
                                    rtol=0, atol=1e-15)
-    # <j,k|B|m,n> (-1)^n on m, n < d, outputs j, k < 2d - 1
+    # <j,k|B|m,n> (-1)^n on m, n < d, outputs j, k < 2d - 1: the Wigner
+    # map's sector coefficients, read at the cell of each A[j, k], with
+    # the entry m d + n of rho each multiplies
     d, size = 4, 7
     bs = _bs_matrix(size, 1.0 / math.sqrt(2.0)).reshape((size,) * 4)
-    expect = bs[:, :, :d, :d] * (-1.0) ** np.arange(d)
-    np.testing.assert_allclose(_wigner_map(d).reshape(size, size, d, d),
-                               expect, rtol=0, atol=1e-15)
+    coeffs, entries, cells, turns = _wigner_sectors(d)
+    by_cell = coeffs.reshape(size * size, d)[cells].reshape(size, size, d)
+    j, k, m = np.indices((size, size, d))
+    n = j + k - m
+    held = (n >= 0) & (n < d)
+    j, k, m, n = j[held], k[held], m[held], n[held]
+    np.testing.assert_allclose(by_cell[j, k, m], bs[j, k, m, n] * (-1.0) ** n,
+                               rtol=0, atol=1e-15)
+    assert not by_cell[~held].any()
+    np.testing.assert_array_equal(entries[j + k, m], m * d + n)
+    np.testing.assert_array_equal(turns, (-1j) ** np.arange(size))
 
 
 def test_wigner_marginals_match_pdfs():
@@ -365,6 +410,9 @@ def test_reference_ein_branches():
     assert reference_ein(0.5) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         reference_ein(0.0)
+    # a gain whose square underflows has no reference floor
+    with pytest.raises(ValueError, match="its square must be positive"):
+        reference_ein(1e-200)
 
 
 def test_mutual_info_pinned_ratio():
