@@ -33,7 +33,6 @@ import numpy as np
 from .amplifier import (AmplifierConfig, HeraldedOutput, SourceModel,
                         _check_working_size, ideal_output, simulate)
 from .csvtext import _CSV_CHUNK_ROWS
-from .fock import coherent_state
 from .measurement import (
     _HomodyneDraws,
     _check_draw_size,
@@ -51,7 +50,7 @@ from .metrics import (
     write_metrics_json,
     write_wigner_csv,
 )
-from .numerics import DIMENSION_CAP, TruncationError
+from .numerics import DIMENSION_CAP
 from .optics import LossChannel, apply_loss
 from .tomography import (
     ReconstructionResult,
@@ -169,7 +168,8 @@ def default_config_dict() -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated sweep settings ready for run_sweep."""
+    """Validated sweep settings ready for run_sweep, with each alpha's
+    stage output already prepared."""
 
     amplifier: AmplifierConfig     # at alpha 0
     alphas: tuple[float, ...]
@@ -180,7 +180,8 @@ class RunConfig:
     seed: int
     output_dir: str
     tomography: dict
-    wigner: dict
+    wigner_axes: np.ndarray        # both axes of every Wigner grid
+    outputs: dict[float, HeraldedOutput]    # by alpha
 
     def amplifier_config(self, alpha: float) -> AmplifierConfig:
         return replace(self.amplifier, alpha=alpha)
@@ -228,18 +229,16 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
     amp, sweep = sections["amplifier"], sections["sweep"]
     tomo = sections["tomography"]
     amplifier = None    # the section as the pipeline runs it, at alpha 0
-    # set once simulate's working space at this cutoff is known to fit the cap
-    fits = False
     if not any(key.startswith("amplifier.") for key in bad):
         where = "amplifier.source"
         try:
             source = SourceModel(**amp.pop("source"))
             where = "amplifier"
-            amplifier = AmplifierConfig(alpha=0.0, source=source, **amp)
+            config = AmplifierConfig(alpha=0.0, source=source, **amp)
             if sweep["stage"] in ("circuit", "sampled"):
                 where = "amplifier.n_max"
-                _check_working_size(amplifier.n_max, source)
-                fits = True
+                _check_working_size(config.n_max, source)
+            amplifier = config
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
 
@@ -302,25 +301,21 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
     if "wigner.points" not in bad:
         points = sections["wigner"]["points"]
         _report(problems, "wigner.points", _check_grid_size, points, points)
-    if amplifier is not None and sweep["stage"] == "analytic":
-        # the closed form meets the herald floor, as the circuit does
+    if "wigner.extent" not in bad:
+        _report(problems, "wigner.extent", phase_space_axes,
+                sections["wigner"]["extent"])
+    outputs = {}    # each alpha prepared as run runs it
+    if amplifier is not None and "sweep.stage" not in bad:
         for alpha in alphas:
             try:
-                ideal_output(alpha, amplifier.gain,
-                             amplifier.accept_both_heralds)
-            except TruncationError as exc:
-                problems.append(f"sweep.alphas: alpha {alpha!r} is not "
-                                f"heralded at amplifier.gain = "
-                                f"{amplifier.gain!r} ({exc})")
-    if fits:
-        # the circuit starts from |alpha> at the amplifier's cutoff
-        n_max = amplifier.n_max
-        for alpha in alphas:
-            try:
-                coherent_state(alpha, n_max)
-            except TruncationError as exc:
-                problems.append(f"sweep.alphas: alpha {alpha!r} does not fit "
-                                f"amplifier.n_max = {n_max} ({exc})")
+                outputs[float(alpha)] = _stage_output(amplifier, sweep["stage"],
+                                                      alpha)
+            except ValueError as exc:   # the input's fit, or the herald floor
+                why = (f"does not fit amplifier.n_max = {amplifier.n_max}"
+                       if str(exc).startswith("coherent state") else
+                       f"is not heralded at amplifier.gain = {amplifier.gain!r}"
+                       if sweep["stage"] == "analytic" else "is not heralded")
+                problems.append(f"sweep.alphas: alpha {alpha!r} {why} ({exc})")
 
     if problems:
         return None
@@ -328,7 +323,8 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
     sweep.update(alphas=tuple(map(float, alphas)), phases=phases,
                  eta_hd=float(sweep["eta_hd"]))
     return RunConfig(amplifier=amplifier, tomography=tomo,
-                     wigner=sections["wigner"], **sweep)
+                     wigner_axes=phase_space_axes(**sections["wigner"]),
+                     outputs=outputs, **sweep)
 
 
 def validate_config(path) -> tuple[RunConfig | None, list[str]]:
@@ -379,12 +375,12 @@ def _alpha_text(alpha: float) -> str:
     return f"{whole}.{fraction:04d}"
 
 
-def _stage_output(cfg: RunConfig, alpha: float) -> HeraldedOutput:
+def _stage_output(amplifier: AmplifierConfig, stage: str,
+                  alpha: float) -> HeraldedOutput:
     """One alpha's output: the closed form at stage analytic, else the circuit."""
-    amp_cfg = cfg.amplifier_config(alpha)
-    if cfg.stage == "analytic":
-        return ideal_output(alpha, amp_cfg.gain, amp_cfg.accept_both_heralds)
-    return simulate(amp_cfg)
+    if stage == "analytic":
+        return ideal_output(alpha, amplifier.gain, amplifier.accept_both_heralds)
+    return simulate(replace(amplifier, alpha=alpha))
 
 
 def _reconstruct(samples, tomo: dict, path) -> ReconstructionResult:
@@ -402,12 +398,6 @@ def _reconstruct(samples, tomo: dict, path) -> ReconstructionResult:
             f"iterations, above tomography.tol = {tomo['tol']:g}")
     write_density_json(result.rho, path)
     return result
-
-
-def _write_wigner(state, cfg: RunConfig, path) -> None:
-    """Write the state's Wigner grid on the config's axes as CSV."""
-    axes = phase_space_axes(cfg.wigner["extent"], cfg.wigner["points"])
-    write_wigner_csv(wigner(state, axes, axes), path)
 
 
 class _DrawsAbandoned(Exception):
@@ -501,7 +491,7 @@ def _run_single(cfg: RunConfig, alpha: float, out_dir: Path) -> tuple[dict, list
     draws, the reconstruction, metrics and Wigner grid run here.
     """
     written: list[Path] = []
-    out = _stage_output(cfg, alpha)
+    out = cfg.outputs[alpha]
     state_for_metrics = out.state
     eta_for_metrics = 1.0
     alpha_dir = out_dir / f"alpha_{_alpha_text(alpha)}"
@@ -530,7 +520,8 @@ def _run_single(cfg: RunConfig, alpha: float, out_dir: Path) -> tuple[dict, list
         written.append(metrics_path)
 
         wigner_path = alpha_dir / "wigner.csv"
-        _write_wigner(state_for_metrics, cfg, wigner_path)
+        axes = cfg.wigner_axes
+        write_wigner_csv(wigner(state_for_metrics, axes, axes), wigner_path)
         written.append(wigner_path)
 
     row = {
@@ -613,8 +604,8 @@ def _cmd_wigner(args) -> int:
     else:
         if args.alpha is None:
             raise SystemExit("wigner needs --alpha (or --rho FILE)")
-        state = _stage_output(cfg, args.alpha).state
-    _write_wigner(state, cfg, args.out)
+        state = _stage_output(cfg.amplifier, cfg.stage, args.alpha).state
+    write_wigner_csv(wigner(state, cfg.wigner_axes, cfg.wigner_axes), args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -101,7 +101,10 @@ def wavefunctions(x, n_max: int) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((x.size, n_max + 1))
-    out[:, 0] = _PSI0_PEAK * np.exp(-0.25 * x * x)
+    # |x| capped far past the point where exp(-x^2/4) is 0, so that x * x
+    # cannot overflow; below the cap the values are those of x itself
+    capped = np.minimum(np.abs(x), 2.0 * _X_NORMAL)
+    out[:, 0] = _PSI0_PEAK * np.exp(-0.25 * capped * capped)
     if x.size and out[:, 0].min() < _TINY:
         _require_negligible_beyond_normal(n_max)
     if n_max >= 1:
@@ -163,11 +166,11 @@ def quadrature_moments(rho: State, theta):
     scalar theta gives two floats, an array two arrays of its shape.
     """
     a1, a2, n_mean = _ladder_moments(_single_mode(rho, "quadrature_moments"))
-    theta = np.asarray(theta, dtype=float)
-    mean = 2.0 * (a1 * np.exp(-1j * theta)).real
-    var = (2.0 * (a2 * np.exp(-2j * theta)).real + 2.0 * n_mean + 1.0
+    turns = np.remainder(theta, 2.0 * math.pi)    # as in _ProbabilityMap
+    mean = 2.0 * (a1 * np.exp(-1j * turns)).real
+    var = (2.0 * (a2 * np.exp(-2j * turns)).real + 2.0 * n_mean + 1.0
            - mean * mean)
-    if theta.ndim == 0:
+    if turns.ndim == 0:
         return float(mean), float(var)
     return mean, var
 
@@ -242,7 +245,10 @@ class _ProbabilityMap:
         m, n = np.triu_indices(d)
         self.stack = np.asfortranarray(stack)
         self.upper = m * d + n
-        self.phase = np.exp(1j * np.multiply.outer(thetas, m - n))
+        # angles mod 2 pi, so that no multiple overflows (those in [0, 2 pi)
+        # are kept bit for bit)
+        turns = np.remainder(thetas, 2.0 * math.pi)
+        self.phase = np.exp(1j * np.multiply.outer(turns, m - n))
         self.fold = np.where(m == n, 1.0, 2.0) * self.phase.conj()
         # entry (m, n) of [h_u, conj h_u] is h_u's, (n, m) its conjugate
         # (the diagonal, written last, takes h_u's own entry)

@@ -66,7 +66,11 @@ class WignerGrid:
 def phase_space_axes(extent: float = 6.0, points: int = 201) -> np.ndarray:
     if extent <= 0.0 or points < 2:
         raise ValueError("need a positive extent and at least two points")
-    return np.linspace(-extent, extent, points)
+    if 2.0 * extent == math.inf:
+        raise ValueError(f"axis (-{extent:g}, {extent:g}) is wider than a "
+                         f"double holds")
+    # as a float: an integer beyond int64 casts no ufunc
+    return np.linspace(-float(extent), float(extent), points)
 
 
 def _check_grid_size(x_points: int, p_points: int) -> None:
@@ -294,14 +298,16 @@ def build_metrics_report(rho_out: State, alpha_in: complex,
 
     ``eta_hd`` < 1 marks rho_out as a measured (efficiency-degraded)
     state: both gain and variances are referred back to the output plane.
-    For a vacuum input the gain-based entries are NaN.
+    For a vacuum input the gain-based entries are NaN; so are the noise
+    entries of an output with no mean field to refer them through
+    (g_eff^2 = 0, as for a fit stopped at its maximally mixed start).
     """
     phases = tuple(float(t) for t in phases)
-    if alpha_in == 0:
-        nan = float("nan")
-        return MetricsReport(nan, nan, nan, nan, float(success_probability),
+    nan = float("nan")
+    g_eff = nan if alpha_in == 0 else effective_gain(rho_out, alpha_in, eta_hd)
+    if not g_eff * g_eff > 0.0:
+        return MetricsReport(g_eff, nan, nan, nan, float(success_probability),
                              nan, phases, _provenance(eta_hd))
-    g_eff = effective_gain(rho_out, alpha_in, eta_hd)
     lo, avg, hi = ein_statistics(rho_out, g_eff, phases, eta_hd)
     return MetricsReport(g_eff, lo, avg, hi, float(success_probability),
                          reference_ein(abs(g_eff)), phases, _provenance(eta_hd))

@@ -34,6 +34,11 @@ class LossChannel:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"transmission eta must lie in (0, 1], got {self.eta}")
+        # the eta_hd correction divides a variance of at most 4 * 78 + 2 (at
+        # the cap on a reconstruction's cutoff) by eta: finite from here up
+        if self.eta < 1e-300:
+            raise ValueError(f"transmission eta must be at least 1e-300 (the "
+                             f"eta_hd correction divides by it), got {self.eta}")
 
 
 def _balanced_coefficients(dm: int, dn: int) -> np.ndarray:

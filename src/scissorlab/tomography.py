@@ -114,7 +114,7 @@ def bin_samples(samples: QuadratureSamples, bin_count: int = 100,
     # column c holds bounds[c] <= x < bounds[c + 1] (0 underflow, P + 1
     # overflow); see _bin_edges for why one comparison per side settles it
     bounds = np.concatenate(([-np.inf], edges[:-1],
-                             [np.nextafter(hi, np.inf), np.inf]))
+                             [math.nextafter(hi, math.inf), np.inf]))
     scale = bin_count / (hi - lo)
     cells = bin_count + 2
     counts = np.zeros(samples.phases.size * cells, dtype=np.int64)
@@ -359,7 +359,9 @@ def maxlik_reconstruct(problem: TomographyProblem, max_iter: int = 2000,
     trace_loglik = [loglik]
     memory = _CurvatureMemory(x.size)
     top = np.zeros(d)      # R's top eigenvector when last computed
-    screen = math.exp(2.0 * tol)
+    # e^(2 tol), or inf before it overflows (tol ~ 354.9): no |R v| is then
+    # large enough to prove gap > tol
+    screen = math.inf if tol > 354.0 else math.exp(2.0 * tol)
     evaluations = 1
     while True:
         # |R v| <= lambda_max for a unit v: a large |R v| proves gap > tol

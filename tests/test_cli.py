@@ -16,7 +16,7 @@ import scissorlab
 from scissorlab import (AmplifierConfig, CapacityError, DensityOperator,
                         LossChannel, SourceModel, apply_loss, cli,
                         read_density_json, read_samples_csv, sample_homodyne,
-                        vacuum_state, wigner, write_density_json,
+                        simulate, vacuum_state, wigner, write_density_json,
                         write_samples_csv)
 from scissorlab.cli import (
     STAGES,
@@ -296,6 +296,40 @@ def test_alpha_beyond_the_cutoff_rejected(tmp_path, capsys, stage):
     assert (out_dir / "summary.csv").is_file()
 
 
+def test_unheralded_alpha_rejected_by_check_and_run(tmp_path, capsys):
+    # the circuit fails its herald floor at this detector efficiency: check
+    # prepares each alpha as run does, so both say so and nothing is written
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"amplifier.detector_mu": 1e-30,
+                                     "sweep.alphas": [0.25],
+                                     "sweep.output_dir": str(out_dir)})
+    message = ("  - sweep.alphas: alpha 0.25 is not heralded (herald "
+               "probability 1.312e-31 below conditioning floor)\n")
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().out == "invalid config:\n" + message
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "invalid config:\n" + message
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("stage", ["circuit", "sampled"])
+def test_each_alpha_simulated_once(tmp_path, monkeypatch, stage):
+    # validation prepares each alpha's output, and the sweep uses it
+    calls = []
+
+    def counted(config):
+        calls.append(config.alpha)
+        return simulate(config)
+
+    monkeypatch.setattr(cli, "simulate", counted)
+    path = small_sampled_config(tmp_path, **{"sweep.alphas": [0.5, 0.1],
+                                             "sweep.stage": stage})
+    cfg, problems = validate_config(path)
+    assert problems == [] and calls == [0.5, 0.1]
+    run_sweep(cfg)
+    assert calls == [0.5, 0.1]
+
+
 #: every key whose value is a number or a list of numbers
 NUMBER_KEYS = [key for key, (default, _, _) in cli._SCHEMA.items()
                if not isinstance(default, (bool, str))]
@@ -389,9 +423,11 @@ def test_cutoff_beyond_the_capacity_rejected(tmp_path, capsys, stage, n_max,
 
 @pytest.mark.parametrize("n_max, overlap", [(574, 1.0), (108, 0.9)])
 def test_cutoff_at_the_capacity_accepted(tmp_path, n_max, overlap):
-    # only check: the rule at the cap is what is under test
+    # only check, and no alpha to prepare: the rule at the cap is what is
+    # under test, not the 1.7 s heralding map that a sweep at 574 builds
     path = write_config(tmp_path, **{"amplifier.n_max": n_max,
-                                     "amplifier.source": {"mode_overlap": overlap}})
+                                     "amplifier.source": {"mode_overlap": overlap},
+                                     "sweep.alphas": []})
     cfg, problems = validate_config(path)
     assert problems == []
     assert cfg.amplifier.n_max == n_max
@@ -700,7 +736,7 @@ def test_sampled_stage_samples_match_an_inline_write(tmp_path):
     cfg, _ = validate_config(small_sampled_config(tmp_path))
     run_sweep(cfg)
     alpha = cfg.alphas[0]
-    out = cli._stage_output(cfg, alpha)
+    out = cfg.outputs[alpha]
     samples = sample_homodyne(apply_loss(out.state, LossChannel(cfg.eta_hd)),
                               cfg.phases, cfg.samples_per_state,
                               seed=cli._alpha_seed(cfg.seed, alpha))

@@ -116,6 +116,16 @@ def test_wavefunctions_refuse_underflow_where_order_is_not_negligible():
         wavefunctions(np.linspace(-70.0, 70.0, 141), 1200)
 
 
+def test_wavefunctions_beyond_the_square_of_a_double():
+    # x * x overflows past |x| ~ 1.34e154; every order is exactly 0 there,
+    # and the values inside are those of x itself
+    far = np.array([-1e300, -2e154, 1e200, 1.7e308])
+    assert not wavefunctions(far, 6).any()
+    near = np.array([-54.0, 0.3, 60.0])
+    assert np.array_equal(wavefunctions(np.concatenate([far, near]), 6)[4:],
+                          wavefunctions(near, 6))
+
+
 def test_wavefunctions_past_underflow_at_negligible_order():
     # psi_500 turns at ~44.7 and is below 1e-30 where psi_0 underflows, so
     # the zeros the recurrence returns there are right; h = 0.02 resolves
