@@ -169,7 +169,8 @@ def default_config_dict() -> dict:
 @dataclass(frozen=True)
 class RunConfig:
     """Validated sweep settings ready for run_sweep, with each alpha's
-    stage output already prepared."""
+    stage output already prepared (none for the verbs that map or
+    reconstruct a given state)."""
 
     amplifier: AmplifierConfig     # at alpha 0
     alphas: tuple[float, ...]
@@ -215,7 +216,8 @@ def _flatten(node: dict, prefix: str, flat: dict, problems: list[str]) -> dict:
     return flat
 
 
-def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
+def _build_config(flat: dict, problems: list[str],
+                  prepare: bool = True) -> RunConfig | None:
     values = {key: flat.get(key, default)
               for key, (default, _, _) in _SCHEMA.items()}
     # never defaulted: a file must say which schema it follows
@@ -305,7 +307,7 @@ def _build_config(flat: dict, problems: list[str]) -> RunConfig | None:
         _report(problems, "wigner.extent", phase_space_axes,
                 sections["wigner"]["extent"])
     outputs = {}    # each alpha prepared as run runs it
-    if amplifier is not None and "sweep.stage" not in bad:
+    if prepare and amplifier is not None and "sweep.stage" not in bad:
         for alpha in alphas:
             try:
                 outputs[float(alpha)] = _stage_output(amplifier, sweep["stage"],
@@ -336,9 +338,12 @@ def validate_config(path) -> tuple[RunConfig | None, list[str]]:
     return _check_file(path, {})
 
 
-def _check_file(path, overrides: dict) -> tuple[RunConfig | None, list[str]]:
+def _check_file(path, overrides: dict,
+                prepare: bool = True) -> tuple[RunConfig | None, list[str]]:
     """validate_config with dotted keys set over the file's values, or
-    over the package defaults when path is None."""
+    over the package defaults when path is None; without `prepare`, no
+    alpha's stage output is built (nor checked), and the config's
+    outputs are empty."""
     raw = {"schema_version": SCHEMA_VERSION}    # every other key defaulted
     if path is not None:
         try:
@@ -351,18 +356,23 @@ def _check_file(path, overrides: dict) -> tuple[RunConfig | None, list[str]]:
         return None, ["config root must be a JSON object"]
     problems: list[str] = []
     flat = {**_flatten(raw, "", {}, problems), **overrides}
-    return _build_config(flat, problems), problems
+    return _build_config(flat, problems, prepare), problems
 
 
 def _alpha_key(alpha: float) -> int:
     """The documented stable rule: alphas keyed at 4-decimal resolution;
     the key names the alpha's seed, output directory and summary row.
-    ValueError for an alpha whose key no double holds."""
+    ValueError for an alpha whose key no double holds, and for a nonzero
+    alpha whose key is 0, the vacuum input's."""
     scaled = float(alpha) * 10_000
     if not math.isfinite(scaled):
         raise ValueError(f"alpha {alpha!r} is too large to key at 4 "
                          f"decimals (alpha * 10^4 overflows a double)")
-    return int(round(scaled))
+    key = int(round(scaled))
+    if key == 0 and alpha != 0:
+        raise ValueError(f"alpha {alpha!r} is not 0 but rounds to 0 at 4 "
+                         f"decimals, the key of the vacuum input")
+    return key
 
 
 def _alpha_seed(seed: int, alpha: float) -> np.random.SeedSequence:
@@ -563,13 +573,15 @@ def run_sweep(cfg: RunConfig, out_dir=None) -> list[Path]:
 # ---------------------------------------------------------------------------
 # verbs
 
-def _load_config_or_fail(path, overrides: dict) -> RunConfig:
+def _load_config_or_fail(path, overrides: dict,
+                         prepare: bool = True) -> RunConfig:
     """validate_config, with the dotted keys in overrides that are given
     (not None) set over the file's values, or over the package defaults
     when path is None, so that ``run --seed``, ``tomo --n-max`` and the
-    like meet the same rules; SystemExit listing the problems if any."""
+    like meet the same rules; SystemExit listing the problems if any.
+    A verb that reads no alpha's output passes prepare=False."""
     given = {key: value for key, value in overrides.items() if value is not None}
-    cfg, problems = _check_file(path, given)
+    cfg, problems = _check_file(path, given, prepare)
     if problems:
         raise SystemExit("invalid config:\n" + "\n".join(
             f"  - {p}" for p in problems))
@@ -598,7 +610,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_wigner(args) -> int:
-    cfg = _load_config_or_fail(args.config, {"sweep.stage": args.stage})
+    cfg = _load_config_or_fail(args.config, {"sweep.stage": args.stage},
+                               prepare=args.rho is None)
     if args.rho is not None:
         state = read_density_json(args.rho)
     else:
@@ -611,7 +624,8 @@ def _cmd_wigner(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
-    cfg = _load_config_or_fail(args.config, {"tomography.n_max": args.n_max})
+    cfg = _load_config_or_fail(args.config, {"tomography.n_max": args.n_max},
+                               prepare=False)
     result = _reconstruct(read_samples_csv(args.samples), cfg.tomography,
                           args.out)
     print(f"wrote {args.out} (converged after {result.iterations} "

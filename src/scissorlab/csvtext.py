@@ -9,21 +9,34 @@ of the powers of ten and Dekker's exact product of two doubles (Dekker,
 Numer. Math. 18, 224 (1971)).  Its error is below 2^-47, so rounding y
 to the nearest integer D gives the digits of the correctly rounded
 result, unless the fraction of y lies within 2^-40 of 1/2.  Those
-values, the ones whose log10 estimate is off by one or whose rounding
-carries into an 18th digit (D outside [10^16, 10^17)), |X| >= 280
-(where the split products could leave the normal range), and inf and
-nan go to ``%`` itself.  Zero is "0".
+values, the ones whose log10 estimate is off by one (D <= 10^16: a D of
+exactly 10^16 may be y just below it, rounded up) or whose rounding
+carries into an 18th digit (D >= 10^17), |X| >= 280 (where the split
+products could leave the normal range), zero, inf and nan go to ``%``
+itself.
 
-A value's text is laid out in a row of six 8-byte words, filled from
-small tables: 17 (digit, point) byte pairs behind a 6-byte prefix (the
-sign and ``0.000``), then the ``e+XX`` suffix and the newline.  Unused
-bytes are NUL, so deleting every NUL (``bytes.translate``) compacts a
-whole chunk of rows into its text at once.
+A value's text and newline fill three 8-byte words (24 bytes, as long
+as the longest such line with a 2-digit exponent), or four in a chunk
+with a 3-digit exponent or a long text from ``%``.  Digits sit at fixed
+places, one raw digit per byte from tables of 4-digit groups: d2..d9
+fill word 1 and d10..d16 word 2.  Word 0 comes whole from a table by
+layout, sign and d0 d1: it ends in d0.d1 at X = 0, 0.d0d1 to 0.000d0d1
+at X = -1 to -4, or d0d1 at X >= 1, whose integer digits then move down
+one byte to let the point in after them.  In scientific notation the
+digit words move up four bytes, after a sign and d0.d1 in word 0's
+first half, so that e+XX and the newline end word 2.  ORing '0' into
+the digit bytes up to the last significant digit makes them text and
+leaves the trailing zeros NUL.  Every other byte is NUL too, so deleting
+the NULs (``bytearray.translate``) compacts a whole chunk of rows into
+its text at once; it costs about 0.5 ns a byte, and more where a row's
+padding moves from one row to the next.  Chunks of fewer than
+_SMALL_CHUNK values go to ``%`` whole.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,18 +51,41 @@ _MAX_EXP = 280
 _SPLIT = 134217729.0
 #: the fraction of y may be off by 2^-47; nearer than this to 1/2 is a tie
 _TIE_WINDOW = 2.0 ** -40
-#: 8-byte words per value: five of (digit, point) pairs, one of suffix
-_WORDS = 6
+#: below this many values a chunk goes to % whole: the vectorised pass
+#: costs some 70 numpy calls whatever the chunk's size
+_SMALL_CHUNK = 64
+#: 8-byte words per value, and where the digits and the point go in them
+_WORDS = 4
+_LEAD_D0 = 6          # byte of d0 in word 0, without a point after it
+_LEAD_LAYOUTS = 7     # d0.d1, 0.d0 .. 0.000d0, d0d1 (X >= 1), d0.d1 (sci)
+_NEWLINE = np.uint64(ord("\n") << 56)
 
 
 def _word(text: str) -> int:
     return int.from_bytes(text.encode(), "little")
 
 
+class _Tables(NamedTuple):
+    """Lookup tables; the X-indexed ones by X + _MAX_EXP."""
+
+    powers: np.ndarray        # X -> (hi, lo, hi's Veltkamp halves), as V32
+    quads: np.ndarray         # 4-digit group -> its digits, one per byte
+    quads_up: np.ndarray      # the same in the upper four bytes
+    triples_up: np.ndarray    # 3-digit group -> its digits, upper bytes
+    kept1: np.ndarray         # last significant digit -> '0' bits, word 1
+    kept2: np.ndarray         # the same for word 2
+    leads: np.ndarray         # (layout, sign, d0 d1, later digit) -> word 0
+    lead_of: np.ndarray       # X -> its layout's first index in leads
+    sci_scale: np.ndarray     # X -> 2^32 in scientific notation, else 0
+    sci_shift: np.ndarray     # X -> 32 in scientific notation, else 0
+    tail2: np.ndarray         # X -> the end of word 2: newline, or e+XX
+    tail3: np.ndarray         # X -> word 3: the rest of e+XXX and newline
+    point: np.ndarray         # (X, point shown) -> masks and the point
+
+
 @cache
-def _tables():
-    """Lookup tables, built on first use; every X-indexed one is indexed
-    by X + _MAX_EXP."""
+def _tables() -> _Tables:
+    """The tables, built on first use."""
     # hi + lo = 10^s for s = 16 - X: hi = RN(10^s), lo = RN(10^s - hi),
     # from exact fractions, since int / int division rounds correctly
     hi, lo = [], []
@@ -58,117 +94,275 @@ def _tables():
         hi.append(num / den)
         hi_num, hi_den = hi[-1].as_integer_ratio()
         lo.append((num * hi_den - hi_num * den) / (den * hi_den))
-    # small integer types keep the transient memory of the build small
-    quad = np.arange(10_000, dtype=np.uint16)
-    # a 4-digit group as (digit, 0xFF) byte pairs, one word; the 0xFF
-    # bytes let a mask put a point there
-    pairs = np.full((quad.size, 8), 0xFF, dtype=np.uint8)
-    trailing = np.zeros(quad.size, dtype=np.int16)
+    hi = np.array(hi)
+    t = hi * _SPLIT
+    head = t - (t - hi)
+    powers = np.stack([hi, lo, head, hi - head], axis=1)
+    # a group's digits as raw byte values 0-9, most significant first
+    group = np.arange(10_000, dtype=np.uint64)
+    quads = np.zeros(group.size, dtype=np.uint64)
     for i, scale in enumerate((1000, 100, 10, 1)):
-        pairs[:, 2 * i] = quad // scale % 10 + ord("0")
-        trailing += quad % (10 * scale) == 0
-    # the first group holds one digit, so a row's digit j sits at byte
-    # 6 + 2j and its point slot at 7 + 2j; masks[keep, point] keeps the
-    # first `keep` digits and writes '.' after digit `point` - 1
-    masks = np.zeros((18, 18, 8 * (_WORDS - 1)), dtype=np.uint8)
-    for keep in range(1, 18):
-        masks[keep, :, 6:6 + 2 * keep:2] = 0xFF
-        masks[keep, np.arange(1, 18), 5 + 2 * np.arange(1, 18)] = ord(".")
-    # which mask each (X, significant digits) pair takes
-    x = np.arange(-_MAX_EXP, _MAX_EXP + 1, dtype=np.int16)[:, None]
-    sig = np.arange(18, dtype=np.int16)[None, :]
-    sci = (x < -4) | (x >= 17)
-    point = np.where(sci, 1, np.where(x >= 0, x + 1, 17))
-    keep = np.minimum(np.maximum(sig, np.where(sci, 0, x + 1)), 17)
-    mask_of = (keep * 18 + point * (sig > point)).ravel()
-    # prefix and suffix words by (X, sign) and X
-    prefixes = np.zeros((2 * _MAX_EXP + 1, 2), dtype=np.uint64)
-    suffixes = np.zeros(2 * _MAX_EXP + 1, dtype=np.uint64)
-    for i, exp in enumerate(range(-_MAX_EXP, _MAX_EXP + 1)):
-        lead = "0." + "0" * (-exp - 1) if -4 <= exp < 0 else ""
-        prefixes[i] = _word(lead), _word("-" + lead)
-        tail = "" if -4 <= exp < 17 else f"e{exp:+03d}"
-        suffixes[i] = _word(tail.ljust(7, "\0") + "\n")
-    return (np.array(hi), np.array(lo), pairs.view(np.uint64).ravel(),
-            trailing, masks.reshape(18 * 18, -1).view(np.uint64).T.copy(),
-            mask_of, prefixes.ravel(), suffixes)
+        quads |= group // np.uint64(scale) % np.uint64(10) << np.uint64(8 * i)
+    # ORing '0' into the digit bytes up to the last significant one makes
+    # them text and leaves the trailing zeros NUL; indexed by 128 + that
+    # digit's byte in word 1, or 136 + its byte in word 2, or 0
+    kept = np.zeros((144, 2, 8), dtype=np.uint8)
+    for byte in range(8):
+        kept[128 + byte, 0, :byte + 1] = ord("0")
+        kept[136 + byte, 0] = ord("0")
+        kept[136 + byte, 1, :byte + 1] = ord("0")
+    kept = kept.view(np.uint64)[..., 0]
+    # word 0 ends in the sign and d0 d1 (d0.d1 at X = 0, 0.d0d1 to
+    # 0.000d0d1 at X = -1 to -4, and d0d1 at X >= 1, whose point is placed
+    # later); in scientific notation its first four bytes hold the sign
+    # and d0.d1, and the digit words move up four bytes to meet them; d1
+    # is shown if nonzero or if a later digit is
+    leads = np.zeros((_LEAD_LAYOUTS, 2, 100, 2), dtype=np.uint64)
+    for layout in range(_LEAD_LAYOUTS):
+        for neg, sign in enumerate(("", "-")):
+            for d01 in range(10, 100):
+                d0, d1 = divmod(d01, 10)
+                for later in range(2):
+                    shown = f"{d1}" if later or d1 else ""
+                    if layout in (0, 6):
+                        text = f"{d0}.{shown}" if shown else f"{d0}"
+                    elif layout < 5:
+                        text = "0." + "0" * (layout - 1) + f"{d0}{shown}"
+                    else:
+                        text = f"{d0}{d1}"
+                    leads[layout, neg, d01, later] = _word(
+                        (sign + text).rjust(4 if layout == 6 else 8, "\0"))
+    xs = np.arange(-_MAX_EXP, _MAX_EXP + 1)
+    fixed = (xs >= -4) & (xs <= 16)
+    layouts = np.where(fixed, np.where(xs >= 1, 5, np.where(xs < 0, -xs, 0)),
+                       6)
+    # 'e' sits at byte 19, after d16; a 3-digit exponent ends in word 3
+    tails = [f"\0\0\0\0\0\0\0\n" if f else f"\0\0\0e{x:+03d}\n"
+             for x, f in zip(xs.tolist(), fixed.tolist())]
+    # 1 <= X <= 16: the bytes up to d_X move down one, the point (or NUL)
+    # follows them, the later bytes stay: (moved, kept, point) words
+    point = np.zeros((17, 2, 3, 24), dtype=np.uint8)
+    for x in range(1, 17):
+        point[x, :, 0, :_LEAD_D0 + x] = 0xFF
+        point[x, :, 1, _LEAD_D0 + x + 1:] = 0xFF
+        point[x, 1, 2, _LEAD_D0 + x] = ord(".")
+    return _Tables(powers.view("V32").ravel(), quads, quads << np.uint64(32),
+                   quads[::10][:1000] << np.uint64(32), kept[:, 0].copy(),
+                   kept[:, 1].copy(), leads.ravel(), layouts * leads[0].size,
+                   np.where(fixed, 0, 2 ** 32).astype(np.uint64),
+                   np.where(fixed, 0, 32).astype(np.uint64),
+                   np.array([_word(t[:8]) for t in tails], dtype=np.uint64),
+                   np.array([_word(t[8:]) for t in tails], dtype=np.uint64),
+                   point.view(np.uint64))
 
 
-def _split(a):
-    t = a * _SPLIT
-    high = t - (t - a)
-    return high, a - high
+class _G17:
+    """The kernel over chunks of at most ``size`` values.
+
+    ``load(values)`` forms each value's digits and returns the words per
+    value the chunk needs (3, or 4 with a 3-digit exponent or a long text
+    from ``%``); ``emit(out)`` then writes the text into ``out``, a
+    (n, words) uint64 array whose rows may be strided.  Every temporary
+    lives in scratch allocated with the kernel (13 words a value), as
+    chunk-sized temporaries allocated afresh page-fault on every chunk.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        size = max(size, 1)
+        # a value's table row (hi, lo, hi's halves), later its digit words
+        self._rows = np.empty(size, dtype="V32")
+        self._floats = np.empty((6, size))
+        self._ints = np.empty((3, size), dtype=np.int64)
+        self._flags = np.empty((2, size), dtype=bool)
+        self._n = None
+
+    def _scratch(self, n: int):
+        """The scratch rows cut to n values, cut once per length; the
+        digit groups and the kept index reuse the last four float rows,
+        which are free by the time they are formed."""
+        if n != self._n:
+            self._n = n
+            rows = self._rows[:n]
+            words = self._rows.view(np.uint64)[:3 * n].reshape(3, n)
+            floats = self._floats[:, :n]
+            self._cut = (rows, rows.view(np.float64).reshape(n, 4).T,
+                         *floats, *self._ints[:, :n],
+                         *floats[2:].view(np.int64), *words,
+                         *self._flags[:, :n])
+        return self._cut
+
+    def load(self, values: np.ndarray) -> int:
+        self._values = v = values
+        if v.size < _SMALL_CHUNK:
+            self._lines = [(i, ("%.17g\n" % value).encode())
+                           for i, value in enumerate(v.tolist())]
+            return 4 if any(len(line) > 24 for _, line in self._lines) else 3
+        tab = _tables()
+        (rows, (hi, lo, head, tail), fa, fb, fc, fd, fe, ff, x, d, tmp,
+         d01, high, low, kept, w1, w2, wt, good, flag) = self._scratch(v.size)
+        a = np.abs(v, out=fa)
+        with np.errstate(all="ignore"):
+            e = np.floor(np.log10(a, out=fb), out=fb)
+            # the chunk's range of X; a nan propagates into both and fails
+            # every range test below
+            least, most = e.min(), e.max()
+            # 0, inf and nan cast to garbage: the clipped takes keep it in
+            # range, and the checks below send them to %
+            e += _MAX_EXP
+            np.copyto(x, e, casting="unsafe")
+            tab.powers.take(x, out=rows, mode="clip")
+            # y = a (hi + lo) = p + err, with a hi = p + (its rounding
+            # error) exactly by Dekker's product
+            p = np.multiply(a, hi, out=fc)
+            t = np.multiply(a, _SPLIT, out=fd)
+            a1 = np.subtract(t, a, out=fe)
+            np.subtract(t, a1, out=a1)
+            a2 = np.subtract(a, a1, out=fd)
+            err = np.multiply(a1, head, out=fb)     # e is done with
+            err -= p
+            err += np.multiply(a2, head, out=ff)
+            a1 *= tail
+            err += a1
+            a2 *= tail
+            err += a2
+            # lo is 0 where 10^(16 - X) is a double, X in [-6, 16]
+            if not (-6 <= least and most <= 16):
+                err += np.multiply(a, lo, out=ff)
+            r = np.rint(err, out=ff)
+            np.copyto(d, p, casting="unsafe")
+            np.copyto(tmp, r, casting="unsafe")
+            d += tmp
+            err -= r
+            # X one too high leaves y below 10^16, or rounds it up to
+            # 10^16; one too low, or a rounding that carries into an 18th
+            # digit, takes D to 10^17; and a fraction of y within the
+            # window of 1/2 is a tie
+            if (-_MAX_EXP < least and most < _MAX_EXP
+                    and 10 ** 16 < d.min() and d.max() < 10 ** 17
+                    and -0.5 + _TIE_WINDOW <= err.min()
+                    and err.max() <= 0.5 - _TIE_WINDOW):
+                slow = []
+            else:
+                e = np.floor(np.log10(a, out=fc), out=fc)
+                np.less(np.abs(e, out=e), _MAX_EXP, out=good)
+                good &= np.less_equal(np.abs(err, out=err),
+                                      0.5 - _TIE_WINDOW, out=flag)
+                np.subtract(d, 10 ** 16 + 1, out=tmp)
+                good &= np.less(tmp.view(np.uint64), 9 * 10 ** 16 - 1,
+                                out=flag)
+                slow = np.flatnonzero(~good).tolist()
+                d[slow] = 10 ** 16
+        self._lines = [(i, ("%.17g\n" % v[i]).encode()) for i in slow]
+
+        # 17 digits in three groups: d0 d1, d2..d9 and d10..d16
+        u = d.view(np.uint64)
+        np.floor_divide(u, 10 ** 15, out=d01.view(np.uint64))
+        u -= np.multiply(d01, 10 ** 15, out=tmp).view(np.uint64)
+        np.floor_divide(u, 10 ** 7, out=high.view(np.uint64))
+        np.subtract(d, np.multiply(high, 10 ** 7, out=tmp), out=low)
+        np.floor_divide(high.view(np.uint64), 10 ** 4, out=tmp.view(np.uint64))
+        tab.quads.take(tmp, out=w1, mode="clip")
+        high -= np.multiply(tmp, 10 ** 4, out=tmp)
+        w1 |= tab.quads_up.take(high, out=wt, mode="clip")
+        np.floor_divide(low.view(np.uint64), 1000, out=tmp.view(np.uint64))
+        tab.quads.take(tmp, out=w2, mode="clip")
+        low -= np.multiply(tmp, 1000, out=tmp)
+        w2 |= tab.triples_up.take(low, out=wt, mode="clip")
+        # the last significant digit among d2..d16 is the top nonzero byte
+        # of w2, else of w1, read off the exponent of the words as doubles
+        # (w2 scaled past w1): 128 + its byte in w1, 136 + in w2, or 0
+        np.copyto(fa, w2, casting="unsafe")
+        fa *= 2.0 ** 65
+        np.copyto(fb, w1, casting="unsafe")
+        fb *= 2.0
+        np.maximum(fa, fb, out=fa)
+        np.right_shift(fa.view(np.int64), 55, out=kept)
+        self._plus = not most <= 0
+        self._sci = not (-4 <= least and most <= 16)
+        # a 3-digit exponent, or a long text from %, takes a fourth word
+        return 4 if not (-99 <= least and most <= 99) or any(
+            len(line) > 24 for _, line in self._lines) else 3
+
+    def emit(self, out: np.ndarray) -> None:
+        v = self._values
+        if v.size < _SMALL_CHUNK:
+            out[...] = 0
+            _write_lines(out, self._lines)
+            return
+        tab = _tables()
+        (rows, _, fa, fb, fc, fd, fe, ff, x, d, tmp, d01, high, low, kept,
+         w1, w2, wt, good, flag) = self._scratch(v.size)
+        # word 0 by (layout, sign, d0 d1, a later digit shown)
+        lead = tab.lead_of.take(x, out=high, mode="clip")
+        lead += np.multiply(np.signbit(v, out=flag), 200, out=tmp)
+        d01 *= 2
+        lead += d01
+        lead += np.greater(kept, 0, out=flag)
+        tab.leads.take(lead, out=wt, mode="clip")
+        w1 |= tab.kept1.take(kept, out=d01.view(np.uint64), mode="clip")
+        w2 |= tab.kept2.take(kept, out=d01.view(np.uint64), mode="clip")
+        if not self._sci:
+            out[:, 0] = wt
+            out[:, 1] = w1
+            np.bitwise_or(w2, _NEWLINE, out=out[:, 2])
+        else:
+            # in scientific notation the digit words move up four bytes
+            scale = tab.sci_scale.take(x, out=low.view(np.uint64), mode="clip")
+            shift = tab.sci_shift.take(x, out=tmp.view(np.uint64), mode="clip")
+            moved = d.view(np.uint64)
+            np.bitwise_or(wt, np.multiply(w1, scale, out=moved), out=out[:, 0])
+            np.bitwise_or(np.right_shift(w1, shift, out=w1),
+                          np.multiply(w2, scale, out=moved), out=out[:, 1])
+            np.bitwise_or(np.right_shift(w2, shift, out=w2),
+                          tab.tail2.take(x, out=wt, mode="clip"),
+                          out=out[:, 2])
+        if out.shape[1] == 4:
+            out[:, 3] = tab.tail3.take(x, out=wt, mode="clip")
+        if self._plus:
+            _place_point(out, x, kept)
+        _write_lines(out, self._lines)
 
 
-def _g17_words(values: np.ndarray, out: np.ndarray) -> None:
-    """Write each value's '%.17g' text and a newline into its row of out,
-    a (n, _WORDS) uint64 array, with NUL bytes between the characters."""
-    (pow_hi, pow_lo, digit_pairs, trailing_zeros, digit_masks, mask_of,
-     prefixes, suffixes) = _tables()
-    v = np.asarray(values, dtype=float)
-    a = np.abs(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exp = np.floor(np.log10(a))
-    fast = np.abs(exp) < _MAX_EXP        # false for 0, inf, nan
-    x = np.where(fast, exp, 0.0).astype(np.intp) + _MAX_EXP
-    a = np.where(fast, a, 1.0)
-    # y = a (hi + lo) = p + tail, with a hi = p + (its rounding error)
-    # exactly by Dekker's product
-    hi, lo = pow_hi[x], pow_lo[x]
-    p = a * hi
-    a1, a2 = _split(a)
-    h1, h2 = _split(hi)
-    tail = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2 + a * lo
-    whole = np.floor(tail)
-    frac = tail - whole
-    d = p.astype(np.int64)
-    d += whole.astype(np.int64)
-    # X one too high leaves y below 10^16; one too low, or a rounding
-    # that carries into an 18th digit, takes D to 10^17
-    slow = ~fast | (d < 10 ** 16)
-    d += frac > 0.5
-    slow |= (d >= 10 ** 17) | (np.abs(frac - 0.5) < _TIE_WINDOW)
-    slow &= v != 0.0
-    d[~fast] = 0                         # so zero prints as 0
+def _write_lines(out: np.ndarray, lines) -> None:
+    """Put each (row, text) of lines into its row of out, NUL-padded."""
+    text = out.view(np.uint8)
+    for i, line in lines:
+        text[i] = 0
+        text[i, :len(line)] = np.frombuffer(line, dtype=np.uint8)
 
-    # 17 digits in five groups, 1 + 4 + 4 + 4 + 4 digits, one word each
-    groups = []
-    for scale in (10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4):
-        groups.append(d // scale)
-        d -= groups[-1] * scale
-    groups.append(d)
-    zeros = trailing_zeros[d]
-    rows = np.flatnonzero(d == 0)
-    for group in groups[-2::-1]:
-        if not rows.size:
-            break
-        group = group[rows]
-        zeros[rows] += trailing_zeros[group]
-        rows = rows[group == 0]
-    sig = np.maximum(17 - zeros, 1)      # 1 for zero
 
-    mask = mask_of[x * 18 + sig]
-    for col, group in enumerate(groups):
-        np.bitwise_and(digit_pairs[group], digit_masks[col, mask],
-                       out=out[:, col])
-    out[:, 0] |= prefixes[2 * x + np.signbit(v)]
-    out[:, -1] = suffixes[x]
-    if slow.any():
-        text = out.view(np.uint8)
-        for i in np.flatnonzero(slow).tolist():
-            line = ("%.17g\n" % v[i]).encode()
-            text[i] = 0
-            text[i, :len(line)] = np.frombuffer(line, dtype=np.uint8)
+def _place_point(out: np.ndarray, x: np.ndarray, kept: np.ndarray) -> None:
+    """At 1 <= X <= 16, show every integer digit, move d0..d_X down one
+    byte, and put the point after them if a fraction digit is shown."""
+    tab = _tables()
+    rows = np.flatnonzero((x - (_MAX_EXP + 1)).view(np.uint64) < 16)
+    if not rows.size:
+        return
+    exp = x[rows] - _MAX_EXP
+    # the kept index of digit j >= 2 is 126 + j
+    last = kept[rows]
+    top = np.maximum(last, exp + 126)
+    words = out[rows, :3]
+    words[:, 1] |= tab.kept1[top]
+    words[:, 2] |= tab.kept2[top]
+    moved = words >> np.uint64(8)
+    moved[:, :2] |= words[:, 1:] << np.uint64(56)
+    masks = tab.point[exp, (last > exp + 126).astype(np.intp)]
+    out[rows, :3] = (moved & masks[:, 0]) | (words & masks[:, 1]) | masks[:, 2]
 
 
 def _csv_heads(values) -> np.ndarray:
     """(n, w) uint64 rows, row i the text '%.17g,' % values[i] padded with
     NUL to the w words of the longest row."""
-    values = np.asarray(values, dtype=float).ravel()
-    words = np.empty((values.size, _WORDS), dtype=np.uint64)
-    _g17_words(values, words)
-    texts = [text + b"," for text in
-             words.tobytes().translate(None, b"\0").split(b"\n")[:-1]]
+    values = np.ascontiguousarray(values, dtype=float).ravel()
+    words = np.zeros((values.size, _WORDS), dtype=np.uint64)
+    kernel = _G17(min(values.size, _CSV_CHUNK_ROWS))
+    for start in range(0, values.size, _CSV_CHUNK_ROWS):
+        chunk = values[start:start + _CSV_CHUNK_ROWS]
+        kernel.emit(words[start:start + chunk.size, :kernel.load(chunk)])
+    texts = [text + b"," for text in words.tobytes().translate(
+        None, b"\0").split(b"\n")[:-1]]
     width = -(-max(map(len, texts), default=1) // 8)
     return np.array(texts, dtype=f"S{8 * width}").view(np.uint64).reshape(
         values.size, width)
@@ -180,20 +374,28 @@ def _csv_row_writer(fh, heads: np.ndarray):
     gives them) followed by '%.17g' % values[i] and a newline.
 
     Rows go out a chunk of _CSV_CHUNK_ROWS at a time, one write each,
-    through one row buffer allocated with the writer; a chunk's heads are
-    gathered by one ``take`` of whole heads, each viewed as one item.
+    through one row buffer and one kernel, both sized at the first write
+    for at most a chunk of rows; a chunk's heads are gathered by one
+    ``take`` of whole heads, each viewed as one item.
     """
     width = heads.shape[1]
-    rows = np.empty((_CSV_CHUNK_ROWS, width + _WORDS), dtype=np.uint64)
     table = np.ascontiguousarray(heads).view(f"V{8 * width}").ravel()
-    slots = rows.view([("head", table.dtype),
-                       ("text", f"V{8 * _WORDS}")]).ravel()["head"]
+    kernel, buffer = _G17(0), np.empty(0, dtype=np.uint64)
 
     def write(index: np.ndarray, values: np.ndarray) -> None:
+        nonlocal kernel, buffer
+        size = min(len(values), _CSV_CHUNK_ROWS)
+        if kernel.size < size:
+            kernel = _G17(size)
+            buffer = np.empty(size * (width + _WORDS), dtype=np.uint64)
         for start in range(0, len(values), _CSV_CHUNK_ROWS):
             chunk = values[start:start + _CSV_CHUNK_ROWS]
             size = chunk.size
-            slots[:size] = table.take(index[start:start + size])
-            _g17_words(chunk, rows[:size, width:])
-            fh.write(rows[:size].tobytes().translate(None, b"\0"))
+            words = kernel.load(chunk)
+            rows = buffer[:size * (width + words)].reshape(size, -1)
+            rows.view([("head", table.dtype), ("text", f"V{8 * words}")])[
+                "head"][:, 0] = table.take(index[start:start + size])
+            kernel.emit(rows[:, width:])
+            # bytearray's translate loop is leaner than bytes'
+            fh.write(bytearray(rows).translate(None, b"\0"))
     return write

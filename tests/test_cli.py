@@ -367,6 +367,59 @@ def test_alpha_without_a_key_rejected(tmp_path, capsys, stage):
             in capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("alpha", [1e-30, 5e-324, 4.9e-5],
+                         ids=["1e-30", "5e-324", "4.9e-5"])
+@pytest.mark.parametrize("stage", ["circuit", "sampled"])
+def test_alpha_keyed_as_the_vacuum_rejected(tmp_path, capsys, stage, alpha):
+    # a nonzero alpha whose 4-decimal key is 0 would be written as
+    # alpha_0.0000, the vacuum input's directory, yet run as not the vacuum
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, **{"sweep.alphas": [0.25, alpha],
+                                     "sweep.stage": stage,
+                                     "sweep.output_dir": str(out_dir)})
+    message = (f"  - sweep.alphas: alpha {alpha!r} is not 0 but rounds to 0 "
+               f"at 4 decimals, the key of the vacuum input\n")
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().out == "invalid config:\n" + message
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "invalid config:\n" + message
+    assert not out_dir.exists()
+    # the vacuum itself, and the smallest alpha the key resolves, stay
+    path = write_config(tmp_path, **{"sweep.alphas": [0.0, 1e-4],
+                                     "sweep.stage": stage})
+    assert main(["check", "--config", str(path)]) == 0
+
+
+def test_wigner_rho_and_tomo_prepare_no_alpha(tmp_path, capsys, monkeypatch):
+    # neither verb reads an alpha's stage output, so neither builds one: a
+    # config whose alpha check rejects still serves them
+    path = write_config(tmp_path, **{"sweep.alphas": [2.5]})
+    assert main(["check", "--config", str(path)]) == 1
+    assert "alpha 2.5 does not fit amplifier.n_max = 12" in (
+        capsys.readouterr().out)
+    rho_path = tmp_path / "rho.json"
+    write_density_json(vacuum_state(3).to_density(), rho_path)
+    samples_path = tmp_path / "samples.csv"
+    write_samples_csv(sample_homodyne(vacuum_state(3).to_density(),
+                                      [0.0, 1.0, 2.0], 3000, seed=1),
+                      samples_path)
+
+    def unprepared(*args):
+        raise AssertionError("an alpha's stage output was built")
+
+    monkeypatch.setattr(cli, "_stage_output", unprepared)
+    assert main(["wigner", "--config", str(path), "--rho", str(rho_path),
+                 "--out", str(tmp_path / "w.csv")]) == 0
+    assert main(["tomo", "--samples", str(samples_path), "--config",
+                 str(path), "--out", str(tmp_path / "recon.json"),
+                 "--n-max", "2"]) == 0
+    assert (tmp_path / "w.csv").is_file()
+    assert (tmp_path / "recon.json").is_file()
+    # validate_config still prepares them: run_sweep reads cfg.outputs
+    with pytest.raises(AssertionError, match="stage output was built"):
+        validate_config(path)
+
+
 @pytest.mark.parametrize("alpha", [6.2, 1e150, 1e300, 1e305, 10**300],
                          ids=["6.2", "1e150", "1e300", "1e305", "10**300"])
 def test_analytic_alpha_below_the_herald_floor_rejected(tmp_path, capsys,

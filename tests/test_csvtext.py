@@ -4,7 +4,10 @@ import io
 
 import numpy as np
 
-from scissorlab.csvtext import _csv_heads, _csv_row_writer
+from scissorlab.csvtext import _CSV_CHUNK_ROWS, _csv_heads, _csv_row_writer
+from scissorlab.measurement import (QuadratureSamples, default_phase_grid,
+                                    write_samples_csv)
+from scissorlab.metrics import WignerGrid, phase_space_axes, write_wigner_csv
 
 
 def reference(values) -> str:
@@ -72,3 +75,47 @@ def test_heads_are_padded_text_with_separator():
     assert [row.tobytes().rstrip(b"\0") for row in rows] == [
         ("%.17g," % v).encode() for v in values.tolist()]
     assert _csv_heads(np.empty(0)).shape == (0, 1)
+
+
+def test_writers_match_row_by_row_percent_formatting(tmp_path):
+    # whole files through both writers: three full chunks and a partial
+    # one, heads of every width (one to three words, -0.0 and 1e-300
+    # included), and values of every layout, a 3-digit exponent and the
+    # edge values (inf and nan only in the grid: a sample must be finite)
+    # among them, in chunks too long for the chunk-wide % of short ones
+    rng = np.random.default_rng(20091211)
+    rows = 3 * _CSV_CHUNK_ROWS + 1234
+    edges = oracle_classes(rng)["edges"]
+    special = np.concatenate([edges[np.isfinite(edges)], [-2.5e-120]])
+    values = np.concatenate([
+        rng.normal(size=rows - special.size)
+        * 10.0 ** rng.integers(-8, 20, size=rows - special.size), special])
+    # one chunk in fixed notation only, one without a 3-digit exponent
+    values[:_CSV_CHUNK_ROWS] = rng.normal(size=_CSV_CHUNK_ROWS) * 3.0
+    values[_CSV_CHUNK_ROWS:2 * _CSV_CHUNK_ROWS] = rng.normal(
+        size=_CSV_CHUNK_ROWS) * 10.0 ** rng.integers(-30, 30,
+                                                     size=_CSV_CHUNK_ROWS)
+    odd = [-0.0, 1e-300, 1.0 / 3.0]
+    phases = np.concatenate([odd, default_phase_grid(12)[1:]])
+    samples = QuadratureSamples(phases, rng.integers(0, phases.size, rows),
+                                values)
+    path = tmp_path / "samples.csv"
+    write_samples_csv(samples, path)
+    assert path.read_bytes() == ("theta,x\n" + "".join(
+        "%.17g,%.17g\n" % (phases[i], v)
+        for i, v in zip(samples.phase_index.tolist(),
+                        values.tolist()))).encode()
+
+    x = np.concatenate([phase_space_axes(6.0, 201), odd])
+    p = np.concatenate([phase_space_axes(4.0, 41), odd,
+                        rng.normal(size=80) * 10.0 ** rng.integers(-3, 3, 80)])
+    w = values[:x.size * p.size].copy()
+    w[9000:9000 + edges.size] = edges
+    grid = WignerGrid(x, p, w.reshape(x.size, p.size))
+    assert x.size * p.size > 3 * _CSV_CHUNK_ROWS
+    path = tmp_path / "wigner.csv"
+    write_wigner_csv(grid, path)
+    assert path.read_bytes() == ("x,p,w\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % (xv, pv, grid.values[i, j])
+        for i, xv in enumerate(x.tolist())
+        for j, pv in enumerate(p.tolist()))).encode()
