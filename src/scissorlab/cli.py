@@ -169,8 +169,8 @@ def default_config_dict() -> dict:
 @dataclass(frozen=True)
 class RunConfig:
     """Validated sweep settings ready for run_sweep, with each alpha's
-    stage output already prepared (none for the verbs that map or
-    reconstruct a given state)."""
+    stage output already prepared (none for wigner and tomo, which
+    read none of them)."""
 
     amplifier: AmplifierConfig     # at alpha 0
     alphas: tuple[float, ...]
@@ -611,7 +611,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_wigner(args) -> int:
     cfg = _load_config_or_fail(args.config, {"sweep.stage": args.stage},
-                               prepare=args.rho is None)
+                               prepare=False)
     if args.rho is not None:
         state = read_density_json(args.rho)
     else:

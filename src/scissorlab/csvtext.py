@@ -12,8 +12,8 @@ result, unless the fraction of y lies within 2^-40 of 1/2.  Those
 values, the ones whose log10 estimate is off by one (D <= 10^16: a D of
 exactly 10^16 may be y just below it, rounded up) or whose rounding
 carries into an 18th digit (D >= 10^17), |X| >= 280 (where the split
-products could leave the normal range), zero, inf and nan go to ``%``
-itself.
+products could leave the normal range), inf and nan go to ``%``
+itself; zero is laid out as a D of 0 at X = 0.
 
 A value's text and newline fill three 8-byte words (24 bytes, as long
 as the longest such line with a 2-digit exponent), or four in a chunk
@@ -29,8 +29,7 @@ the digit bytes up to the last significant digit makes them text and
 leaves the trailing zeros NUL.  Every other byte is NUL too, so deleting
 the NULs (``bytearray.translate``) compacts a whole chunk of rows into
 its text at once; it costs about 0.5 ns a byte, and more where a row's
-padding moves from one row to the next.  Chunks of fewer than
-_SMALL_CHUNK values go to ``%`` whole.
+padding moves from one row to the next.
 """
 
 from __future__ import annotations
@@ -51,9 +50,6 @@ _MAX_EXP = 280
 _SPLIT = 134217729.0
 #: the fraction of y may be off by 2^-47; nearer than this to 1/2 is a tie
 _TIE_WINDOW = 2.0 ** -40
-#: below this many values a chunk goes to % whole: the vectorised pass
-#: costs some 70 numpy calls whatever the chunk's size
-_SMALL_CHUNK = 64
 #: 8-byte words per value, and where the digits and the point go in them
 _WORDS = 4
 _LEAD_D0 = 6          # byte of d0 in word 0, without a point after it
@@ -116,11 +112,12 @@ def _tables() -> _Tables:
     # 0.000d0d1 at X = -1 to -4, and d0d1 at X >= 1, whose point is placed
     # later); in scientific notation its first four bytes hold the sign
     # and d0.d1, and the digit words move up four bytes to meet them; d1
-    # is shown if nonzero or if a later digit is
+    # is shown if nonzero or if a later digit is; d0 d1 = 0 at X = 0 is
+    # zero's 0
     leads = np.zeros((_LEAD_LAYOUTS, 2, 100, 2), dtype=np.uint64)
     for layout in range(_LEAD_LAYOUTS):
         for neg, sign in enumerate(("", "-")):
-            for d01 in range(10, 100):
+            for d01 in range(100):
                 d0, d1 = divmod(d01, 10)
                 for later in range(2):
                     shown = f"{d1}" if later or d1 else ""
@@ -156,6 +153,45 @@ def _tables() -> _Tables:
                    point.view(np.uint64))
 
 
+class _Scratch(NamedTuple):
+    """The kernel's temporaries for a chunk, one row of its own per role."""
+
+    rows: np.ndarray      # V32: a value's table row, hi lo head tail below
+    hi: np.ndarray
+    lo: np.ndarray
+    head: np.ndarray
+    tail: np.ndarray
+    a: np.ndarray         # |v|
+    e: np.ndarray         # X, then X + _MAX_EXP, as a double
+    p: np.ndarray         # a hi, rounded
+    t: np.ndarray         # a times Veltkamp's constant
+    a1: np.ndarray        # a's Veltkamp halves
+    a2: np.ndarray
+    err: np.ndarray       # y - p, then the fraction of y after rounding
+    term: np.ndarray      # a product term of err or a test, used at once
+    r: np.ndarray         # err rounded to an integer
+    top: np.ndarray       # w1 or w2 as a double, w2 scaled past w1
+    x: np.ndarray         # int64: X + _MAX_EXP
+    d: np.ndarray         # D, later what is left of it below d0 d1
+    ri: np.ndarray        # r as an integer
+    d01: np.ndarray       # d0 d1
+    high: np.ndarray      # d2..d9, then d6..d9
+    low: np.ndarray       # d10..d16, then d14..d16
+    group: np.ndarray     # a digit group's upper digits
+    prod: np.ndarray      # an integer product or difference, used at once
+    kept: np.ndarray      # the last significant digit's kept-table index
+    lead: np.ndarray      # index of word 0 in the leads table
+    w1: np.ndarray        # uint64: d2..d9, later as text
+    w2: np.ndarray        # d10..d16
+    word0: np.ndarray     # word 0
+    wt: np.ndarray        # a gathered table word, used at once
+    scale: np.ndarray     # 2^32 in scientific notation, else 0
+    shift: np.ndarray     # 32 in scientific notation, else 0
+    moved: np.ndarray     # a digit word moved up four bytes
+    good: np.ndarray      # bool: formed here
+    flag: np.ndarray      # bool: a row test
+
+
 class _G17:
     """The kernel over chunks of at most ``size`` values.
 
@@ -163,77 +199,66 @@ class _G17:
     value the chunk needs (3, or 4 with a 3-digit exponent or a long text
     from ``%``); ``emit(out)`` then writes the text into ``out``, a
     (n, words) uint64 array whose rows may be strided.  Every temporary
-    lives in scratch allocated with the kernel (13 words a value), as
-    chunk-sized temporaries allocated afresh page-fault on every chunk.
+    has a scratch row of its own (31 words a value), allocated with the
+    kernel, as chunk-sized temporaries allocated afresh page-fault on
+    every chunk.
     """
 
     def __init__(self, size: int):
         self.size = size
         size = max(size, 1)
-        # a value's table row (hi, lo, hi's halves), later its digit words
         self._rows = np.empty(size, dtype="V32")
-        self._floats = np.empty((6, size))
-        self._ints = np.empty((3, size), dtype=np.int64)
+        self._floats = np.empty((10, size))
+        self._ints = np.empty((10, size), dtype=np.int64)
+        self._words = np.empty((7, size), dtype=np.uint64)
         self._flags = np.empty((2, size), dtype=bool)
         self._n = None
 
-    def _scratch(self, n: int):
-        """The scratch rows cut to n values, cut once per length; the
-        digit groups and the kept index reuse the last four float rows,
-        which are free by the time they are formed."""
+    def _scratch(self, n: int) -> _Scratch:
+        """The scratch cut to n values, cut once per length."""
         if n != self._n:
             self._n = n
             rows = self._rows[:n]
-            words = self._rows.view(np.uint64)[:3 * n].reshape(3, n)
-            floats = self._floats[:, :n]
-            self._cut = (rows, rows.view(np.float64).reshape(n, 4).T,
-                         *floats, *self._ints[:, :n],
-                         *floats[2:].view(np.int64), *words,
-                         *self._flags[:, :n])
+            self._cut = _Scratch(rows, *rows.view(np.float64).reshape(n, 4).T,
+                                 *self._floats[:, :n], *self._ints[:, :n],
+                                 *self._words[:, :n], *self._flags[:, :n])
         return self._cut
 
     def load(self, values: np.ndarray) -> int:
         self._values = v = values
-        if v.size < _SMALL_CHUNK:
-            self._lines = [(i, ("%.17g\n" % value).encode())
-                           for i, value in enumerate(v.tolist())]
-            return 4 if any(len(line) > 24 for _, line in self._lines) else 3
         tab = _tables()
-        (rows, (hi, lo, head, tail), fa, fb, fc, fd, fe, ff, x, d, tmp,
-         d01, high, low, kept, w1, w2, wt, good, flag) = self._scratch(v.size)
-        a = np.abs(v, out=fa)
+        s = self._scratch(v.size)
+        a, e, x, d = s.a, s.e, s.x, s.d
+        np.abs(v, out=a)
         with np.errstate(all="ignore"):
-            e = np.floor(np.log10(a, out=fb), out=fb)
-            # the chunk's range of X; a nan propagates into both and fails
-            # every range test below
+            np.floor(np.log10(a, out=e), out=e)
+            # the chunk's range of X; a zero or a nan takes it out of
+            # every range tested below
             least, most = e.min(), e.max()
             # 0, inf and nan cast to garbage: the clipped takes keep it in
-            # range, and the checks below send them to %
+            # range, and the checks below sort them out
             e += _MAX_EXP
             np.copyto(x, e, casting="unsafe")
-            tab.powers.take(x, out=rows, mode="clip")
+            tab.powers.take(x, out=s.rows, mode="clip")
             # y = a (hi + lo) = p + err, with a hi = p + (its rounding
             # error) exactly by Dekker's product
-            p = np.multiply(a, hi, out=fc)
-            t = np.multiply(a, _SPLIT, out=fd)
-            a1 = np.subtract(t, a, out=fe)
-            np.subtract(t, a1, out=a1)
-            a2 = np.subtract(a, a1, out=fd)
-            err = np.multiply(a1, head, out=fb)     # e is done with
-            err -= p
-            err += np.multiply(a2, head, out=ff)
-            a1 *= tail
-            err += a1
-            a2 *= tail
-            err += a2
+            np.multiply(a, s.hi, out=s.p)
+            np.multiply(a, _SPLIT, out=s.t)
+            np.subtract(s.t, np.subtract(s.t, a, out=s.a1), out=s.a1)
+            np.subtract(a, s.a1, out=s.a2)
+            err = np.multiply(s.a1, s.head, out=s.err)
+            err -= s.p
+            err += np.multiply(s.a2, s.head, out=s.term)
+            err += np.multiply(s.a1, s.tail, out=s.term)
+            err += np.multiply(s.a2, s.tail, out=s.term)
             # lo is 0 where 10^(16 - X) is a double, X in [-6, 16]
             if not (-6 <= least and most <= 16):
-                err += np.multiply(a, lo, out=ff)
-            r = np.rint(err, out=ff)
-            np.copyto(d, p, casting="unsafe")
-            np.copyto(tmp, r, casting="unsafe")
-            d += tmp
-            err -= r
+                err += np.multiply(a, s.lo, out=s.term)
+            np.rint(err, out=s.r)
+            np.copyto(d, s.p, casting="unsafe")
+            np.copyto(s.ri, s.r, casting="unsafe")
+            d += s.ri
+            err -= s.r
             # X one too high leaves y below 10^16, or rounds it up to
             # 10^16; one too low, or a rounding that carries into an 18th
             # digit, takes D to 10^17; and a fraction of y within the
@@ -244,40 +269,50 @@ class _G17:
                     and err.max() <= 0.5 - _TIE_WINDOW):
                 slow = []
             else:
-                e = np.floor(np.log10(a, out=fc), out=fc)
-                np.less(np.abs(e, out=e), _MAX_EXP, out=good)
+                good, flag = s.good, s.flag
+                np.subtract(e, _MAX_EXP, out=s.term)
+                np.less(np.abs(s.term, out=s.term), _MAX_EXP, out=good)
                 good &= np.less_equal(np.abs(err, out=err),
                                       0.5 - _TIE_WINDOW, out=flag)
-                np.subtract(d, 10 ** 16 + 1, out=tmp)
-                good &= np.less(tmp.view(np.uint64), 9 * 10 ** 16 - 1,
+                np.subtract(d, 10 ** 16 + 1, out=s.prod)
+                good &= np.less(s.prod.view(np.uint64), 9 * 10 ** 16 - 1,
                                 out=flag)
-                slow = np.flatnonzero(~good).tolist()
+                # the rest are laid out at X = 0: a zero's D is 0 (its
+                # table row is finite), so word 0 reads 0 or -0, and the
+                # others go to %
+                bad = np.logical_not(good, out=flag)
+                np.copyto(x, _MAX_EXP, where=bad)
+                bad &= np.not_equal(a, 0.0, out=good)
+                slow = np.flatnonzero(bad).tolist()
                 d[slow] = 10 ** 16
+                least, most = x.min() - _MAX_EXP, x.max() - _MAX_EXP
         self._lines = [(i, ("%.17g\n" % v[i]).encode()) for i in slow]
 
         # 17 digits in three groups: d0 d1, d2..d9 and d10..d16
+        d01, high, low, group, prod = s.d01, s.high, s.low, s.group, s.prod
         u = d.view(np.uint64)
         np.floor_divide(u, 10 ** 15, out=d01.view(np.uint64))
-        u -= np.multiply(d01, 10 ** 15, out=tmp).view(np.uint64)
+        u -= np.multiply(d01, 10 ** 15, out=prod).view(np.uint64)
         np.floor_divide(u, 10 ** 7, out=high.view(np.uint64))
-        np.subtract(d, np.multiply(high, 10 ** 7, out=tmp), out=low)
-        np.floor_divide(high.view(np.uint64), 10 ** 4, out=tmp.view(np.uint64))
-        tab.quads.take(tmp, out=w1, mode="clip")
-        high -= np.multiply(tmp, 10 ** 4, out=tmp)
-        w1 |= tab.quads_up.take(high, out=wt, mode="clip")
-        np.floor_divide(low.view(np.uint64), 1000, out=tmp.view(np.uint64))
-        tab.quads.take(tmp, out=w2, mode="clip")
-        low -= np.multiply(tmp, 1000, out=tmp)
-        w2 |= tab.triples_up.take(low, out=wt, mode="clip")
+        np.subtract(d, np.multiply(high, 10 ** 7, out=prod), out=low)
+        np.floor_divide(high.view(np.uint64), 10 ** 4,
+                        out=group.view(np.uint64))
+        w1 = tab.quads.take(group, out=s.w1, mode="clip")
+        high -= np.multiply(group, 10 ** 4, out=prod)
+        w1 |= tab.quads_up.take(high, out=s.wt, mode="clip")
+        np.floor_divide(low.view(np.uint64), 1000, out=group.view(np.uint64))
+        w2 = tab.quads.take(group, out=s.w2, mode="clip")
+        low -= np.multiply(group, 1000, out=prod)
+        w2 |= tab.triples_up.take(low, out=s.wt, mode="clip")
         # the last significant digit among d2..d16 is the top nonzero byte
         # of w2, else of w1, read off the exponent of the words as doubles
         # (w2 scaled past w1): 128 + its byte in w1, 136 + in w2, or 0
-        np.copyto(fa, w2, casting="unsafe")
-        fa *= 2.0 ** 65
-        np.copyto(fb, w1, casting="unsafe")
-        fb *= 2.0
-        np.maximum(fa, fb, out=fa)
-        np.right_shift(fa.view(np.int64), 55, out=kept)
+        top = s.top
+        np.copyto(top, w2, casting="unsafe")
+        top *= 2.0 ** 64
+        np.maximum(top, w1, out=top)
+        top *= 2.0
+        np.right_shift(top.view(np.int64), 55, out=s.kept)
         self._plus = not most <= 0
         self._sci = not (-4 <= least and most <= 16)
         # a 3-digit exponent, or a long text from %, takes a fourth word
@@ -286,41 +321,36 @@ class _G17:
 
     def emit(self, out: np.ndarray) -> None:
         v = self._values
-        if v.size < _SMALL_CHUNK:
-            out[...] = 0
-            _write_lines(out, self._lines)
-            return
         tab = _tables()
-        (rows, _, fa, fb, fc, fd, fe, ff, x, d, tmp, d01, high, low, kept,
-         w1, w2, wt, good, flag) = self._scratch(v.size)
+        s = self._scratch(v.size)
+        x, w1, w2 = s.x, s.w1, s.w2
         # word 0 by (layout, sign, d0 d1, a later digit shown)
-        lead = tab.lead_of.take(x, out=high, mode="clip")
-        lead += np.multiply(np.signbit(v, out=flag), 200, out=tmp)
-        d01 *= 2
-        lead += d01
-        lead += np.greater(kept, 0, out=flag)
-        tab.leads.take(lead, out=wt, mode="clip")
-        w1 |= tab.kept1.take(kept, out=d01.view(np.uint64), mode="clip")
-        w2 |= tab.kept2.take(kept, out=d01.view(np.uint64), mode="clip")
+        lead = tab.lead_of.take(x, out=s.lead, mode="clip")
+        lead += np.multiply(np.signbit(v, out=s.flag), 200, out=s.prod)
+        lead += np.multiply(s.d01, 2, out=s.prod)
+        lead += np.greater(s.kept, 0, out=s.flag)
+        word0 = tab.leads.take(lead, out=s.word0, mode="clip")
+        w1 |= tab.kept1.take(s.kept, out=s.wt, mode="clip")
+        w2 |= tab.kept2.take(s.kept, out=s.wt, mode="clip")
         if not self._sci:
-            out[:, 0] = wt
+            out[:, 0] = word0
             out[:, 1] = w1
             np.bitwise_or(w2, _NEWLINE, out=out[:, 2])
         else:
             # in scientific notation the digit words move up four bytes
-            scale = tab.sci_scale.take(x, out=low.view(np.uint64), mode="clip")
-            shift = tab.sci_shift.take(x, out=tmp.view(np.uint64), mode="clip")
-            moved = d.view(np.uint64)
-            np.bitwise_or(wt, np.multiply(w1, scale, out=moved), out=out[:, 0])
+            scale = tab.sci_scale.take(x, out=s.scale, mode="clip")
+            shift = tab.sci_shift.take(x, out=s.shift, mode="clip")
+            np.bitwise_or(word0, np.multiply(w1, scale, out=s.moved),
+                          out=out[:, 0])
             np.bitwise_or(np.right_shift(w1, shift, out=w1),
-                          np.multiply(w2, scale, out=moved), out=out[:, 1])
+                          np.multiply(w2, scale, out=s.moved), out=out[:, 1])
             np.bitwise_or(np.right_shift(w2, shift, out=w2),
-                          tab.tail2.take(x, out=wt, mode="clip"),
+                          tab.tail2.take(x, out=s.wt, mode="clip"),
                           out=out[:, 2])
         if out.shape[1] == 4:
-            out[:, 3] = tab.tail3.take(x, out=wt, mode="clip")
+            out[:, 3] = tab.tail3.take(x, out=s.wt, mode="clip")
         if self._plus:
-            _place_point(out, x, kept)
+            _place_point(out, x, s.kept)
         _write_lines(out, self._lines)
 
 

@@ -420,6 +420,24 @@ def test_wigner_rho_and_tomo_prepare_no_alpha(tmp_path, capsys, monkeypatch):
         validate_config(path)
 
 
+def test_wigner_alpha_builds_only_its_own_output(tmp_path, monkeypatch):
+    # wigner --alpha maps the output of the alpha it is given, and builds
+    # none for the config's alphas, one of which check rejects
+    path = write_config(tmp_path, **{"sweep.alphas": [0.25, 2.5]})
+    built, stage_output = [], cli._stage_output
+
+    def counted(amplifier, stage, alpha):
+        built.append(alpha)
+        return stage_output(amplifier, stage, alpha)
+
+    monkeypatch.setattr(cli, "_stage_output", counted)
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--config", str(path), "--alpha", "0.3",
+                 "--out", str(out)]) == 0
+    assert built == [0.3]
+    assert out.is_file()
+
+
 @pytest.mark.parametrize("alpha", [6.2, 1e150, 1e300, 1e305, 10**300],
                          ids=["6.2", "1e150", "1e300", "1e305", "10**300"])
 def test_analytic_alpha_below_the_herald_floor_rejected(tmp_path, capsys,
