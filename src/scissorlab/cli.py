@@ -56,6 +56,7 @@ from .tomography import (
     ReconstructionResult,
     TomographyProblem,
     _bin_edges,
+    _check_histogram_size,
     _check_reconstruction_size,
     bin_samples,
     maxlik_reconstruct,
@@ -293,9 +294,13 @@ def _build_config(flat: dict, problems: list[str],
             problems.append("tomography.bin_count: must be at least 2 at "
                             "stage sampled (one bin carries no phase "
                             "information)")
-        if tomography_fits and "tomography.bin_range" not in bad:
-            _report(problems, "tomography.bin_range", _bin_edges,
-                    tomo["bin_count"], tuple(tomo["bin_range"]))
+        if tomography_fits:
+            # the count table binds above about 20,400 bins at 49 phases
+            _report(problems, "tomography.bin_count", _check_histogram_size,
+                    len(phases), tomo["bin_count"])
+            if "tomography.bin_range" not in bad:
+                _report(problems, "tomography.bin_range", _bin_edges,
+                        tomo["bin_count"], tuple(tomo["bin_range"]))
         if "tomography.n_max" not in bad:
             # the reconstruction's Wigner grid is mapped at this cutoff
             _report(problems, "tomography.n_max", _check_coefficient_size,

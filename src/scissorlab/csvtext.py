@@ -11,20 +11,22 @@ to the nearest integer D gives the digits of the correctly rounded
 result, unless the fraction of y lies within 2^-40 of 1/2.  Those
 values, the ones whose log10 estimate is off by one (D <= 10^16: a D of
 exactly 10^16 may be y just below it, rounded up) or whose rounding
-carries into an 18th digit (D >= 10^17), |X| >= 280 (where the split
+carries into an 18th digit (D >= 10^17), X <= -280 (where the split
 products could leave the normal range), inf and nan go to ``%``
-itself; zero is laid out as a D of 0 at X = 0.
+itself; zero is laid out as a D of 0 at X = 0.  So do values of 10 and
+up (X >= 1), which neither CSV holds in bulk (every draw and Wigner
+value of the default sweep lies inside (-10, 10)): the kernel has no
+layout for them.
 
 A value's text and newline fill three 8-byte words (24 bytes, as long
 as the longest such line with a 2-digit exponent), or four in a chunk
 with a 3-digit exponent or a long text from ``%``.  Digits sit at fixed
 places, one raw digit per byte from tables of 4-digit groups: d2..d9
 fill word 1 and d10..d16 word 2.  Word 0 comes whole from a table by
-layout, sign and d0 d1: it ends in d0.d1 at X = 0, 0.d0d1 to 0.000d0d1
-at X = -1 to -4, or d0d1 at X >= 1, whose integer digits then move down
-one byte to let the point in after them.  In scientific notation the
-digit words move up four bytes, after a sign and d0.d1 in word 0's
-first half, so that e+XX and the newline end word 2.  ORing '0' into
+layout, sign and d0 d1: it ends in d0.d1 at X = 0, or 0.d0d1 to
+0.000d0d1 at X = -1 to -4.  In scientific notation (X <= -5) the digit
+words move up four bytes, after a sign and d0.d1 in word 0's first
+half, so that e-XX and the newline end word 2.  ORing '0' into
 the digit bytes up to the last significant digit makes them text and
 leaves the trailing zeros NUL.  Every other byte is NUL too, so deleting
 the NULs (``bytearray.translate``) compacts a whole chunk of rows into
@@ -43,17 +45,16 @@ import numpy as np
 #: a writer holds, whatever the array's size
 _CSV_CHUNK_ROWS = 8192
 
-#: the fast path's exponent range, |X| < _MAX_EXP
+#: the kernel's exponent range, -_MAX_EXP < X <= 0
 _MAX_EXP = 280
 #: Veltkamp's constant 2^27 + 1, which splits a double into two halves
 #: whose products are exact
 _SPLIT = 134217729.0
 #: the fraction of y may be off by 2^-47; nearer than this to 1/2 is a tie
 _TIE_WINDOW = 2.0 ** -40
-#: 8-byte words per value, and where the digits and the point go in them
+#: most 8-byte words a value's text fills
 _WORDS = 4
-_LEAD_D0 = 6          # byte of d0 in word 0, without a point after it
-_LEAD_LAYOUTS = 7     # d0.d1, 0.d0 .. 0.000d0, d0d1 (X >= 1), d0.d1 (sci)
+_LEAD_LAYOUTS = 6     # d0.d1, 0.d0 .. 0.000d0, d0.d1 (sci)
 _NEWLINE = np.uint64(ord("\n") << 56)
 
 
@@ -74,9 +75,8 @@ class _Tables(NamedTuple):
     lead_of: np.ndarray       # X -> its layout's first index in leads
     sci_scale: np.ndarray     # X -> 2^32 in scientific notation, else 0
     sci_shift: np.ndarray     # X -> 32 in scientific notation, else 0
-    tail2: np.ndarray         # X -> the end of word 2: newline, or e+XX
-    tail3: np.ndarray         # X -> word 3: the rest of e+XXX and newline
-    point: np.ndarray         # (X, point shown) -> masks and the point
+    tail2: np.ndarray         # X -> the end of word 2: newline, or e-XX
+    tail3: np.ndarray         # X -> word 3: the rest of e-XXX and newline
 
 
 @cache
@@ -85,7 +85,7 @@ def _tables() -> _Tables:
     # hi + lo = 10^s for s = 16 - X: hi = RN(10^s), lo = RN(10^s - hi),
     # from exact fractions, since int / int division rounds correctly
     hi, lo = [], []
-    for s in range(16 + _MAX_EXP, 15 - _MAX_EXP, -1):
+    for s in range(16 + _MAX_EXP, 15, -1):
         num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
         hi.append(num / den)
         hi_num, hi_den = hi[-1].as_integer_ratio()
@@ -109,11 +109,10 @@ def _tables() -> _Tables:
         kept[136 + byte, 1, :byte + 1] = ord("0")
     kept = kept.view(np.uint64)[..., 0]
     # word 0 ends in the sign and d0 d1 (d0.d1 at X = 0, 0.d0d1 to
-    # 0.000d0d1 at X = -1 to -4, and d0d1 at X >= 1, whose point is placed
-    # later); in scientific notation its first four bytes hold the sign
-    # and d0.d1, and the digit words move up four bytes to meet them; d1
-    # is shown if nonzero or if a later digit is; d0 d1 = 0 at X = 0 is
-    # zero's 0
+    # 0.000d0d1 at X = -1 to -4); in scientific notation its first four
+    # bytes hold the sign and d0.d1, and the digit words move up four
+    # bytes to meet them; d1 is shown if nonzero or if a later digit is;
+    # d0 d1 = 0 at X = 0 is zero's 0
     leads = np.zeros((_LEAD_LAYOUTS, 2, 100, 2), dtype=np.uint64)
     for layout in range(_LEAD_LAYOUTS):
         for neg, sign in enumerate(("", "-")):
@@ -121,36 +120,25 @@ def _tables() -> _Tables:
                 d0, d1 = divmod(d01, 10)
                 for later in range(2):
                     shown = f"{d1}" if later or d1 else ""
-                    if layout in (0, 6):
+                    if layout in (0, 5):
                         text = f"{d0}.{shown}" if shown else f"{d0}"
-                    elif layout < 5:
-                        text = "0." + "0" * (layout - 1) + f"{d0}{shown}"
                     else:
-                        text = f"{d0}{d1}"
+                        text = "0." + "0" * (layout - 1) + f"{d0}{shown}"
                     leads[layout, neg, d01, later] = _word(
-                        (sign + text).rjust(4 if layout == 6 else 8, "\0"))
-    xs = np.arange(-_MAX_EXP, _MAX_EXP + 1)
-    fixed = (xs >= -4) & (xs <= 16)
-    layouts = np.where(fixed, np.where(xs >= 1, 5, np.where(xs < 0, -xs, 0)),
-                       6)
+                        (sign + text).rjust(4 if layout == 5 else 8, "\0"))
+    xs = np.arange(-_MAX_EXP, 1)
+    fixed = xs >= -4
+    layouts = np.where(fixed, -xs, 5)
     # 'e' sits at byte 19, after d16; a 3-digit exponent ends in word 3
     tails = [f"\0\0\0\0\0\0\0\n" if f else f"\0\0\0e{x:+03d}\n"
              for x, f in zip(xs.tolist(), fixed.tolist())]
-    # 1 <= X <= 16: the bytes up to d_X move down one, the point (or NUL)
-    # follows them, the later bytes stay: (moved, kept, point) words
-    point = np.zeros((17, 2, 3, 24), dtype=np.uint8)
-    for x in range(1, 17):
-        point[x, :, 0, :_LEAD_D0 + x] = 0xFF
-        point[x, :, 1, _LEAD_D0 + x + 1:] = 0xFF
-        point[x, 1, 2, _LEAD_D0 + x] = ord(".")
     return _Tables(powers.view("V32").ravel(), quads, quads << np.uint64(32),
                    quads[::10][:1000] << np.uint64(32), kept[:, 0].copy(),
                    kept[:, 1].copy(), leads.ravel(), layouts * leads[0].size,
                    np.where(fixed, 0, 2 ** 32).astype(np.uint64),
                    np.where(fixed, 0, 32).astype(np.uint64),
                    np.array([_word(t[:8]) for t in tails], dtype=np.uint64),
-                   np.array([_word(t[8:]) for t in tails], dtype=np.uint64),
-                   point.view(np.uint64))
+                   np.array([_word(t[8:]) for t in tails], dtype=np.uint64))
 
 
 class _Scratch(NamedTuple):
@@ -251,8 +239,8 @@ class _G17:
             err += np.multiply(s.a2, s.head, out=s.term)
             err += np.multiply(s.a1, s.tail, out=s.term)
             err += np.multiply(s.a2, s.tail, out=s.term)
-            # lo is 0 where 10^(16 - X) is a double, X in [-6, 16]
-            if not (-6 <= least and most <= 16):
+            # lo is 0 where 10^(16 - X) is a double, X in [-6, 0]
+            if not -6 <= least:
                 err += np.multiply(a, s.lo, out=s.term)
             np.rint(err, out=s.r)
             np.copyto(d, s.p, casting="unsafe")
@@ -263,15 +251,15 @@ class _G17:
             # 10^16; one too low, or a rounding that carries into an 18th
             # digit, takes D to 10^17; and a fraction of y within the
             # window of 1/2 is a tie
-            if (-_MAX_EXP < least and most < _MAX_EXP
+            if (-_MAX_EXP < least and most < 1
                     and 10 ** 16 < d.min() and d.max() < 10 ** 17
                     and -0.5 + _TIE_WINDOW <= err.min()
                     and err.max() <= 0.5 - _TIE_WINDOW):
                 slow = []
             else:
                 good, flag = s.good, s.flag
-                np.subtract(e, _MAX_EXP, out=s.term)
-                np.less(np.abs(s.term, out=s.term), _MAX_EXP, out=good)
+                np.greater(e, 0, out=good)
+                good &= np.less(e, _MAX_EXP + 1, out=flag)
                 good &= np.less_equal(np.abs(err, out=err),
                                       0.5 - _TIE_WINDOW, out=flag)
                 np.subtract(d, 10 ** 16 + 1, out=s.prod)
@@ -285,7 +273,7 @@ class _G17:
                 bad &= np.not_equal(a, 0.0, out=good)
                 slow = np.flatnonzero(bad).tolist()
                 d[slow] = 10 ** 16
-                least, most = x.min() - _MAX_EXP, x.max() - _MAX_EXP
+                least = x.min() - _MAX_EXP
         self._lines = [(i, ("%.17g\n" % v[i]).encode()) for i in slow]
 
         # 17 digits in three groups: d0 d1, d2..d9 and d10..d16
@@ -313,10 +301,9 @@ class _G17:
         np.maximum(top, w1, out=top)
         top *= 2.0
         np.right_shift(top.view(np.int64), 55, out=s.kept)
-        self._plus = not most <= 0
-        self._sci = not (-4 <= least and most <= 16)
+        self._sci = not -4 <= least
         # a 3-digit exponent, or a long text from %, takes a fourth word
-        return 4 if not (-99 <= least and most <= 99) or any(
+        return 4 if not -99 <= least or any(
             len(line) > 24 for _, line in self._lines) else 3
 
     def emit(self, out: np.ndarray) -> None:
@@ -349,8 +336,6 @@ class _G17:
                           out=out[:, 2])
         if out.shape[1] == 4:
             out[:, 3] = tab.tail3.take(x, out=s.wt, mode="clip")
-        if self._plus:
-            _place_point(out, x, s.kept)
         _write_lines(out, self._lines)
 
 
@@ -362,40 +347,14 @@ def _write_lines(out: np.ndarray, lines) -> None:
         text[i, :len(line)] = np.frombuffer(line, dtype=np.uint8)
 
 
-def _place_point(out: np.ndarray, x: np.ndarray, kept: np.ndarray) -> None:
-    """At 1 <= X <= 16, show every integer digit, move d0..d_X down one
-    byte, and put the point after them if a fraction digit is shown."""
-    tab = _tables()
-    rows = np.flatnonzero((x - (_MAX_EXP + 1)).view(np.uint64) < 16)
-    if not rows.size:
-        return
-    exp = x[rows] - _MAX_EXP
-    # the kept index of digit j >= 2 is 126 + j
-    last = kept[rows]
-    top = np.maximum(last, exp + 126)
-    words = out[rows, :3]
-    words[:, 1] |= tab.kept1[top]
-    words[:, 2] |= tab.kept2[top]
-    moved = words >> np.uint64(8)
-    moved[:, :2] |= words[:, 1:] << np.uint64(56)
-    masks = tab.point[exp, (last > exp + 126).astype(np.intp)]
-    out[rows, :3] = (moved & masks[:, 0]) | (words & masks[:, 1]) | masks[:, 2]
-
-
 def _csv_heads(values) -> np.ndarray:
     """(n, w) uint64 rows, row i the text '%.17g,' % values[i] padded with
     NUL to the w words of the longest row."""
-    values = np.ascontiguousarray(values, dtype=float).ravel()
-    words = np.zeros((values.size, _WORDS), dtype=np.uint64)
-    kernel = _G17(min(values.size, _CSV_CHUNK_ROWS))
-    for start in range(0, values.size, _CSV_CHUNK_ROWS):
-        chunk = values[start:start + _CSV_CHUNK_ROWS]
-        kernel.emit(words[start:start + chunk.size, :kernel.load(chunk)])
-    texts = [text + b"," for text in words.tobytes().translate(
-        None, b"\0").split(b"\n")[:-1]]
+    texts = [b"%.17g," % v
+             for v in np.asarray(values, dtype=float).ravel().tolist()]
     width = -(-max(map(len, texts), default=1) // 8)
     return np.array(texts, dtype=f"S{8 * width}").view(np.uint64).reshape(
-        values.size, width)
+        len(texts), width)
 
 
 def _csv_row_writer(fh, heads: np.ndarray):

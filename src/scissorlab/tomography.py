@@ -98,6 +98,17 @@ def _bin_edges(bin_count: int, value_range: tuple[float, float]
     return edges
 
 
+def _check_histogram_size(k: int, bin_count: int) -> None:
+    """Raise CapacityError if the count table of ``bin_samples`` at k
+    phases, k (bin_count + 2) entries, exceeds the cap (``check`` runs
+    this too)."""
+    size = k * (bin_count + 2)
+    if size > DIMENSION_CAP:
+        raise CapacityError(f"{k} phases on {bin_count} bins need a count "
+                            f"table of {size} entries, above the cap "
+                            f"{DIMENSION_CAP}")
+
+
 def bin_samples(samples: QuadratureSamples, bin_count: int = 100,
                 value_range: tuple[float, float] = (-6.0, 6.0)
                 ) -> QuadratureHistograms:
@@ -107,8 +118,10 @@ def bin_samples(samples: QuadratureSamples, bin_count: int = 100,
     read at samples.phases[k]; its sum is their number.  As in
     ``np.histogram`` the top edge is inclusive, so only values below
     ``lo`` or above ``hi`` go out of range.  ValueError if bins a few ulps
-    wide let rounding move an edge by a whole bin.
+    wide let rounding move an edge by a whole bin, CapacityError, before
+    anything is built, if the table exceeds the cap.
     """
+    _check_histogram_size(samples.phases.size, bin_count)
     edges = _bin_edges(bin_count, value_range)
     lo, hi = map(float, value_range)
     # column c holds bounds[c] <= x < bounds[c + 1] (0 underflow, P + 1

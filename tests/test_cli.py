@@ -14,9 +14,10 @@ import pytest
 
 import scissorlab
 from scissorlab import (AmplifierConfig, CapacityError, DensityOperator,
-                        LossChannel, SourceModel, apply_loss, cli,
-                        read_density_json, read_samples_csv, sample_homodyne,
-                        simulate, vacuum_state, wigner, write_density_json,
+                        LossChannel, QuadratureSamples, SourceModel,
+                        apply_loss, bin_samples, cli, read_density_json,
+                        read_samples_csv, sample_homodyne, simulate,
+                        vacuum_state, wigner, write_density_json,
                         write_samples_csv)
 from scissorlab.cli import (
     STAGES,
@@ -266,6 +267,32 @@ def test_bin_count_capped_before_the_edges_are_built(tmp_path, capsys,
         "invalid config:\n  - tomography.n_max: n_max = 10 on "
         "10000000000000 bins needs a tomography working size of "
         "1210000000000242, above the cap 1000000\n")
+
+
+@pytest.mark.parametrize("bin_count, accepted", [(20406, True),
+                                                (20407, False)])
+def test_count_table_rule_is_the_binning_rule(tmp_path, capsys, bin_count,
+                                              accepted):
+    # 49 phases, the most the sampler takes, on bin_count + 2 columns: the
+    # cutoff is low enough that the reconstruction rule passes
+    path = write_config(tmp_path, **{"sweep.stage": "sampled",
+                                     "sweep.phases": 49,
+                                     "tomography.bin_count": bin_count,
+                                     "tomography.n_max": 5,
+                                     "sweep.alphas": []})
+    samples = QuadratureSamples(np.linspace(0.0, 3.0, 49), np.arange(49),
+                                np.zeros(49))
+    if accepted:
+        assert main(["check", "--config", str(path)]) == 0
+        bin_samples(samples, bin_count)
+        return
+    with pytest.raises(CapacityError) as rule:
+        bin_samples(samples, bin_count)
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"invalid config:\n  - tomography.bin_count: {rule.value}\n")
+    assert str(rule.value) == "49 phases on 20407 bins need a count table " \
+        "of 1000041 entries, above the cap 1000000"
 
 
 def test_bin_range_wider_than_a_double_rejected(tmp_path, capsys):
@@ -1102,6 +1129,24 @@ def test_tomo_rejects_non_finite_draw(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == \
         "error: sample 2 has a non-finite theta\n"
+    assert not out.exists()
+
+
+def test_tomo_caps_the_count_table_of_a_phase_per_draw(tmp_path, capsys):
+    # every theta of the file is a phase: 20,000 of them on 100 bins would
+    # be a count table of 2,040,000 entries and phase matrices to match
+    samples_path = tmp_path / "samples.csv"
+    rng = np.random.default_rng(5)
+    write_samples_csv(QuadratureSamples(rng.uniform(0, math.pi, 20_000),
+                                        np.arange(20_000),
+                                        rng.normal(size=20_000)),
+                      samples_path)
+    out = tmp_path / "recon.json"
+    assert main(["tomo", "--samples", str(samples_path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 20000 phases on 100 bins need a count table of 2040000 "
+        "entries, above the cap 1000000\n")
     assert not out.exists()
 
 

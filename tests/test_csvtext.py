@@ -4,7 +4,10 @@ import io
 
 import numpy as np
 
-from scissorlab.csvtext import _CSV_CHUNK_ROWS, _csv_heads, _csv_row_writer
+from scissorlab import (AmplifierConfig, LossChannel, apply_loss,
+                        sample_homodyne, simulate, wigner)
+from scissorlab.csvtext import (_CSV_CHUNK_ROWS, _G17, _csv_heads,
+                                _csv_row_writer)
 from scissorlab.measurement import (QuadratureSamples, default_phase_grid,
                                     write_samples_csv)
 from scissorlab.metrics import WignerGrid, phase_space_axes, write_wigner_csv
@@ -119,3 +122,25 @@ def test_writers_match_row_by_row_percent_formatting(tmp_path):
         "%.17g,%.17g,%.17g\n" % (xv, pv, grid.values[i, j])
         for i, xv in enumerate(x.tolist())
         for j, pv in enumerate(p.tolist()))).encode()
+
+
+def test_artifact_values_never_leave_the_kernel():
+    # what the CSVs hold in bulk: draws of a default-sweep state, with -0.0
+    # and values below 1e-4 (scientific notation) among them, and its
+    # 201x201 Wigner grid; none may go to %, or need a fourth word
+    state = simulate(AmplifierConfig(alpha=1.0, gain=2.0)).state
+    draws = sample_homodyne(apply_loss(state, LossChannel(0.68)),
+                            default_phase_grid(12), _CSV_CHUNK_ROWS,
+                            seed=1).x.copy()
+    rng = np.random.default_rng(7)
+    small = rng.normal(size=100) * 10.0 ** rng.integers(-30, -4, size=100)
+    draws[rng.choice(draws.size, 120, replace=False)] = np.concatenate(
+        [small, [-0.0] * 10, [0.0] * 10])
+    axes = phase_space_axes(6.0, 201)
+    grid = wigner(state, axes, axes).values.ravel()
+    kernel = _G17(_CSV_CHUNK_ROWS)
+    for values in (draws, grid):
+        assert np.abs(values).max() < 10.0
+        for start in range(0, values.size, _CSV_CHUNK_ROWS):
+            assert kernel.load(values[start:start + _CSV_CHUNK_ROWS]) == 3
+            assert kernel._lines == []

@@ -1,9 +1,12 @@
 """Source hygiene: every module-level import in the package is used, every
-module-level private function or class is referenced, and the names the
-package exports but never uses itself are a pinned set."""
+module-level private function or class is referenced, every module-level
+constant is read, and the names the package exports but never uses itself
+are a pinned set."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scissorlab"
 
@@ -127,11 +130,10 @@ def test_unused_exports_pinned():
     assert exported_but_unused(sources) == UNUSED_EXPORTS
 
 
-def unread_constants(sources: dict[str, str], module: str) -> list[str]:
-    """Module-level names the module assigns that no other module refers
-    to by a Name or attribute."""
+def module_constants(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name a module-level assignment binds."""
     defined = []
-    for node in ast.parse(sources[module]).body:
+    for node in ast.parse(source).body:
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, ast.AnnAssign):
@@ -140,11 +142,37 @@ def unread_constants(sources: dict[str, str], module: str) -> list[str]:
             continue
         defined += [(node.lineno, t.id) for t in targets
                     if isinstance(t, ast.Name)]
+    return defined
+
+
+def unread_constants(sources: dict[str, str], module: str) -> list[str]:
+    """Module-level names the module assigns that no other module refers
+    to by a Name or attribute."""
     used = set().union(*(referenced_names(ast.parse(source))
                          for name, source in sources.items()
                          if name != module))
-    return [f"{module} line {line}: {name}" for line, name in defined
+    return [f"{module} line {line}: {name}"
+            for line, name in module_constants(sources[module])
             if name not in used]
+
+
+def dead_constants(sources: dict[str, str], module: str) -> list[str]:
+    """Module-level names the module assigns that no module reads: no
+    Name loads them, no attribute names them and no import takes them
+    (a re-export is public API, pinned above), assignments aside.
+    Dunder names such as ``__version__`` are metadata, read from outside."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module} line {line}: {name}"
+            for line, name in module_constants(sources[module])
+            if name not in read and not name.startswith("__")]
 
 
 def test_scanner_flags_only_unread_constants():
@@ -162,3 +190,24 @@ def test_every_numerics_constant_is_read():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_constants(sources, "numerics.py") == []
+
+
+def test_scanner_flags_only_dead_constants():
+    sources = {
+        "a.py": ("_TABLE = [1, 2]\n_LAYOUT: int = 3\n_SPARE = 4\n"
+                 "_SPARE = 5\nLIMIT = 6\nPRESET = 7\n__version__ = '1'\n"
+                 "print(_TABLE)\n"),
+        "b.py": "import a\na._LAYOUT\n",
+        "__init__.py": "from .a import PRESET\n",
+    }
+    assert dead_constants(sources, "a.py") == ["a.py line 3: _SPARE",
+                                               "a.py line 4: _SPARE",
+                                               "a.py line 5: LIMIT"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in PACKAGE.glob("*.py")))
+def test_every_module_constant_is_read(module):
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_constants(sources, module) == []
