@@ -57,6 +57,7 @@ from .tomography import (
     TomographyProblem,
     _bin_edges,
     _check_histogram_size,
+    _check_phase_size,
     _check_reconstruction_size,
     bin_samples,
     maxlik_reconstruct,
@@ -69,9 +70,9 @@ STAGES = ("analytic", "circuit", "sampled")
 
 SUMMARY_HEADER = "alpha,g_eff,ein_min,ein_avg,ein_max,p_success,reference_ein"
 
-#: rows drawn per block handed to the samples.csv writer: three of its
+#: rows drawn per block handed to the samples.csv writer: six of its
 #: chunks, so the child starts on an eighth of the default 200000 draws
-_BLOCK_ROWS = 3 * _CSV_CHUNK_ROWS
+_BLOCK_ROWS = 6 * _CSV_CHUNK_ROWS
 
 
 def _is_number(value) -> bool:
@@ -298,6 +299,8 @@ def _build_config(flat: dict, problems: list[str],
             # the count table binds above about 20,400 bins at 49 phases
             _report(problems, "tomography.bin_count", _check_histogram_size,
                     len(phases), tomo["bin_count"])
+            _report(problems, "tomography.n_max", _check_phase_size,
+                    len(phases), tomo["n_max"])
             if "tomography.bin_range" not in bad:
                 _report(problems, "tomography.bin_range", _bin_edges,
                         tomo["bin_count"], tuple(tomo["bin_range"]))
@@ -484,8 +487,8 @@ def _samples_streamed_to_child(draws: _HomodyneDraws, path: Path):
         os.close(announce)
         announce = None
         samples = draws.batch(x)
-        # the body needs the batch alone: free the uniforms and the lookup
-        # tables (3 MB at the defaults) before it runs
+        # the body needs the batch alone: free the lookup tables (about
+        # 1.5 MB at the defaults) before it runs
         del draws
         yield samples
     finally:

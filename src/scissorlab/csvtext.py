@@ -37,13 +37,15 @@ padding moves from one row to the next.
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 #: rows per formatted block and per write: bounds the temporary rows
-#: a writer holds, whatever the array's size
-_CSV_CHUNK_ROWS = 8192
+#: a writer holds, whatever the array's size (the kernel's scratch is
+#: 31 words a row, 1 MB at this size)
+_CSV_CHUNK_ROWS = 4096
 
 #: the kernel's exponent range, -_MAX_EXP < X <= 0
 _MAX_EXP = 280
@@ -357,21 +359,25 @@ def _csv_heads(values) -> np.ndarray:
         len(texts), width)
 
 
-def _csv_row_writer(fh, heads: np.ndarray):
-    """A function write(index, values) that appends to the binary file fh
-    the rows heads[index[i]] (NUL-padded text words, as ``_csv_heads``
-    gives them) followed by '%.17g' % values[i] and a newline.
+def _csv_row_writer(fh, *heads: np.ndarray):
+    """A function write(values, *index) that appends to the binary file fh
+    the rows heads[0][index[0][i]], heads[1][index[1][i]], ... (NUL-padded
+    text words, as ``_csv_heads`` gives them) followed by '%.17g' %
+    values[i] and a newline.
 
     Rows go out a chunk of _CSV_CHUNK_ROWS at a time, one write each,
     through one row buffer and one kernel, both sized at the first write
-    for at most a chunk of rows; a chunk's heads are gathered by one
+    for at most a chunk of rows; each head of a chunk is gathered by one
     ``take`` of whole heads, each viewed as one item.
     """
-    width = heads.shape[1]
-    table = np.ascontiguousarray(heads).view(f"V{8 * width}").ravel()
+    tables = [np.ascontiguousarray(h).view(f"V{8 * h.shape[1]}").ravel()
+              for h in heads]
+    # where each head starts in a row, and where the value text starts
+    cuts = [0, *accumulate(h.shape[1] for h in heads)]
+    width = cuts[-1]
     kernel, buffer = _G17(0), np.empty(0, dtype=np.uint64)
 
-    def write(index: np.ndarray, values: np.ndarray) -> None:
+    def write(values: np.ndarray, *index: np.ndarray) -> None:
         nonlocal kernel, buffer
         size = min(len(values), _CSV_CHUNK_ROWS)
         if kernel.size < size:
@@ -382,8 +388,9 @@ def _csv_row_writer(fh, heads: np.ndarray):
             size = chunk.size
             words = kernel.load(chunk)
             rows = buffer[:size * (width + words)].reshape(size, -1)
-            rows.view([("head", table.dtype), ("text", f"V{8 * words}")])[
-                "head"][:, 0] = table.take(index[start:start + size])
+            for table, at, to, rows_of in zip(tables, cuts, cuts[1:], index):
+                rows[:, at:to].view(table.dtype)[:, 0] = table.take(
+                    rows_of[start:start + size])
             kernel.emit(rows[:, width:])
             # bytearray's translate loop is leaner than bytes'
             fh.write(bytearray(rows).translate(None, b"\0"))

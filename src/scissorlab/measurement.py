@@ -50,8 +50,9 @@ def default_phase_grid(count: int = 12) -> np.ndarray:
 @dataclass(frozen=True)
 class QuadratureSamples:
     """A batch of homodyne draws: the K phases, stored once, and per draw
-    an integer phase_index and a float x.  Draw i read quadrature x[i] at
-    phase phases[phase_index[i]]."""
+    an integer phase_index (of any integer dtype: ``sample_homodyne``'s
+    is uint8) and a float x.  Draw i read quadrature x[i] at phase
+    phases[phase_index[i]]."""
 
     phases: np.ndarray
     phase_index: np.ndarray
@@ -341,9 +342,11 @@ def _check_draw_size(k: int) -> None:
 
 class _HomodyneDraws:
     """A batch of ``sample_homodyne`` before its quadratures are drawn:
-    the phases, the round-robin phase index, the uniforms and one inverse
-    CDF per phase.  ``fill`` draws any block of rows, so a batch drawn
-    block by block equals ``sample_homodyne``'s, bit for bit."""
+    the phases, the round-robin phase index, the uniforms' generator and
+    one inverse CDF per phase.  ``fill`` draws the batch's next block of
+    rows, its uniforms taken from the generator as it goes (which gives
+    them in sequence, so a batch drawn block by block equals
+    ``sample_homodyne``'s, bit for bit); ValueError for any other block."""
 
     def __init__(self, rho: State, phases, n_samples: int, *, seed=None):
         phases = np.array([float(t) for t in phases])
@@ -368,17 +371,27 @@ class _HomodyneDraws:
         tables /= tables[:, -1:]
         self.phases = phases
         rounds = -(-n_samples // k)   # arange(n_samples) % k, without the %
-        self.phase_index = np.tile(np.arange(k), rounds)[:n_samples]
-        self.u = np.random.default_rng(seed).random(n_samples)
+        # the draw-size cap keeps k far below 256
+        self.phase_index = np.tile(np.arange(k, dtype=np.uint8),
+                                   rounds)[:n_samples]
+        self._rng = np.random.default_rng(seed)
+        self._next = 0      # the first row not yet drawn
         self.inverse = [_InverseCdf(table, _SAMPLING_GRID) for table in tables]
 
     def __len__(self) -> int:
-        return self.u.size
+        return self.phase_index.size
 
     def fill(self, start: int, out: np.ndarray) -> None:
-        """Draw rows start .. start + len(out) - 1 into out."""
+        """Draw rows start .. start + len(out) - 1 into out; ValueError
+        unless they are the batch's next rows."""
+        stop = start + out.size
+        if start != self._next or stop > len(self):
+            raise ValueError(f"rows {start}..{stop - 1} are not the next "
+                             f"block of the {len(self)} draws, which starts "
+                             f"at row {self._next}")
         k = self.phases.size
-        u = self.u[start:start + out.size]
+        u = self._rng.random(out.size)
+        self._next = stop
         for idx, inverse in enumerate(self.inverse):
             first = (idx - start) % k   # the block's first row at phase idx
             out[first::k] = inverse(u[first::k])
@@ -438,7 +451,7 @@ def _write_sample_rows(path, phases: np.ndarray, phase_index: np.ndarray,
         write = _csv_row_writer(fh, _csv_heads(phases))
         start = 0
         for stop in stops:
-            write(phase_index[start:stop], x[start:stop])
+            write(x[start:stop], phase_index[start:stop])
             start = stop
 
 

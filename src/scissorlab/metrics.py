@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .amplifier import gain_to_reflectivity
-from .csvtext import _csv_heads, _csv_row_writer
+from .csvtext import _CSV_CHUNK_ROWS, _csv_heads, _csv_row_writer
 from .fock import State, _single_mode
 from .measurement import quadrature_moments, wavefunctions
 from .numerics import DIMENSION_CAP, CapacityError
@@ -155,29 +155,31 @@ def wigner(rho: State, x=None, p=None) -> WignerGrid:
     return WignerGrid(x, p, u @ a @ v.T)
 
 
-@lru_cache(maxsize=4)
-def _wigner_heads(x_bytes: bytes, p_bytes: bytes) -> np.ndarray:
-    """Read-only row heads ``x,p,`` as NUL-padded text words (x outer
-    loop) for the float64 axes whose raw bytes are given; keyed on the
-    bytes, so -0.0 and 0.0 stay distinct."""
-    x, p = (_csv_heads(np.frombuffer(axis)) for axis in (x_bytes, p_bytes))
-    heads = np.concatenate([np.repeat(x, len(p), axis=0),
-                            np.tile(p, (len(x), 1))], axis=1)
+@lru_cache(maxsize=8)
+def _axis_heads(axis_bytes: bytes) -> np.ndarray:
+    """Read-only row heads ``v,`` as NUL-padded text words for the float64
+    axis whose raw bytes are given; keyed on the bytes, so -0.0 and 0.0
+    stay distinct."""
+    heads = _csv_heads(np.frombuffer(axis_bytes))
     heads.setflags(write=False)
     return heads
 
 
 def write_wigner_csv(grid: WignerGrid, path) -> None:
     """Persist the grid as CSV rows ``x,p,w`` (x outer loop), every value
-    as %.17g.  The ``x,p,`` heads are formatted once per distinct (x, p)
-    axis pair (a small cache, since a sweep writes every alpha on the
-    same axes); rows go out in chunks of _CSV_CHUNK_ROWS, one write per
-    chunk, through one row buffer."""
-    heads = _wigner_heads(grid.x.tobytes(), grid.p.tobytes())
+    as %.17g.  Each axis's heads are formatted once (a small cache, since
+    a sweep writes every alpha on the same axes), and a row takes its x
+    and p heads by index; rows go out in chunks of _CSV_CHUNK_ROWS, one
+    write per chunk, through one row buffer."""
     values = grid.values.ravel()
     with open(path, "wb") as fh:
         fh.write(b"x,p,w\n")
-        _csv_row_writer(fh, heads)(np.arange(values.size), values)
+        write = _csv_row_writer(fh, *(_axis_heads(axis.tobytes())
+                                      for axis in (grid.x, grid.p)))
+        for start in range(0, values.size, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, values.size)
+            write(values[start:stop],
+                  *np.divmod(np.arange(start, stop), grid.p.size))
 
 
 # ---------------------------------------------------------------------------

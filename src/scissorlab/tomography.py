@@ -139,7 +139,9 @@ def bin_samples(samples: QuadratureSamples, bin_count: int = 100,
         col = np.clip(guess, -1, bin_count, out=guess).astype(np.intp) + 1
         col -= x < bounds[col]
         col += x >= bounds[1:][col]
-        col += samples.phase_index[start:start + _BIN_SLICE] * cells
+        # as intp before the product: a uint8 index times cells would wrap
+        col += samples.phase_index[start:start + _BIN_SLICE].astype(
+            np.intp) * cells
         counts += np.bincount(col, minlength=counts.size)
     return QuadratureHistograms(samples.phases, edges,
                                 counts.reshape(-1, cells))
@@ -157,6 +159,19 @@ def _check_reconstruction_size(bin_count: int, n_max: int) -> None:
         )
 
 
+def _check_phase_size(k: int, n_max: int) -> None:
+    """Raise CapacityError if the reconstruction's phase matrices at k
+    phases and this cutoff, k d(d + 1)/2 complex entries each for
+    d = n_max + 1 (``_ProbabilityMap``), exceed the cap (``check`` runs
+    this too)."""
+    d = n_max + 1
+    size = k * (d * (d + 1) // 2)
+    if size > DIMENSION_CAP:
+        raise CapacityError(f"{k} phases at n_max = {n_max} need phase "
+                            f"matrices of {size} entries, above the cap "
+                            f"{DIMENSION_CAP}")
+
+
 @dataclass
 class TomographyProblem:
     """A count table plus its POVM for a chosen reconstruction cutoff.
@@ -165,7 +180,8 @@ class TomographyProblem:
     edges, held packed as ``stack`` (see ``_overlap_stack``); phase k's
     element j is e^{i thetas[k] (m - n)} S[j], with count
     ``counts[k, j]``: ``counts`` is the histograms' own read-only table.
-    CapacityError if one phase's full elements would exceed the cap.
+    CapacityError, before anything is built, if one phase's full elements
+    or the phase matrices of the fit would exceed the cap.
     """
 
     histograms: QuadratureHistograms
@@ -177,6 +193,7 @@ class TomographyProblem:
         if self.n_max < 1:
             raise ValueError("reconstruction n_max must be >= 1")
         _check_reconstruction_size(self.histograms.edges.size - 1, self.n_max)
+        _check_phase_size(self.histograms.thetas.size, self.n_max)
         if np.unique(self.histograms.thetas).size < 2:
             raise ValueError(
                 "tomography needs at least two distinct phases to be "

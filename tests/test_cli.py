@@ -14,10 +14,11 @@ import pytest
 
 import scissorlab
 from scissorlab import (AmplifierConfig, CapacityError, DensityOperator,
-                        LossChannel, QuadratureSamples, SourceModel,
-                        apply_loss, bin_samples, cli, read_density_json,
-                        read_samples_csv, sample_homodyne, simulate,
-                        vacuum_state, wigner, write_density_json,
+                        LossChannel, QuadratureHistograms, QuadratureSamples,
+                        SourceModel, TomographyProblem, apply_loss,
+                        bin_samples, cli, default_phase_grid,
+                        read_density_json, read_samples_csv, sample_homodyne,
+                        simulate, vacuum_state, wigner, write_density_json,
                         write_samples_csv)
 from scissorlab.cli import (
     STAGES,
@@ -293,6 +294,27 @@ def test_count_table_rule_is_the_binning_rule(tmp_path, capsys, bin_count,
         f"invalid config:\n  - tomography.bin_count: {rule.value}\n")
     assert str(rule.value) == "49 phases on 20407 bins need a count table " \
         "of 1000041 entries, above the cap 1000000"
+
+
+def test_phase_matrix_rule_is_the_problem_rule(tmp_path, capsys):
+    # 49 phases, the most the sampler takes, on two bins: at n_max 201 the
+    # fit's phase matrices would hold 49 x 202 x 203 / 2 entries, while
+    # the count table and one phase's elements stay within the cap
+    path = write_config(tmp_path, **{"sweep.stage": "sampled",
+                                     "sweep.phases": 49,
+                                     "tomography.bin_count": 2,
+                                     "tomography.n_max": 201,
+                                     "sweep.alphas": []})
+    hists = QuadratureHistograms(default_phase_grid(49), [-6.0, 0.0, 6.0],
+                                 np.ones((49, 4), dtype=int))
+    with pytest.raises(CapacityError) as rule:
+        TomographyProblem(hists, n_max=201)
+    assert str(rule.value) == ("49 phases at n_max = 201 need phase matrices "
+                               "of 1004647 entries, above the cap 1000000")
+    assert main(["check", "--config", str(path)]) == 1
+    # the Wigner coefficient rule refuses this cutoff too
+    assert f"\n  - tomography.n_max: {rule.value}\n" \
+        in capsys.readouterr().out
 
 
 def test_bin_range_wider_than_a_double_rejected(tmp_path, capsys):
@@ -1132,20 +1154,40 @@ def test_tomo_rejects_non_finite_draw(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_tomo_caps_the_count_table_of_a_phase_per_draw(tmp_path, capsys):
-    # every theta of the file is a phase: 20,000 of them on 100 bins would
-    # be a count table of 2,040,000 entries and phase matrices to match
+def phase_per_draw_samples(tmp_path):
+    """A samples.csv of 20,000 draws at 20,000 distinct thetas."""
     samples_path = tmp_path / "samples.csv"
     rng = np.random.default_rng(5)
     write_samples_csv(QuadratureSamples(rng.uniform(0, math.pi, 20_000),
                                         np.arange(20_000),
                                         rng.normal(size=20_000)),
                       samples_path)
+    return samples_path
+
+
+def test_tomo_caps_the_count_table_of_a_phase_per_draw(tmp_path, capsys):
+    # every theta of the file is a phase: 20,000 of them on 100 bins would
+    # be a count table of 2,040,000 entries and phase matrices to match
+    samples_path = phase_per_draw_samples(tmp_path)
     out = tmp_path / "recon.json"
     assert main(["tomo", "--samples", str(samples_path),
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: 20000 phases on 100 bins need a count table of 2040000 "
+        "entries, above the cap 1000000\n")
+    assert not out.exists()
+
+
+def test_tomo_caps_the_phase_matrices_of_a_phase_per_draw(tmp_path, capsys):
+    # on two bins the count table of 20,000 phases fits the cap, but the
+    # fit's phase matrices at n_max 10 would not
+    samples_path = phase_per_draw_samples(tmp_path)
+    path = write_config(tmp_path, **{"tomography.bin_count": 2})
+    out = tmp_path / "recon.json"
+    assert main(["tomo", "--samples", str(samples_path), "--config",
+                 str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 20000 phases at n_max = 10 need phase matrices of 1320000 "
         "entries, above the cap 1000000\n")
     assert not out.exists()
 

@@ -21,7 +21,7 @@ def formatted(values) -> str:
     # one head of NUL padding alone, which the writer deletes
     fh = io.BytesIO()
     _csv_row_writer(fh, np.zeros((1, 1), dtype=np.uint64))(
-        np.zeros(values.size, dtype=int), values)
+        values, np.zeros(values.size, dtype=int))
     return fh.getvalue().decode("ascii")
 
 
@@ -81,13 +81,13 @@ def test_heads_are_padded_text_with_separator():
 
 
 def test_writers_match_row_by_row_percent_formatting(tmp_path):
-    # whole files through both writers: three full chunks and a partial
+    # whole files through both writers: six full chunks and a partial
     # one, heads of every width (one to three words, -0.0 and 1e-300
     # included), and values of every layout, a 3-digit exponent and the
     # edge values (inf and nan only in the grid: a sample must be finite)
     # among them, in chunks too long for the chunk-wide % of short ones
     rng = np.random.default_rng(20091211)
-    rows = 3 * _CSV_CHUNK_ROWS + 1234
+    rows = 6 * _CSV_CHUNK_ROWS + 1234
     edges = oracle_classes(rng)["edges"]
     special = np.concatenate([edges[np.isfinite(edges)], [-2.5e-120]])
     values = np.concatenate([

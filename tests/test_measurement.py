@@ -398,11 +398,37 @@ def test_draws_in_blocks_match_sample_homodyne(n_samples):
     x = np.full(n_samples, np.nan)
     draws.fill(0, x[:0])                        # an empty block
     for start, stop in zip(cuts[:-1], cuts[1:]):
+        # a block that skips a row, or runs past the batch, is refused
+        # before it takes any uniform
+        with pytest.raises(ValueError, match="not the next block"):
+            draws.fill(start + 1, np.empty(stop - start))
         draws.fill(start, x[start:stop])
+    with pytest.raises(ValueError, match="not the next block"):
+        draws.fill(0, np.empty(1))              # a block drawn again
     assert np.array_equal(x.view(np.uint64), whole.x.view(np.uint64))
     batch = draws.batch(x)
     assert np.array_equal(batch.phase_index, whole.phase_index)
     assert np.array_equal(batch.phases, whole.phases)
+
+
+def test_block_draws_memory_is_bounded():
+    # 200k draws at 12 phases in the sweep's 24576-row blocks: the batch's
+    # x (1.6 MB), its uint8 index (0.2 MB) and the lookup tables (about
+    # 1.5 MB) are what the bound admits; the whole batch's uniforms or an
+    # intp index would each add 1.6 MB
+    seen = apply_loss(ideal_output(0.25, 2.0).state, LossChannel(0.68))
+    phases = default_phase_grid(12)
+    _HomodyneDraws(seen, phases, 1, seed=1)     # the cached sampling stack
+    tracemalloc.start()
+    try:
+        draws = _HomodyneDraws(seen, phases, 200_000, seed=1)
+        x = np.empty(len(draws))
+        for start in range(0, x.size, 24576):
+            draws.fill(start, x[start:start + 24576])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 def test_sampling_stack_is_one_read_only_entry():

@@ -33,7 +33,7 @@ from scissorlab import (
     write_wigner_csv,
 )
 from scissorlab import metrics
-from scissorlab.metrics import _wigner_heads, _wigner_sectors
+from scissorlab.metrics import _axis_heads, _wigner_sectors
 from scissorlab.optics import _balanced_coefficients
 from oracles import _bs_matrix
 
@@ -261,29 +261,49 @@ def test_wigner_csv_layout(tmp_path):
 
 
 def test_wigner_csv_head_cache(tmp_path):
-    # alternate three axis pairs so each write either formats its heads or
-    # reuses ones formatted for other axes two writes earlier; every file
-    # must match the uncached row-at-a-time text byte for byte
+    # alternate three axis pairs so each write either formats an axis's
+    # heads or reuses ones formatted for other pairs; every file must
+    # match the uncached row-at-a-time text byte for byte
     fine = phase_space_axes(6.0, 201)
     coarse = phase_space_axes(4.0, 41)
     axes = [(coarse, coarse), (fine, fine), (coarse, coarse + 0.05)]
     states = [ideal_output(a, 2.0).state for a in (0.1, 0.25)]
-    _wigner_heads.cache_clear()
+    _axis_heads.cache_clear()
     path = tmp_path / "wigner.csv"
     for k in range(9):
         x, p = axes[k % 3]
         grid = wigner(states[k % 2], x, p)
         write_wigner_csv(grid, path)
         assert path.read_bytes() == reference_wigner_csv(grid).encode()
-    info = _wigner_heads.cache_info()
-    assert (info.misses, info.hits) == (3, 6)
+    # one entry per distinct axis, not per pair: coarse, fine, coarse + 0.05
+    info = _axis_heads.cache_info()
+    assert (info.misses, info.hits) == (3, 15)
     # -0.0 == 0.0, but the two print differently, so they are two keys
     for zero in (0.0, -0.0, 0.0):
         grid = wigner(states[0], coarse, np.array([zero, 0.5]))
         write_wigner_csv(grid, path)
         assert path.read_bytes() == reference_wigner_csv(grid).encode()
-    info = _wigner_heads.cache_info()
-    assert (info.misses, info.hits) == (5, 7)
+    info = _axis_heads.cache_info()
+    assert (info.misses, info.hits) == (5, 19)
+
+
+def test_wigner_csv_write_memory_is_bounded(tmp_path):
+    # a 201x201 grid, written a second time so the formatter's tables and
+    # the axis heads exist: the kernel scratch of one 4096-row chunk (1 MB)
+    # and its row text are what the bound admits; a 40401-row table of
+    # x,p heads (1.9 MB), or a scratch for twice the rows, would not fit
+    axes = phase_space_axes(6.0, 201)
+    grid = wigner(ideal_output(0.25, 2.0).state, axes, axes)
+    path = tmp_path / "wigner.csv"
+    write_wigner_csv(grid, path)
+    tracemalloc.start()
+    try:
+        write_wigner_csv(grid, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
+    assert path.read_bytes() == reference_wigner_csv(grid).encode()
 
 
 def test_effective_gain_closed_form():

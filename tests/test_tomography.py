@@ -125,6 +125,18 @@ def test_bin_samples_matches_histogram_oracle(bin_count, value_range,
         hists.counts, histogram_oracle(samples, bin_count, value_range))
 
 
+def test_bin_samples_of_a_uint8_index_matches_histogram_oracle():
+    # the sampler's index is uint8, and uint8 times an int stays uint8 on
+    # numpy 1.24 and 2 alike: phase 48's rows start at 48 x 102, which a
+    # product in uint8 would wrap
+    rho = apply_loss(ideal_output(0.5, 2.0).state, LossChannel(0.68))
+    samples = sample_homodyne(rho, default_phase_grid(49), 49 * 300, seed=4)
+    assert samples.phase_index.dtype == np.uint8
+    hists = bin_samples(samples)
+    np.testing.assert_array_equal(
+        hists.counts, histogram_oracle(samples, 100, (-6.0, 6.0)))
+
+
 @pytest.mark.parametrize("value_range", [(1e15, 1e15 + 1.0),
                                          (-1e-320, 1e-320)])
 def test_bin_samples_refuses_bins_below_double_precision(value_range):
@@ -237,6 +249,28 @@ def test_problem_at_high_cutoff_is_finite_and_complete():
     hists = QuadratureHistograms([0.0, 1.0], edges, np.full((2, 102), 5))
     with pytest.raises(CapacityError, match="9241302"):
         TomographyProblem(hists, n_max=300)
+
+
+@pytest.mark.parametrize("phases, accepted", [(15151, True), (15152, False)])
+def test_problem_caps_its_phase_matrices(monkeypatch, phases, accepted):
+    # K phases at n_max 10 give the fit K x 66 complex phase matrices; two
+    # bins keep the count table and one phase's elements small, so this
+    # rule alone binds, and it raises before the stack is built
+    def no_stack(edges, n_max):
+        raise AssertionError("the overlap stack was built")
+
+    thetas = np.linspace(0.0, math.pi, phases, endpoint=False)
+    hists = QuadratureHistograms(thetas, np.linspace(-6.0, 6.0, 3),
+                                 np.ones((phases, 4), dtype=int))
+    if accepted:
+        assert TomographyProblem(hists, n_max=10).stack.shape == (4, 66)
+        return
+    monkeypatch.setattr(tomography, "_overlap_stack", no_stack)
+    with pytest.raises(CapacityError) as rule:
+        TomographyProblem(hists, n_max=10)
+    assert str(rule.value) == ("15152 phases at n_max = 10 need phase "
+                               "matrices of 1000032 entries, above the cap "
+                               "1000000")
 
 
 def test_problem_rejects_non_finite_povm(monkeypatch):
