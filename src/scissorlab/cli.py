@@ -308,12 +308,14 @@ def _build_config(flat: dict, problems: list[str],
             # the reconstruction's Wigner grid is mapped at this cutoff
             _report(problems, "tomography.n_max", _check_coefficient_size,
                     tomo["n_max"] + 1)
-    if "wigner.points" not in bad:
-        points = sections["wigner"]["points"]
-        _report(problems, "wigner.points", _check_grid_size, points, points)
+    points = sections["wigner"]["points"]
+    grid_fits = "wigner.points" not in bad and _report(
+        problems, "wigner.points", _check_grid_size, points, points)
     if "wigner.extent" not in bad:
+        # the axis run builds; on two points (its ends alone) where the
+        # points are refused
         _report(problems, "wigner.extent", phase_space_axes,
-                sections["wigner"]["extent"])
+                sections["wigner"]["extent"], points if grid_fits else 2)
     outputs = {}    # each alpha prepared as run runs it
     if prepare and amplifier is not None and "sweep.stage" not in bad:
         for alpha in alphas:

@@ -1,4 +1,5 @@
-"""CSV text for float64 arrays, every value exactly as ``'%.17g' % v``.
+"""CSV text for float64 arrays: every value exactly as ``'%.17g' % v``,
+every row head (a phase, a Wigner axis point) as ``repr(v)``.
 
 Python's ``%`` runs Gay's correctly rounded dtoa once per value (Gay,
 "Correctly rounded binary-decimal and decimal-binary conversions",
@@ -350,9 +351,11 @@ def _write_lines(out: np.ndarray, lines) -> None:
 
 
 def _csv_heads(values) -> np.ndarray:
-    """(n, w) uint64 rows, row i the text '%.17g,' % values[i] padded with
-    NUL to the w words of the longest row."""
-    texts = [b"%.17g," % v
+    """(n, w) uint64 rows, row i the text repr(values[i]) + ',' padded with
+    NUL to the w words of the longest row: the shortest text that reads
+    back as the same double: -0.0 stays -0.0, and -5.94 takes five
+    characters where %.17g gives -5.9400000000000004."""
+    texts = [f"{v!r},".encode()
              for v in np.asarray(values, dtype=float).ravel().tolist()]
     width = -(-max(map(len, texts), default=1) // 8)
     return np.array(texts, dtype=f"S{8 * width}").view(np.uint64).reshape(

@@ -430,7 +430,8 @@ def sample_homodyne(rho: State, phases, n_samples: int, *,
 
 
 def write_samples_csv(samples: QuadratureSamples, path) -> None:
-    """Persist samples as CSV with header ``theta,x``, every value as %.17g.
+    """Persist samples as CSV with header ``theta,x``, each theta as its
+    repr (the shortest text of its double) and each x as %.17g.
 
     Each phase is formatted once and a row takes its draw's head by
     index; rows go out in chunks of _CSV_CHUNK_ROWS, one write per chunk,

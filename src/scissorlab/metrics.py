@@ -64,13 +64,24 @@ class WignerGrid:
 
 
 def phase_space_axes(extent: float = 6.0, points: int = 201) -> np.ndarray:
+    """The axis of points values from -extent to extent: value k is
+    (extent m) / (points - 1), m = 2k - (points - 1), with the ends set to
+    exactly -extent and extent.  So the axis is minus its reverse bit for
+    bit, and where extent m is exact (the default 6.0 on any axis the
+    grid cap allows) each value is the double nearest its grid point:
+    -5.94, where np.linspace gives -5.9400000000000004.  ValueError
+    unless extent > 0, points >= 2 and extent max(points - 1, 2) is
+    finite."""
     if extent <= 0.0 or points < 2:
         raise ValueError("need a positive extent and at least two points")
-    if 2.0 * extent == math.inf:
-        raise ValueError(f"axis (-{extent:g}, {extent:g}) is wider than a "
-                         f"double holds")
     # as a float: an integer beyond int64 casts no ufunc
-    return np.linspace(-float(extent), float(extent), points)
+    extent, steps = float(extent), points - 1
+    if extent * max(steps, 2) == math.inf:
+        raise ValueError(f"axis (-{extent:g}, {extent:g}) on {points} points "
+                         f"is wider than a double holds")
+    axis = extent * np.arange(-steps, points, 2) / steps
+    axis[[0, -1]] = -extent, extent
+    return axis
 
 
 def _check_grid_size(x_points: int, p_points: int) -> None:
@@ -166,11 +177,12 @@ def _axis_heads(axis_bytes: bytes) -> np.ndarray:
 
 
 def write_wigner_csv(grid: WignerGrid, path) -> None:
-    """Persist the grid as CSV rows ``x,p,w`` (x outer loop), every value
-    as %.17g.  Each axis's heads are formatted once (a small cache, since
-    a sweep writes every alpha on the same axes), and a row takes its x
-    and p heads by index; rows go out in chunks of _CSV_CHUNK_ROWS, one
-    write per chunk, through one row buffer."""
+    """Persist the grid as CSV rows ``x,p,w`` (x outer loop), x and p as
+    their repr (the shortest text of the double), w as %.17g.  Each axis's
+    heads are formatted once (a small cache, since a sweep writes every
+    alpha on the same axes), and a row takes its x and p heads by index;
+    rows go out in chunks of _CSV_CHUNK_ROWS, one write per chunk, through
+    one row buffer."""
     values = grid.values.ravel()
     with open(path, "wb") as fh:
         fh.write(b"x,p,w\n")

@@ -1249,9 +1249,11 @@ def test_module_entry_point_smoke(tmp_path):
     ]
     assert len(read_samples_csv(out / "alpha_0.2500" / "samples.csv")) == 2000
     # the forked child and the parent formatted in a fresh interpreter:
-    # every field must be the %.17g text of the double it parses to
+    # every head must be the repr, and every value the %.17g text, of the
+    # double it parses to
     for name in ("samples.csv", "wigner.csv"):
         body = (out / "alpha_0.2500" / name).read_text().partition("\n")[2]
+        rows = [line.split(",") for line in body.splitlines()]
         assert body == "".join(
-            ",".join("%.17g" % float(field) for field in line.split(","))
-            + "\n" for line in body.splitlines())
+            "".join(f"{float(head)!r}," for head in heads)
+            + "%.17g\n" % float(value) for *heads, value in rows)

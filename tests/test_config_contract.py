@@ -45,6 +45,13 @@ KNOWN = [
     {"wigner.extent": 10**300},
 ]
 
+#: extents either side of where the axis's steps overflow at 201 points:
+#: 2 * 1e306 is finite, but 1e306 * 200 is not
+STEPS = [
+    {"wigner.extent": 1e306, "wigner.points": 201},
+    {"wigner.extent": 1e305, "wigner.points": 201},
+]
+
 
 def _edge_values(key: str, value) -> list:
     """The values key takes for one edge value."""
@@ -59,7 +66,7 @@ def _edge_values(key: str, value) -> list:
 
 def _walk() -> list[dict]:
     """Every number key at every edge, then 30 seeded pairs of keys at
-    random edges and stages, then the known configs."""
+    random edges and stages, then the known configs and the axis steps."""
     singles = [{key: v} for key in NUMBER_KEYS for edge in EDGES
                for v in _edge_values(key, edge)]
     rng = np.random.default_rng(2009)
@@ -72,7 +79,7 @@ def _walk() -> list[dict]:
             options = _edge_values(key, EDGES[rng.integers(len(EDGES))])
             change[key] = options[rng.integers(len(options))]
         pairs.append(change)
-    return singles + pairs + KNOWN
+    return singles + pairs + KNOWN + STEPS
 
 
 def _write(tmp_path, name: str, changes: dict):
@@ -127,3 +134,15 @@ def test_configs_past_the_overflows_run(tmp_path, capsys, changes):
     code, out = _verb("run", path, capsys)
     assert code == 0, out
     assert (tmp_path / "c" / "summary.csv").is_file()
+
+
+def test_extent_whose_axis_steps_overflow_is_refused(tmp_path, capsys):
+    code, out = _verb("check", _write(tmp_path, "c", STEPS[0]), capsys)
+    assert code == 1
+    assert ("wigner.extent: axis (-1e+306, 1e+306) on 201 points is wider "
+            "than a double holds") in out
+    path = _write(tmp_path, "d", STEPS[1])
+    assert _verb("check", path, capsys)[0] == 0
+    code, out = _verb("run", path, capsys)
+    assert code == 0, out
+    assert (tmp_path / "d" / "summary.csv").is_file()

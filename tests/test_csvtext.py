@@ -1,4 +1,5 @@
-"""The bulk %.17g formatter against Python's own ``'%.17g' % v``."""
+"""The bulk %.17g formatter against Python's own ``'%.17g' % v``, and the
+row heads against ``repr``."""
 
 import io
 
@@ -73,11 +74,23 @@ def test_matches_percent_formatting_exactly():
 def test_heads_are_padded_text_with_separator():
     values = np.array([0.5, -0.0, 1e-300, np.nan, 1.0 / 3.0])
     rows = _csv_heads(values)
-    # the longest text, "0.33333333333333331,", takes three words
+    # the longest text, "0.3333333333333333,", takes three words
     assert rows.shape == (5, 3) and rows.dtype == np.uint64
     assert [row.tobytes().rstrip(b"\0") for row in rows] == [
-        ("%.17g," % v).encode() for v in values.tolist()]
+        (repr(v) + ",").encode() for v in values.tolist()]
     assert _csv_heads(np.empty(0)).shape == (0, 1)
+
+
+def test_heads_are_the_shortest_text_that_reads_back():
+    values = [-0.0, 0.0, 5e-324, 1e300, 1.0 / 3.0, 6.0, -5.94]
+    texts = [row.tobytes().rstrip(b"\0").decode()
+             for row in _csv_heads(np.array(values))]
+    assert texts == ["-0.0,", "0.0,", "5e-324,", "1e+300,",
+                     "0.3333333333333333,", "6.0,", "-5.94,"]
+    assert texts == [repr(v) + "," for v in values]
+    for v, text in zip(values, texts):
+        back = float(text[:-1])
+        assert back == v and np.signbit(back) == np.signbit(v)
 
 
 def test_writers_match_row_by_row_percent_formatting(tmp_path):
@@ -105,9 +118,9 @@ def test_writers_match_row_by_row_percent_formatting(tmp_path):
     path = tmp_path / "samples.csv"
     write_samples_csv(samples, path)
     assert path.read_bytes() == ("theta,x\n" + "".join(
-        "%.17g,%.17g\n" % (phases[i], v)
-        for i, v in zip(samples.phase_index.tolist(),
-                        values.tolist()))).encode()
+        "%r,%.17g\n" % (theta, v)
+        for theta, v in zip(phases[samples.phase_index].tolist(),
+                            values.tolist()))).encode()
 
     x = np.concatenate([phase_space_axes(6.0, 201), odd])
     p = np.concatenate([phase_space_axes(4.0, 41), odd,
@@ -119,7 +132,7 @@ def test_writers_match_row_by_row_percent_formatting(tmp_path):
     path = tmp_path / "wigner.csv"
     write_wigner_csv(grid, path)
     assert path.read_bytes() == ("x,p,w\n" + "".join(
-        "%.17g,%.17g,%.17g\n" % (xv, pv, grid.values[i, j])
+        "%r,%r,%.17g\n" % (xv, pv, grid.values[i, j])
         for i, xv in enumerate(x.tolist())
         for j, pv in enumerate(p.tolist()))).encode()
 

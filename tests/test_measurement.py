@@ -576,7 +576,7 @@ def test_sampler_takes_no_efficiency():
 def reference_samples_csv(samples):
     """The file text written one row at a time."""
     return "theta,x\n" + "".join(
-        f"{t:.17g},{x:.17g}\n"
+        f"{t!r},{x:.17g}\n"
         for t, x in zip(samples.phases[samples.phase_index].tolist(),
                         samples.x.tolist()))
 
@@ -588,7 +588,7 @@ def test_samples_csv_roundtrip(tmp_path):
     write_samples_csv(samples, path)
     back = read_samples_csv(path)
     assert len(back) == 123
-    # %.17g keeps doubles exactly
+    # repr and %.17g keep doubles exactly
     assert back.phases.tolist() == samples.phases.tolist()
     assert back.phase_index.tolist() == samples.phase_index.tolist()
     assert back.x.tolist() == samples.x.tolist()
@@ -611,9 +611,10 @@ def test_samples_csv_roundtrip(tmp_path):
     for batch in batches:
         write_samples_csv(batch, path)
         assert path.read_text() == reference_samples_csv(batch)
-    # a -0.0 phase prints as -0 on every row that uses it
+    # a -0.0 phase prints as -0.0 on every row that uses it
     write_samples_csv(batches[1], path)
-    assert path.read_text() == "theta,x\n0,0.5\n-0,-0.5\n-0,1.5\n0,-1.5\n"
+    assert path.read_text() == ("theta,x\n0.0,0.5\n-0.0,-0.5\n-0.0,1.5\n"
+                                "0.0,-1.5\n")
 
 
 def test_sample_rows_written_block_by_block(tmp_path):

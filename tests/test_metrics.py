@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,32 @@ from scissorlab.optics import _balanced_coefficients
 from oracles import _bs_matrix
 
 TWO_PI = 2.0 * math.pi
+
+
+@pytest.mark.parametrize("points", [201, 41])
+def test_axes_are_the_rounded_decimal_grid(points):
+    axis = phase_space_axes(6.0, points)
+    # 0.0 - v is -v bit for bit, but +0.0 at the centre
+    assert axis.tobytes() == (0.0 - axis[::-1]).tobytes()
+    assert (axis[0], axis[-1]) == (-6.0, 6.0)
+    steps = points - 1
+    assert axis.tolist() == [float(Fraction(6) * m / steps)
+                             for m in range(-steps, points, 2)]
+
+
+def test_axes_pin_their_ends_where_the_steps_round():
+    # 0.1 * 3 rounds up, and 0.30000000000000004 / 3 is not 0.1
+    axis = phase_space_axes(0.1, 4)
+    assert (axis[0], axis[-1]) == (-0.1, 0.1)
+    assert axis.tobytes() == (0.0 - axis[::-1]).tobytes()
+
+
+def test_vacuum_wigner_is_mirror_symmetric_bit_for_bit():
+    # W(x, p) = W(-x, p) = W(x, -p) for the vacuum; on a symmetric axis
+    # the grid keeps that exactly (not so on np.linspace's axis)
+    values = wigner(vacuum_state(8).to_density()).values
+    assert values.tobytes() == values[::-1].tobytes()
+    assert values.tobytes() == values[:, ::-1].tobytes()
 
 
 def test_wigner_vacuum_peak():
@@ -237,8 +264,9 @@ def test_wigner_marginals_match_pdfs():
 def reference_wigner_csv(grid):
     """The file text written one row at a time."""
     return "x,p,w\n" + "".join(
-        f"{xv:.17g},{pv:.17g},{grid.values[i, j]:.17g}\n"
-        for i, xv in enumerate(grid.x) for j, pv in enumerate(grid.p))
+        f"{xv!r},{pv!r},{grid.values[i, j]:.17g}\n"
+        for i, xv in enumerate(grid.x.tolist())
+        for j, pv in enumerate(grid.p.tolist()))
 
 
 def test_wigner_csv_layout(tmp_path):
