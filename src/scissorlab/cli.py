@@ -34,6 +34,7 @@ from .amplifier import (AmplifierConfig, HeraldedOutput, SourceModel,
                         _check_working_size, ideal_output, simulate)
 from .csvtext import _CSV_CHUNK_ROWS
 from .measurement import (
+    QuadratureSamples,
     _HomodyneDraws,
     _check_draw_size,
     _check_sample_count,
@@ -42,23 +43,20 @@ from .measurement import (
     read_samples_csv,
 )
 from .metrics import (
-    _check_coefficient_size,
-    _check_grid_size,
+    _grid_axes,
+    _wigner_sectors,
     build_metrics_report,
-    phase_space_axes,
     wigner,
     write_metrics_json,
     write_wigner_csv,
 )
-from .numerics import DIMENSION_CAP
+from .numerics import DIMENSION_CAP, CapacityError
 from .optics import LossChannel, apply_loss
 from .tomography import (
     ReconstructionResult,
     TomographyProblem,
-    _bin_edges,
-    _check_histogram_size,
-    _check_phase_size,
     _check_reconstruction_size,
+    _problem_stack,
     bin_samples,
     maxlik_reconstruct,
     read_density_json,
@@ -172,7 +170,8 @@ def default_config_dict() -> dict:
 class RunConfig:
     """Validated sweep settings ready for run_sweep, with each alpha's
     stage output already prepared (none for wigner and tomo, which
-    read none of them)."""
+    read none of them); at stage sampled its state is the one the
+    homodyne detector receives, behind eta_hd."""
 
     amplifier: AmplifierConfig     # at alpha 0
     alphas: tuple[float, ...]
@@ -190,15 +189,18 @@ class RunConfig:
         return replace(self.amplifier, alpha=alpha)
 
 
-def _report(problems: list[str], key: str, check, *args) -> bool:
-    """Run a library rule check(*args), reporting its ValueError under key;
-    whether the rule held."""
+def _built(problems: list[str], key, build, *args, **kwargs):
+    """build(*args, **kwargs), or True for a rule check, which returns
+    None; on a ValueError, None, the error reported under key: a dotted
+    key, or a pair (the key of a CapacityError, the key of any other)."""
     try:
-        check(*args)
+        value = build(*args, **kwargs)
     except ValueError as exc:
+        if isinstance(key, tuple):
+            key = key[not isinstance(exc, CapacityError)]
         problems.append(f"{key}: {exc}")
-        return False
-    return True
+        return None
+    return True if value is None else value
 
 
 def _flatten(node: dict, prefix: str, flat: dict, problems: list[str]) -> dict:
@@ -220,6 +222,8 @@ def _flatten(node: dict, prefix: str, flat: dict, problems: list[str]) -> dict:
 
 def _build_config(flat: dict, problems: list[str],
                   prepare: bool = True) -> RunConfig | None:
+    """The schema's rules, the refusals no layer makes, and what run
+    builds short of the draws and writes, each build's error under its key."""
     values = {key: flat.get(key, default)
               for key, (default, _, _) in _SCHEMA.items()}
     # never defaulted: a file must say which schema it follows
@@ -231,32 +235,28 @@ def _build_config(flat: dict, problems: list[str],
             problems.append(f"{key}: {rule}, got {values[key]!r}")
     sections = _nest(values)
     amp, sweep = sections["amplifier"], sections["sweep"]
-    tomo = sections["tomography"]
+    tomo, stage = sections["tomography"], sweep["stage"]
     amplifier = None    # the section as the pipeline runs it, at alpha 0
     if not any(key.startswith("amplifier.") for key in bad):
-        where = "amplifier.source"
-        try:
-            source = SourceModel(**amp.pop("source"))
-            where = "amplifier"
-            config = AmplifierConfig(alpha=0.0, source=source, **amp)
-            if sweep["stage"] in ("circuit", "sampled"):
-                where = "amplifier.n_max"
-                _check_working_size(config.n_max, source)
+        source = _built(problems, "amplifier.source", SourceModel,
+                        **amp.pop("source"))
+        config = source and _built(problems, "amplifier", AmplifierConfig,
+                                   alpha=0.0, source=source, **amp)
+        if config and (stage not in ("circuit", "sampled") or _built(
+                problems, "amplifier.n_max", _check_working_size,
+                config.n_max, source)):
             amplifier = config
-        except ValueError as exc:
-            problems.append(f"{where}: {exc}")
 
     alphas = [] if "sweep.alphas" in bad else sweep["alphas"]
     # each alpha's key names its output directory and its seed
-    keyed = [a for a in alphas
-             if _report(problems, "sweep.alphas", _alpha_key, a)]
-    keys = [_alpha_key(a) for a in keyed]
-    clashes = [a for a, k in zip(keyed, keys) if keys.count(k) > 1]
+    keys = [_built(problems, "sweep.alphas", _alpha_key, a) for a in alphas]
+    clashes = [a for a, k in zip(alphas, keys)
+               if k is not None and keys.count(k) > 1]
     if clashes:
         problems.append(f"sweep.alphas: {clashes} coincide at 4 decimals "
                         f"(output directory and seed)")
-    if "sweep.eta_hd" not in bad:
-        _report(problems, "sweep.eta_hd", LossChannel, sweep["eta_hd"])
+    loss = None if "sweep.eta_hd" in bad else _built(
+        problems, "sweep.eta_hd", LossChannel, sweep["eta_hd"])
 
     phases = sweep["phases"]
     count = len(phases) if isinstance(phases, list) else phases
@@ -270,12 +270,13 @@ def _build_config(flat: dict, problems: list[str],
         phases = tuple(float(t) for t in phases)
     else:
         phases = tuple(default_phase_grid(phases))
-    # the capacity rule first: it bounds the bin count before any edges
+    # at every stage (tomo reads the section at any), and before any edges
+    # are built, since it bounds the bin count
     tomography_fits = not {"tomography.bin_count", "tomography.n_max"} & bad \
-        and _report(problems, "tomography.n_max", _check_reconstruction_size,
-                    tomo["bin_count"], tomo["n_max"])
+        and _built(problems, "tomography.n_max", _check_reconstruction_size,
+                   tomo["bin_count"], tomo["n_max"])
     # settings valid alone but not for tomography
-    if sweep["stage"] == "sampled":
+    if stage == "sampled":
         n_samples = (None if "sweep.samples_per_state" in bad
                      else sweep["samples_per_state"])
         if n_samples == 0:
@@ -284,49 +285,49 @@ def _build_config(flat: dict, problems: list[str],
                             "from no samples)")
         elif n_samples is not None:
             # the sampler's own rule, met here before the circuit runs
-            _report(problems, "sweep.samples_per_state", _check_sample_count,
-                    n_samples)
+            _built(problems, "sweep.samples_per_state", _check_sample_count,
+                   n_samples)
         if len(phases) == 1:
             problems.append("sweep.phases: must give at least two distinct "
                             "angles at stage sampled (tomography cannot "
                             "reconstruct from one)")
-        _report(problems, "sweep.phases", _check_draw_size, len(phases))
+        _built(problems, "sweep.phases", _check_draw_size, len(phases))
         if "tomography.bin_count" not in bad and tomo["bin_count"] < 2:
             problems.append("tomography.bin_count: must be at least 2 at "
                             "stage sampled (one bin carries no phase "
                             "information)")
-        if tomography_fits:
-            # the count table binds above about 20,400 bins at 49 phases
-            _report(problems, "tomography.bin_count", _check_histogram_size,
-                    len(phases), tomo["bin_count"])
-            _report(problems, "tomography.n_max", _check_phase_size,
-                    len(phases), tomo["n_max"])
-            if "tomography.bin_range" not in bad:
-                _report(problems, "tomography.bin_range", _bin_edges,
-                        tomo["bin_count"], tuple(tomo["bin_range"]))
+        if tomography_fits and len(phases) > 1 \
+                and "tomography.bin_range" not in bad:
+            # the fit's POVM, which every alpha's fit reuses: on the edges
+            # of a binning as run's, of no draws
+            none = QuadratureSamples(np.array(phases), np.zeros(0, np.uint8),
+                                     np.zeros(0))
+            hists = _built(problems, ("tomography.bin_count",
+                                      "tomography.bin_range"), bin_samples,
+                           none, tomo["bin_count"], tuple(tomo["bin_range"]))
+            if hists is not None:
+                _built(problems, ("tomography.n_max", "tomography.bin_range"),
+                       _problem_stack, hists, tomo["n_max"])
         if "tomography.n_max" not in bad:
-            # the reconstruction's Wigner grid is mapped at this cutoff
-            _report(problems, "tomography.n_max", _check_coefficient_size,
-                    tomo["n_max"] + 1)
-    points = sections["wigner"]["points"]
-    grid_fits = "wigner.points" not in bad and _report(
-        problems, "wigner.points", _check_grid_size, points, points)
-    if "wigner.extent" not in bad:
-        # the axis run builds; on two points (its ends alone) where the
-        # points are refused
-        _report(problems, "wigner.extent", phase_space_axes,
-                sections["wigner"]["extent"], points if grid_fits else 2)
+            # the table of the reconstruction's Wigner map
+            _built(problems, "tomography.n_max", _wigner_sectors,
+                   tomo["n_max"] + 1)
+    axes = None if {"wigner.extent", "wigner.points"} & bad else _built(
+        problems, ("wigner.points", "wigner.extent"), _grid_axes,
+        sections["wigner"]["extent"], sections["wigner"]["points"])
     outputs = {}    # each alpha prepared as run runs it
     if prepare and amplifier is not None and "sweep.stage" not in bad:
+        # at stage sampled, as the homodyne detector receives it
+        detected = loss if stage == "sampled" else None
         for alpha in alphas:
             try:
-                outputs[float(alpha)] = _stage_output(amplifier, sweep["stage"],
-                                                      alpha)
+                outputs[float(alpha)] = _stage_output(amplifier, stage,
+                                                      alpha, detected)
             except ValueError as exc:   # the input's fit, or the herald floor
                 why = (f"does not fit amplifier.n_max = {amplifier.n_max}"
                        if str(exc).startswith("coherent state") else
                        f"is not heralded at amplifier.gain = {amplifier.gain!r}"
-                       if sweep["stage"] == "analytic" else "is not heralded")
+                       if stage == "analytic" else "is not heralded")
                 problems.append(f"sweep.alphas: alpha {alpha!r} {why} ({exc})")
 
     if problems:
@@ -334,8 +335,7 @@ def _build_config(flat: dict, problems: list[str],
     # the sweep section's keys are RunConfig's remaining fields
     sweep.update(alphas=tuple(map(float, alphas)), phases=phases,
                  eta_hd=float(sweep["eta_hd"]))
-    return RunConfig(amplifier=amplifier, tomography=tomo,
-                     wigner_axes=phase_space_axes(**sections["wigner"]),
+    return RunConfig(amplifier=amplifier, tomography=tomo, wigner_axes=axes,
                      outputs=outputs, **sweep)
 
 
@@ -395,12 +395,14 @@ def _alpha_text(alpha: float) -> str:
     return f"{whole}.{fraction:04d}"
 
 
-def _stage_output(amplifier: AmplifierConfig, stage: str,
-                  alpha: float) -> HeraldedOutput:
-    """One alpha's output: the closed form at stage analytic, else the circuit."""
+def _stage_output(amplifier: AmplifierConfig, stage: str, alpha: float,
+                  loss: LossChannel | None = None) -> HeraldedOutput:
+    """One alpha's output: the closed form at stage analytic, else the
+    circuit, its state taken behind loss if one is given."""
     if stage == "analytic":
         return ideal_output(alpha, amplifier.gain, amplifier.accept_both_heralds)
-    return simulate(replace(amplifier, alpha=alpha))
+    out = simulate(replace(amplifier, alpha=alpha))
+    return replace(out, state=apply_loss(out.state, loss)) if loss else out
 
 
 def _reconstruct(samples, tomo: dict, path) -> ReconstructionResult:
@@ -515,14 +517,13 @@ def _run_single(cfg: RunConfig, alpha: float, out_dir: Path) -> tuple[dict, list
     state_for_metrics = out.state
     eta_for_metrics = 1.0
     alpha_dir = out_dir / f"alpha_{_alpha_text(alpha)}"
-    alpha_dir.mkdir(exist_ok=True)
+    alpha_dir.mkdir()
 
     with ExitStack() as children:
         if cfg.stage == "sampled":
             sample_path = alpha_dir / "samples.csv"
             samples = children.enter_context(_samples_streamed_to_child(
-                _HomodyneDraws(apply_loss(out.state, LossChannel(cfg.eta_hd)),
-                               cfg.phases, cfg.samples_per_state,
+                _HomodyneDraws(out.state, cfg.phases, cfg.samples_per_state,
                                seed=_alpha_seed(cfg.seed, alpha)),
                 sample_path))
             written.append(sample_path)
@@ -556,14 +557,33 @@ def _run_single(cfg: RunConfig, alpha: float, out_dir: Path) -> tuple[dict, list
     return row, written
 
 
+def _taken(out_dir) -> list[str]:
+    """The refusal of an output directory that exists and is not an empty
+    directory, or none: a sweep is never written over an earlier one."""
+    try:
+        taken = bool(os.listdir(out_dir))
+    except FileNotFoundError:
+        return []
+    except NotADirectoryError:
+        taken = os.path.lexists(out_dir)
+    return [f"sweep.output_dir: {out_dir} exists and is not an empty "
+            f"directory"] if taken else []
+
+
 def run_sweep(cfg: RunConfig, out_dir=None) -> list[Path]:
     """Run the alpha sweep; returns every artifact path written.
 
-    The summary CSV is assembled in memory and written last, ordered by
-    increasing alpha, so a failing alpha never leaves a partial summary.
+    FileExistsError, before anything is drawn, if out_dir (by default
+    cfg.output_dir) exists and is not an empty directory.  The summary
+    CSV is assembled in memory and written last, ordered by increasing
+    alpha, so a failing alpha never leaves a partial summary.
     """
     out_dir = Path(cfg.output_dir if out_dir is None else out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True)
+    except FileExistsError:
+        for refusal in _taken(out_dir):
+            raise FileExistsError(refusal) from None
     rows: list[dict] = []
     written: list[Path] = []
     for alpha in sorted(cfg.alphas):
@@ -609,7 +629,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg, problems = validate_config(args.config)
-    if cfg is None:
+    if cfg is not None:     # the directory run would refuse to write into
+        problems = _taken(cfg.output_dir)
+    if problems:
         print("invalid config:")
         for p in problems:
             print(f"  - {p}")
@@ -619,7 +641,13 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _refuse_existing(path) -> None:
+    if os.path.lexists(path):
+        raise FileExistsError(f"--out: {path} already exists")
+
+
 def _cmd_wigner(args) -> int:
+    _refuse_existing(args.out)
     cfg = _load_config_or_fail(args.config, {"sweep.stage": args.stage},
                                prepare=False)
     if args.rho is not None:
@@ -634,6 +662,7 @@ def _cmd_wigner(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
+    _refuse_existing(args.out)
     cfg = _load_config_or_fail(args.config, {"tomography.n_max": args.n_max},
                                prepare=False)
     result = _reconstruct(read_samples_csv(args.samples), cfg.tomography,

@@ -47,21 +47,6 @@ class WignerGrid:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "values", v)
 
-    def riemann_mass(self) -> float:
-        dx = self.x[1] - self.x[0]
-        dp = self.p[1] - self.p[0]
-        return float(self.values.sum() * dx * dp)
-
-    def marginal_x(self) -> np.ndarray:
-        """Integrate over p; matches quadrature_pdf at theta = 0."""
-        dp = self.p[1] - self.p[0]
-        return self.values.sum(axis=1) * dp
-
-    def marginal_p(self) -> np.ndarray:
-        """Integrate over x; matches quadrature_pdf at theta = pi/2."""
-        dx = self.x[1] - self.x[0]
-        return self.values.sum(axis=0) * dx
-
 
 def phase_space_axes(extent: float = 6.0, points: int = 201) -> np.ndarray:
     """The axis of points values from -extent to extent: value k is
@@ -94,13 +79,12 @@ def _check_grid_size(x_points: int, p_points: int) -> None:
                             f"above the cap {DIMENSION_CAP}")
 
 
-def _check_coefficient_size(d: int) -> None:
-    """Raise CapacityError if the Wigner coefficient table of a state of
-    dimension d, (2d - 1) d^2 entries, holds more values than the cap."""
-    size = (2 * d - 1) * d * d
-    if size > DIMENSION_CAP:
-        raise CapacityError(f"a state on 0..{d - 1} photons needs {size} "
-                            f"Wigner coefficients, above the cap {DIMENSION_CAP}")
+def _grid_axes(extent: float, points: int) -> np.ndarray:
+    """The axis of a square grid of points x points values, as
+    ``phase_space_axes`` builds it; CapacityError, before it is built, if
+    the grid holds more values than the cap (``check`` builds this)."""
+    _check_grid_size(points, points)
+    return phase_space_axes(extent, points)
 
 
 @lru_cache(maxsize=4)
@@ -117,8 +101,14 @@ def _wigner_sectors(d: int) -> tuple[np.ndarray, ...]:
     product that holds A[j, k]: row j of sector N = j + k, or of sector
     N - (2d - 1) < j, which is zero, where N > 2d - 2.  Each of the four
     cached cutoffs holds about (2d - 1)^2 (d + 1) numbers, O(d^3).
+    CapacityError, before anything is built, if the (2d - 1) d^2
+    coefficients exceed the cap (``check`` builds the map's table).
     """
     size, n = 2 * d - 1, np.arange(d)
+    if size * d * d > DIMENSION_CAP:
+        raise CapacityError(f"a state on 0..{d - 1} photons needs "
+                            f"{size * d * d} Wigner coefficients, above the "
+                            f"cap {DIMENSION_CAP}")
     table = _balanced_coefficients(d, d)    # zero at j > m + n
     coeffs = np.zeros((size, size, d))
     for m in range(d):
@@ -155,7 +145,6 @@ def wigner(rho: State, x=None, p=None) -> WignerGrid:
     x = phase_space_axes() if x is None else np.asarray(x, dtype=float)
     p = phase_space_axes() if p is None else np.asarray(p, dtype=float)
     _check_grid_size(x.size, p.size)
-    _check_coefficient_size(rho.dim)
     d, size = rho.dim, 2 * rho.dim - 1
     coeffs, entries, cells, turns = _wigner_sectors(d)
     # sector N's real and imaginary parts as two columns; row j is A[j, N - j]

@@ -17,6 +17,7 @@ is small enough.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -172,13 +173,49 @@ def _check_phase_size(k: int, n_max: int) -> None:
                             f"{DIMENSION_CAP}")
 
 
+@functools.lru_cache(maxsize=1)
+def _edge_stack(edges: bytes, n_max: int) -> np.ndarray:
+    """The read-only ``_overlap_stack`` of the float64 edges whose raw
+    bytes are given; ValueError if it misses completeness.  Kept for the
+    last edges and cutoff only: a sweep fits every alpha on one set of
+    edges at one cutoff, and ``check`` builds the stack its run reuses."""
+    stack = _overlap_stack(np.frombuffer(edges), n_max)
+    # |e^{i theta (m - n)}| = 1 and the diagonal is 1, so every phase
+    # misses completeness by as much as the stack; written so that a NaN
+    # miss fails too
+    miss = np.abs(stack.sum(axis=0) - _packed_identity(n_max + 1)).max()
+    if not miss <= POVM_COMPLETENESS_TOL:
+        raise ValueError(f"POVM on these bin edges deviates from "
+                         f"completeness by {miss:.3e}")
+    stack.setflags(write=False)
+    return stack
+
+
+def _problem_stack(histograms: QuadratureHistograms, n_max: int
+                   ) -> np.ndarray:
+    """The POVM stack of ``TomographyProblem(histograms, n_max)``, after
+    its rules: CapacityError, before anything is built, if one phase's
+    full elements or the fit's phase matrices would exceed the cap, and
+    ValueError for a cutoff below 1 or fewer than two distinct phases."""
+    if n_max < 1:
+        raise ValueError("reconstruction n_max must be >= 1")
+    _check_reconstruction_size(histograms.edges.size - 1, n_max)
+    _check_phase_size(histograms.thetas.size, n_max)
+    if np.unique(histograms.thetas).size < 2:
+        raise ValueError(
+            "tomography needs at least two distinct phases to be "
+            "informationally complete"
+        )
+    return _edge_stack(histograms.edges.tobytes(), n_max)
+
+
 @dataclass
 class TomographyProblem:
     """A count table plus its POVM for a chosen reconstruction cutoff.
 
     The POVM is one real, phase-free overlap stack S on the table's
-    edges, held packed as ``stack`` (see ``_overlap_stack``); phase k's
-    element j is e^{i thetas[k] (m - n)} S[j], with count
+    edges, held packed and read-only as ``stack`` (see ``_overlap_stack``);
+    phase k's element j is e^{i thetas[k] (m - n)} S[j], with count
     ``counts[k, j]``: ``counts`` is the histograms' own read-only table.
     CapacityError, before anything is built, if one phase's full elements
     or the phase matrices of the fit would exceed the cap.
@@ -190,26 +227,7 @@ class TomographyProblem:
     counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("reconstruction n_max must be >= 1")
-        _check_reconstruction_size(self.histograms.edges.size - 1, self.n_max)
-        _check_phase_size(self.histograms.thetas.size, self.n_max)
-        if np.unique(self.histograms.thetas).size < 2:
-            raise ValueError(
-                "tomography needs at least two distinct phases to be "
-                "informationally complete"
-            )
-        self.stack = _overlap_stack(self.histograms.edges, self.n_max)
-        # |e^{i theta (m - n)}| = 1 and the diagonal is 1, so every phase
-        # misses completeness by as much as the stack; written so that a
-        # NaN miss fails too
-        miss = np.abs(self.stack.sum(axis=0)
-                      - _packed_identity(self.n_max + 1)).max()
-        if not miss <= POVM_COMPLETENESS_TOL:
-            raise ValueError(
-                f"POVM on these bin edges deviates from completeness by "
-                f"{miss:.3e}"
-            )
+        self.stack = _problem_stack(self.histograms, self.n_max)
         self.counts = self.histograms.counts
 
     @property

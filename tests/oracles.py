@@ -11,6 +11,8 @@ form (``amplifier._resource_components``); the tests hold both to it.
 operator-free ``quadrature_moments`` is checked, and
 ``phase_povm_elements`` one phase's full (complex, unpacked) bin
 elements, against which the packed probability map is checked.
+``riemann_mass``, ``marginal_x`` and ``marginal_p`` sum a Wigner grid
+over its cells, for the checks of its norm and its marginals.
 """
 
 import math
@@ -33,6 +35,23 @@ def phase_povm_elements(theta: float, edges, n_max: int) -> np.ndarray:
     """All elements of one phase, Pi[k, m, n] = e^{i (m - n) theta}
     S[k, m, n]: underflow (from -inf), the bins, overflow (to +inf)."""
     return _ProbabilityMap([theta], _overlap_stack(edges, n_max)).elements()
+
+
+def riemann_mass(grid) -> float:
+    """The Riemann sum of a WignerGrid over its cells."""
+    return float(grid.values.sum() * (grid.x[1] - grid.x[0])
+                 * (grid.p[1] - grid.p[0]))
+
+
+def marginal_x(grid) -> np.ndarray:
+    """A WignerGrid integrated over p; matches quadrature_pdf at theta = 0."""
+    return grid.values.sum(axis=1) * (grid.p[1] - grid.p[0])
+
+
+def marginal_p(grid) -> np.ndarray:
+    """A WignerGrid integrated over x; matches quadrature_pdf at theta =
+    pi/2."""
+    return grid.values.sum(axis=0) * (grid.x[1] - grid.x[0])
 
 
 @lru_cache(maxsize=64)

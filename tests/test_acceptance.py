@@ -40,7 +40,7 @@ from scissorlab import (
     vacuum_state,
     wigner,
 )
-from oracles import phase_povm_elements
+from oracles import marginal_p, marginal_x, phase_povm_elements
 
 ALPHA_GRID = (0.0, 0.1, 0.25, 0.5, 1.0)
 
@@ -167,8 +167,8 @@ def test_criterion_6_wigner_structure(_report):
     var_p = quadrature_moments(out, math.pi / 2)[1]
     grid = wigner(out)
     marg_err = max(
-        np.abs(grid.marginal_x() - quadrature_pdf(out, 0.0, grid.x)).max(),
-        np.abs(grid.marginal_p()
+        np.abs(marginal_x(grid) - quadrature_pdf(out, 0.0, grid.x)).max(),
+        np.abs(marginal_p(grid)
                - quadrature_pdf(out, math.pi / 2, grid.p)).max())
     ok = peak_err <= 1e-6 and var_x < var_p and marg_err <= 1e-4
     _report(6, "Wigner structure", ok,

@@ -4,7 +4,9 @@ A fixed, seeded walk over the config schema: every number key at edge
 values, alone and in random pairs, plus configs that once slipped past
 ``check``.  For each, ``check`` answers 0 or 1 and never raises; where it
 answers 0, ``run`` writes its sweep with no traceback and no numpy
-RuntimeWarning.  The sweep is one alpha at small sample counts.
+RuntimeWarning.  The sweep is one alpha at small sample counts.  Each
+known config's own outcome is a rule of ``test_cli.py``'s table,
+collected here.
 """
 
 import json
@@ -12,21 +14,13 @@ import sys
 import warnings
 
 import numpy as np
-import pytest
 
 from scissorlab import cli
 from scissorlab.cli import STAGES, default_config_dict, main
+from test_cli import KNOWN_RULES, SMALL_SWEEP, rule_test
 
 #: a small sampled sweep, so that each accepted config runs in milliseconds
-BASE = {
-    "sweep.alphas": [0.25],
-    "sweep.stage": "sampled",
-    "sweep.phases": 2,
-    "sweep.samples_per_state": 200,
-    "tomography.bin_count": 8,
-    "tomography.n_max": 2,
-    "wigner.points": 5,
-}
+BASE = {**SMALL_SWEEP, "sweep.stage": "sampled"}
 
 #: signs, zero, the subnormal and normal ends of double range, and the
 #: integer just past it; a number key takes each alone, a list key in a list
@@ -37,13 +31,7 @@ NUMBER_KEYS = [key for key, (default, _, _) in cli._SCHEMA.items()
                if not isinstance(default, (bool, str))]
 
 #: configs once accepted by check that run could not complete
-KNOWN = [
-    {"amplifier.detector_mu": 1e-30, "sweep.stage": "circuit"},
-    {"tomography.tol": 400},
-    {"tomography.bin_range": [-1e300, 0]},
-    {"wigner.extent": 1e300},
-    {"wigner.extent": 10**300},
-]
+KNOWN = [{"sweep.stage": rule.stage, **rule.changes} for rule in KNOWN_RULES]
 
 #: extents either side of where the axis's steps overflow at 201 points:
 #: 2 * 1e306 is finite, but 1e306 * 200 is not
@@ -125,15 +113,8 @@ def test_check_accepts_only_what_run_completes(tmp_path, capsys):
     assert accepted > 50
 
 
-@pytest.mark.parametrize("changes", KNOWN[1:], ids=["tol-400", "bin-range",
-                                                     "extent", "extent-int"])
-def test_configs_past_the_overflows_run(tmp_path, capsys, changes):
-    # each once overflowed a double in run after check had said ok
-    path = _write(tmp_path, "c", changes)
-    assert _verb("check", path, capsys)[0] == 0
-    code, out = _verb("run", path, capsys)
-    assert code == 0, out
-    assert (tmp_path / "c" / "summary.csv").is_file()
+# each known config's outcome: refused with its message, or a completed run
+test_configs_past_the_overflows_run = rule_test(KNOWN_RULES)
 
 
 def test_extent_whose_axis_steps_overflow_is_refused(tmp_path, capsys):

@@ -82,8 +82,9 @@ def run_default(stage: str, out_dir: Path) -> dict:
     fixture pins, per alpha, after checking every CSV against memory."""
     config = default_config_dict()
     config["sweep"].update(stage=stage, seed=1, output_dir=str(out_dir))
-    out_dir.mkdir(parents=True)
-    path = out_dir / "config.json"
+    # beside the sweep: run writes into no directory that holds a file
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    path = out_dir.parent / f"{stage}.json"
     path.write_text(json.dumps(config))
     cfg, problems = cli.validate_config(path)
     assert problems == []
@@ -159,7 +160,7 @@ def test_default_sweep_matches_fixture(tmp_path):
     alpha_dir = sampled / "alpha_0.2500"
     replay = tmp_path / "replay_rho.json"
     assert cli.main(["tomo", "--samples", str(alpha_dir / "samples.csv"),
-                     "--config", str(sampled / "config.json"),
+                     "--config", str(tmp_path / "sampled.json"),
                      "--out", str(replay)]) == 0
     assert replay.read_bytes() == (alpha_dir / "rho.json").read_bytes()
 

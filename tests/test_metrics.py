@@ -36,7 +36,7 @@ from scissorlab import (
 from scissorlab import metrics
 from scissorlab.metrics import _axis_heads, _wigner_sectors
 from scissorlab.optics import _balanced_coefficients
-from oracles import _bs_matrix
+from oracles import _bs_matrix, marginal_p, marginal_x, riemann_mass
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,7 +72,7 @@ def test_wigner_vacuum_peak():
     i0 = np.argmin(np.abs(grid.x))
     j0 = np.argmin(np.abs(grid.p))
     assert grid.values[i0, j0] == pytest.approx(1.0 / TWO_PI, abs=1e-12)
-    assert grid.riemann_mass() == pytest.approx(1.0, abs=1e-6)
+    assert riemann_mass(grid) == pytest.approx(1.0, abs=1e-6)
     assert grid.values.min() > -1e-15
 
 
@@ -81,7 +81,7 @@ def test_wigner_single_photon_negative_origin():
     i0 = np.argmin(np.abs(grid.x))
     j0 = np.argmin(np.abs(grid.p))
     assert grid.values[i0, j0] == pytest.approx(-1.0 / TWO_PI, abs=1e-12)
-    assert grid.riemann_mass() == pytest.approx(1.0, abs=1e-6)
+    assert riemann_mass(grid) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_wigner_origin_is_weighted_parity():
@@ -254,9 +254,9 @@ def test_wigner_map_is_the_balanced_beamsplitter():
 def test_wigner_marginals_match_pdfs():
     rho = ideal_output(0.5, 2.0).state
     grid = wigner(rho)
-    np.testing.assert_allclose(grid.marginal_x(),
+    np.testing.assert_allclose(marginal_x(grid),
                                quadrature_pdf(rho, 0.0, grid.x), atol=1e-4)
-    np.testing.assert_allclose(grid.marginal_p(),
+    np.testing.assert_allclose(marginal_p(grid),
                                quadrature_pdf(rho, math.pi / 2, grid.p),
                                atol=1e-4)
 
